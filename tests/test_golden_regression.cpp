@@ -27,6 +27,7 @@
 #include "core/logistic_plos.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
+#include "net/fault.hpp"
 #include "net/simnet.hpp"
 #include "rng/engine.hpp"
 
@@ -150,6 +151,48 @@ TEST(GoldenRegression, DistributedTrainer) {
   add_report(values, "accuracy",
              evaluate(dataset, predict_all(dataset, result.model)));
   check_against_golden("distributed_synth.txt", values);
+}
+
+// The synchronous schedule's fault path: churn, CRC-framed retries, and
+// the fault-schedule round deadline (stragglers are charged their compute
+// but send no upload). Pins the degradation tallies next to the model.
+TEST(GoldenRegression, DistributedTrainerUnderFaults) {
+  const auto dataset = golden_population();
+  DistributedPlosOptions options;
+  options.cutting_plane.epsilon = 1e-2;
+  options.cccp.max_iterations = 3;
+  options.max_admm_iterations = 60;
+  net::FaultSpec spec;
+  spec.drop_probability = 0.15;
+  spec.corrupt_probability = 0.05;
+  spec.offline_probability = 0.1;
+  spec.straggler_probability = 0.1;
+  spec.round_deadline_s = 5.0;
+  spec.seed = 31;
+  net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
+                          net::LinkProfile{});
+  network.set_fault_model(net::FaultModel(spec));
+  const auto result = train_distributed_plos(dataset, options, &network);
+  const auto& diagnostics = result.diagnostics;
+
+  GoldenValues values;
+  values["objective"] =
+      plos_objective(dataset, result.model, options.params);
+  values["admm_iterations"] =
+      static_cast<double>(diagnostics.admm_iterations_total);
+  values["server_bytes_received"] =
+      static_cast<double>(network.server_metrics().bytes_received);
+  values["server_bytes_sent"] =
+      static_cast<double>(network.server_metrics().bytes_sent);
+  values["devices_offline"] =
+      static_cast<double>(diagnostics.devices_offline_total);
+  values["deadline_misses"] =
+      static_cast<double>(diagnostics.deadline_misses_total);
+  values["downlink_failures"] =
+      static_cast<double>(diagnostics.downlink_failures_total);
+  values["uplink_failures"] =
+      static_cast<double>(diagnostics.uplink_failures_total);
+  check_against_golden("distributed_synth_faults.txt", values);
 }
 
 TEST(GoldenRegression, LogisticTrainer) {
