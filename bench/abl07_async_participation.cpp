@@ -1,5 +1,8 @@
-// Ablation 7 — asynchronous distributed PLOS (§VII future work): accuracy,
+// Ablation 7 — asynchronous participation (§VII future work): accuracy,
 // ADMM iterations, and per-device traffic as device participation drops.
+// A device that answers a round with probability p is a device the fault
+// schedule takes offline with probability 1 - p, so participation p runs
+// the distributed trainer under FaultSpec::offline_probability = 1 - p.
 // Expected shape: accuracy degrades gracefully; iterations to converge grow
 // as staleness rises, but per-round traffic falls proportionally.
 #include <benchmark/benchmark.h>
@@ -7,6 +10,7 @@
 #include <numbers>
 
 #include "bench_support.hpp"
+#include "net/fault.hpp"
 #include "net/simnet.hpp"
 #include "rng/engine.hpp"
 
@@ -25,18 +29,24 @@ data::MultiUserDataset make_dataset() {
   return dataset;
 }
 
-core::AsyncDistributedPlosOptions make_options(double participation) {
-  core::AsyncDistributedPlosOptions options;
-  options.base = bench::bench_distributed_options();
-  options.base.cutting_plane.epsilon = 5e-2;
-  options.base.cccp.max_iterations = 3;
-  options.participation = participation;
+core::DistributedPlosOptions make_options() {
+  core::DistributedPlosOptions options = bench::bench_distributed_options();
+  options.cutting_plane.epsilon = 5e-2;
+  options.cccp.max_iterations = 3;
   return options;
+}
+
+// Each device sits out a round with probability 1 - participation.
+void add_churn(net::SimNetwork& network, double participation) {
+  net::FaultSpec churn;
+  churn.offline_probability = 1.0 - participation;
+  churn.seed = 7;
+  network.set_fault_model(net::FaultModel(churn));
 }
 
 void print_figure() {
   bench::print_title(
-      "Ablation 7: async distributed PLOS vs participation rate");
+      "Ablation 7: distributed PLOS vs participation rate (churn)");
   const std::vector<std::string> names{"acc_label", "acc_unlabel",
                                        "admm_iters", "overhead_kb"};
   bench::print_header("participation", names);
@@ -45,8 +55,9 @@ void print_figure() {
   for (double p : {1.0, 0.8, 0.6, 0.4, 0.2}) {
     net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
                             net::LinkProfile{});
+    add_churn(network, p);
     const auto result =
-        core::train_async_distributed_plos(dataset, make_options(p), &network);
+        core::train_distributed_plos(dataset, make_options(), &network);
     const auto report =
         core::evaluate(dataset, core::predict_all(dataset, result.model));
     bench::print_row(
@@ -60,8 +71,11 @@ void print_figure() {
 void BM_AsyncDistributedHalfParticipation(benchmark::State& state) {
   const auto dataset = make_dataset();
   for (auto _ : state) {
+    net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
+                            net::LinkProfile{});
+    add_churn(network, 0.5);
     benchmark::DoNotOptimize(
-        core::train_async_distributed_plos(dataset, make_options(0.5)));
+        core::train_distributed_plos(dataset, make_options(), &network));
   }
 }
 BENCHMARK(BM_AsyncDistributedHalfParticipation)

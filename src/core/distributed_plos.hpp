@@ -15,6 +15,10 @@
 //                 u_t ← u_t + (w_t − w0 − v_t),
 //              and the residual stopping rule (Eq. 24).
 //
+// The round loop is the quorum engine's (core/quorum_admm.hpp) under its
+// synchronous schedule: every round waits for all devices and no server
+// block is ever evicted.
+//
 // When a net::SimNetwork is supplied, every exchanged message is serialized
 // to wire format and charged byte-exactly, and measured solver time is
 // charged to simulated device/server CPUs (Figures 11-13).
@@ -120,23 +124,6 @@ struct DistributedPlosResult {
 DistributedPlosResult train_distributed_plos(
     const data::MultiUserDataset& dataset,
     const DistributedPlosOptions& options = {},
-    net::SimNetwork* network = nullptr);
-
-/// Asynchronous variant (paper §VII future work): per ADMM iteration each
-/// device responds only with probability `participation` (modeling slow or
-/// sleeping phones); non-responders' last uploaded (w_t, v_t, ξ_t) stay in
-/// force on the server, and their dual variables u_t are refreshed only
-/// when they next respond. participation = 1 reduces to the synchronous
-/// algorithm exactly.
-struct AsyncDistributedPlosOptions {
-  DistributedPlosOptions base;
-  double participation = 0.7;        ///< in (0, 1]
-  std::uint64_t schedule_seed = 7;   ///< device availability randomness
-};
-
-DistributedPlosResult train_async_distributed_plos(
-    const data::MultiUserDataset& dataset,
-    const AsyncDistributedPlosOptions& options = {},
     net::SimNetwork* network = nullptr);
 
 }  // namespace plos::core

@@ -50,8 +50,8 @@ struct RoundRecord {
   std::uint64_t retries = 0;           ///< retransmissions this step
 
   // Aggregation freshness (distributed trainers; zeros for centralized).
-  // The synchronous engine reports quorum_size == participants and never
-  // evicts; the async quorum engine (src/async) fills all of them.
+  // The synchronous schedule reports quorum_size == participants and
+  // never evicts; the asynchronous quorum schedule fills all of them.
   std::uint64_t quorum_size = 0;   ///< fresh uploads aggregated this step
   std::uint64_t late_uploads = 0;  ///< cached late uploads folded this step
   std::uint64_t evictions_offline = 0;  ///< stale blocks reset: device offline

@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "async/async_admm.hpp"
-#include "async/autotune.hpp"
-#include "async/latency.hpp"
 #include "common/assert.hpp"
+#include "core/autotune.hpp"
 #include "core/distributed_plos.hpp"
+#include "core/latency.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
 #include "net/simnet.hpp"
@@ -297,8 +297,8 @@ obs::RoundRecord record_with_tail(double stale_p99) {
   return record;
 }
 
-AutoTuneConfig small_config() {
-  AutoTuneConfig config;
+core::AutoTuneConfig small_config() {
+  core::AutoTuneConfig config;
   config.enabled = true;
   config.min_quorum = 0.5;
   config.max_quorum = 1.0;
@@ -311,10 +311,10 @@ AutoTuneConfig small_config() {
 }
 
 TEST(AutoTuner, WidensBoundAfterPatienceThenHoldsThroughCooldown) {
-  AutoTuner tuner(small_config(), 0.6, 4);
+  core::AutoTuner tuner(small_config(), 0.6, 4);
   // p99 at 3.5 >= 0.75 * 4: widen signal, but patience = 2 means the first
   // sighting produces no action.
-  AutoTuneDecision d = tuner.observe(record_with_tail(3.5));
+  core::AutoTuneDecision d = tuner.observe(record_with_tail(3.5));
   EXPECT_STREQ(d.event, "");
   EXPECT_EQ(tuner.staleness_bound(), 4u);
   d = tuner.observe(record_with_tail(3.5));
@@ -336,45 +336,45 @@ TEST(AutoTuner, WidensBoundAfterPatienceThenHoldsThroughCooldown) {
 }
 
 TEST(AutoTuner, RaisesQuorumOnceBoundIsMaxed) {
-  AutoTuneConfig config = small_config();
+  core::AutoTuneConfig config = small_config();
   config.cooldown = 0;
-  AutoTuner tuner(config, 0.6, 16);
+  core::AutoTuner tuner(config, 0.6, 16);
   tuner.observe(record_with_tail(15.0));
-  const AutoTuneDecision d = tuner.observe(record_with_tail(15.0));
+  const core::AutoTuneDecision d = tuner.observe(record_with_tail(15.0));
   EXPECT_STREQ(d.event, "quorum_up");
   EXPECT_EQ(tuner.staleness_bound(), 16u);
   EXPECT_NEAR(tuner.quorum(), 0.7, 1e-12);
 }
 
 TEST(AutoTuner, LowersQuorumWhenTailIsComfortablyInsideTheBound) {
-  AutoTuneConfig config = small_config();
+  core::AutoTuneConfig config = small_config();
   config.cooldown = 0;
-  AutoTuner tuner(config, 0.8, 16);
+  core::AutoTuner tuner(config, 0.8, 16);
   tuner.observe(record_with_tail(2.0));  // 2 * 2 <= 16: lower signal
-  const AutoTuneDecision d = tuner.observe(record_with_tail(2.0));
+  const core::AutoTuneDecision d = tuner.observe(record_with_tail(2.0));
   EXPECT_STREQ(d.event, "quorum_down");
   EXPECT_NEAR(tuner.quorum(), 0.7, 1e-12);
   EXPECT_EQ(tuner.staleness_bound(), 16u);  // tighten deferred to the floor
 }
 
 TEST(AutoTuner, TightensBoundOnlyAfterQuorumReachesTheFloor) {
-  AutoTuneConfig config = small_config();
+  core::AutoTuneConfig config = small_config();
   config.cooldown = 0;
-  AutoTuner tuner(config, 0.5, 16);  // quorum already at min_quorum
+  core::AutoTuner tuner(config, 0.5, 16);  // quorum already at min_quorum
   tuner.observe(record_with_tail(1.0));  // 4 * 1 <= 16: tighten signal
-  const AutoTuneDecision d = tuner.observe(record_with_tail(1.0));
+  const core::AutoTuneDecision d = tuner.observe(record_with_tail(1.0));
   EXPECT_STREQ(d.event, "bound_tighten");
   EXPECT_EQ(tuner.staleness_bound(), 8u);
   EXPECT_NEAR(tuner.quorum(), 0.5, 1e-12);
 }
 
 TEST(AutoTuner, NoisyRoundDoesNotFlipAKnob) {
-  AutoTuner tuner(small_config(), 0.6, 4);
+  core::AutoTuner tuner(small_config(), 0.6, 4);
   // Alternate widen / quiet: the streak resets each quiet step, so with
   // patience = 2 nothing ever fires.
   for (int i = 0; i < 10; ++i) {
     const double p99 = (i % 2 == 0) ? 3.9 : 0.0;
-    const AutoTuneDecision d = tuner.observe(record_with_tail(p99));
+    const core::AutoTuneDecision d = tuner.observe(record_with_tail(p99));
     EXPECT_TRUE(d.event[0] == '\0' || std::string(d.event) == "hold") << i;
   }
   EXPECT_EQ(tuner.staleness_bound(), 4u);
@@ -382,48 +382,48 @@ TEST(AutoTuner, NoisyRoundDoesNotFlipAKnob) {
 }
 
 TEST(AutoTuner, UnsetSketchMeansNoDecision) {
-  AutoTuner tuner(small_config(), 0.6, 4);
-  const AutoTuneDecision d = tuner.observe(obs::RoundRecord{});
+  core::AutoTuner tuner(small_config(), 0.6, 4);
+  const core::AutoTuneDecision d = tuner.observe(obs::RoundRecord{});
   EXPECT_STREQ(d.event, "");
   EXPECT_TRUE(std::isnan(d.trigger));
 }
 
 TEST(AutoTuner, ClampsInitialKnobsAndRejectsBadConfig) {
-  AutoTuner tuner(small_config(), 1.5, 1000);
+  core::AutoTuner tuner(small_config(), 1.5, 1000);
   EXPECT_NEAR(tuner.quorum(), 1.0, 1e-12);
   EXPECT_EQ(tuner.staleness_bound(), 16u);
-  AutoTuneConfig bad = small_config();
+  core::AutoTuneConfig bad = small_config();
   bad.patience = 0;
-  EXPECT_THROW(AutoTuner(bad, 0.6, 4), PreconditionError);
+  EXPECT_THROW(core::AutoTuner(bad, 0.6, 4), PreconditionError);
 }
 
 TEST(LatencyModel, CompletionSecondsIsDeterministicAndJitterBounded) {
-  LatencyModelSpec spec;
+  core::LatencyModelSpec spec;
   spec.jitter = 0.2;
   spec.seed = 77;
   const double base = spec.compute_base_s;
-  const double a = completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 4);
-  const double b = completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 4);
+  const double a = core::completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 4);
+  const double b = core::completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 4);
   EXPECT_EQ(a, b);
   const double nominal =
       0.1 + (base + spec.compute_per_qp_iter_s * 50.0) * 10.0;
   EXPECT_GE(a, nominal * 0.8);
   EXPECT_LT(a, nominal * 1.2);
   // Different devices draw different jitter.
-  const double c = completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 5);
+  const double c = core::completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 5);
   EXPECT_NE(a, c);
   // Zero jitter is exactly the nominal time.
   spec.jitter = 0.0;
-  EXPECT_EQ(completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 4), nominal);
+  EXPECT_EQ(core::completion_seconds(spec, 0.1, 50, 10.0, 1.0, 3, 4), nominal);
   // The straggler multiplier scales only the compute proxy.
   spec.jitter = 0.0;
-  const double slowed = completion_seconds(spec, 0.1, 50, 10.0, 3.0, 3, 4);
+  const double slowed = core::completion_seconds(spec, 0.1, 50, 10.0, 3.0, 3, 4);
   EXPECT_DOUBLE_EQ(slowed,
                    0.1 + (base + spec.compute_per_qp_iter_s * 50.0) * 30.0);
 }
 
 TEST(AdaptiveDeadlinesTest, EwmaTracksObservationsAndSlackApplies) {
-  AdaptiveDeadlines deadlines(2, /*adaptive=*/true, /*slack=*/2.0,
+  core::AdaptiveDeadlines deadlines(2, /*adaptive=*/true, /*slack=*/2.0,
                               /*alpha=*/0.5, /*fixed_deadline_s=*/0.0);
   // No observations yet and no fixed fallback: no deadline.
   EXPECT_TRUE(std::isinf(deadlines.deadline(0)));
@@ -438,7 +438,7 @@ TEST(AdaptiveDeadlinesTest, EwmaTracksObservationsAndSlackApplies) {
 }
 
 TEST(AdaptiveDeadlinesTest, FixedFallbackWhenNotAdaptive) {
-  AdaptiveDeadlines deadlines(1, /*adaptive=*/false, /*slack=*/2.0,
+  core::AdaptiveDeadlines deadlines(1, /*adaptive=*/false, /*slack=*/2.0,
                               /*alpha=*/0.5, /*fixed_deadline_s=*/4.0);
   EXPECT_DOUBLE_EQ(deadlines.deadline(0), 4.0);
   deadlines.observe(0, 100.0);  // observations must not move a fixed deadline
