@@ -50,11 +50,9 @@ struct DistributedPlosOptions {
   /// See CentralizedPlosOptions::qp for the tolerance rationale.
   qp::QpOptions qp{1e-7, 3000, {}};
   double rho = 1.0;        ///< ADMM step size (paper sets ρ = 1)
-  double eps_abs = 1e-3;   ///< εabs of the residual stopping rule
-  /// Relative residual term (Boyd et al. §3.3.1) added to the paper's
-  /// absolute thresholds — without it the absolute rule never fires on
-  /// data whose feature scale puts ||w_t|| well above εabs.
-  double eps_rel = 1e-2;
+  /// εabs of the residual stopping rule (core/quorum_admm.cpp adds a fixed
+  /// 1e-2 relative term).
+  double eps_abs = 1e-3;
   int max_admm_iterations = 300;
   /// Bootstrap round: label-providing devices train a local SVM on their
   /// revealed labels and upload it once; the server averages the uploads

@@ -14,6 +14,11 @@ namespace {
 // net::counter_uniform key from 0x10 upward.
 constexpr std::uint64_t kLatencyJitterDraw = 0x10;
 
+// Adaptive deadline = kDeadlineSlack * EWMA of observed round trips, with
+// EWMA smoothing weight kEwmaAlpha on the newest observation.
+constexpr double kDeadlineSlack = 2.0;
+constexpr double kEwmaAlpha = 0.3;
+
 }  // namespace
 
 double completion_seconds(const LatencyModelSpec& spec, double link_seconds,
@@ -39,24 +44,20 @@ double completion_seconds(const LatencyModelSpec& spec, double link_seconds,
 }
 
 AdaptiveDeadlines::AdaptiveDeadlines(std::size_t num_users, bool adaptive,
-                                     double slack, double alpha,
                                      double fixed_deadline_s)
     : adaptive_(adaptive),
-      slack_(slack),
-      alpha_(alpha),
       fixed_deadline_s_(fixed_deadline_s),
       ewma_(num_users, 0.0),
       observed_(num_users, 0) {
-  PLOS_CHECK(slack >= 1.0, "AdaptiveDeadlines: slack must be >= 1");
-  PLOS_CHECK(alpha > 0.0 && alpha <= 1.0,
-             "AdaptiveDeadlines: alpha outside (0, 1]");
   PLOS_CHECK(fixed_deadline_s >= 0.0,
              "AdaptiveDeadlines: negative fixed deadline");
 }
 
 double AdaptiveDeadlines::deadline(std::size_t device) const {
   PLOS_CHECK(device < ewma_.size(), "AdaptiveDeadlines: device out of range");
-  if (adaptive_ && observed_[device] != 0) return slack_ * ewma_[device];
+  if (adaptive_ && observed_[device] != 0) {
+    return kDeadlineSlack * ewma_[device];
+  }
   if (fixed_deadline_s_ > 0.0) return fixed_deadline_s_;
   return std::numeric_limits<double>::infinity();
 }
@@ -67,7 +68,8 @@ void AdaptiveDeadlines::observe(std::size_t device, double seconds) {
     ewma_[device] = seconds;
     observed_[device] = 1;
   } else {
-    ewma_[device] = alpha_ * seconds + (1.0 - alpha_) * ewma_[device];
+    ewma_[device] =
+        kEwmaAlpha * seconds + (1.0 - kEwmaAlpha) * ewma_[device];
   }
 }
 

@@ -23,6 +23,11 @@ namespace plos::core {
 
 namespace {
 
+// Relative residual term (Boyd et al. §3.3.1) added to the paper's absolute
+// Eq. 24 thresholds: without it the absolute rule never fires on data whose
+// feature scale puts ||w_t|| well above eps_abs.
+constexpr double kEpsRel = 1e-2;
+
 // A round trip that missed this step's cut or its deadline: the upload
 // still arrives at `arrival` on the virtual clock and is folded into a
 // later aggregate unless its data ages past the staleness bound first.
@@ -212,7 +217,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   std::uint64_t aggregation_step = 0;
   double virtual_seconds = 0.0;
   AdaptiveDeadlines deadlines(num_users, options.adaptive_deadline,
-                              options.deadline_slack, options.ewma_alpha,
                               options.fixed_deadline_s);
   std::vector<PendingUpload> pending(num_users);
   // Why each device last failed to deliver fresh — attributes a later
@@ -774,10 +778,10 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       // Paper thresholds (Eq. 24) plus Boyd's relative terms.
       const double primal_threshold =
           sqrt_t * base.eps_abs +
-          base.eps_rel * std::sqrt(std::max(w_sq, target_sq));
+          kEpsRel * std::sqrt(std::max(w_sq, target_sq));
       const double dual_threshold =
           std::sqrt(2.0) * sqrt_t * base.eps_abs +
-          base.eps_rel * base.rho * std::sqrt(u_sq);
+          kEpsRel * base.rho * std::sqrt(u_sq);
       if (dual_residual <= dual_threshold &&
           primal_residual <= primal_threshold) {
         break;

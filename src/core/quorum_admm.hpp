@@ -69,11 +69,9 @@ struct QuorumAdmmOptions {
   /// Max aggregation steps a server block's data may lag behind before the
   /// block is evicted. 0 is only meaningful fault-free (nothing ever ages).
   std::uint64_t staleness_bound = 3;
-  /// Adapt per-device deadlines from the latency EWMA. When false, the
-  /// fixed deadline applies (0 = no deadline at all).
+  /// Adapt per-device deadlines from the latency EWMA (core/latency.hpp).
+  /// When false, the fixed deadline applies (0 = no deadline at all).
   bool adaptive_deadline = true;
-  double deadline_slack = 2.0;  ///< deadline = slack * EWMA latency
-  double ewma_alpha = 0.3;      ///< EWMA smoothing of observed latency
   double fixed_deadline_s = 0.0;  ///< fallback/static deadline; 0 = none
   LatencyModelSpec latency;
   /// Observability-driven controller (core/autotune.hpp): when enabled,

@@ -1,65 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdio>
 #include <set>
-#include <utility>
 
-#include "common/assert.hpp"
+#include "obs/json.hpp"
 
 namespace plos::obs {
-
-namespace {
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";  // JSON has no inf/nan
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-template <typename Value>
-std::string json_array(const std::vector<Value>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += json_number(static_cast<double>(values[i]));
-  }
-  out += ']';
-  return out;
-}
-
-}  // namespace
 
 void Gauge::set(double value) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
@@ -83,33 +30,19 @@ std::size_t Gauge::dropped_samples() const {
   return dropped_;
 }
 
-Histogram::Histogram(const std::atomic<bool>* enabled,
-                     std::span<const double> bucket_bounds)
-    : bounds_(bucket_bounds.begin(), bucket_bounds.end()),
-      counts_(bounds_.size() + 1, 0),
-      enabled_(enabled) {
-  PLOS_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                 std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                     bounds_.end(),
-             "Histogram: bucket bounds must be strictly increasing");
-}
-
 void Histogram::record(double value) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
-  const std::size_t bucket =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-      bounds_.begin();
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_[bucket];
+  const bool first = sketch_.empty();
+  sketch_.record(value);  // rejects negative and non-finite values
   sum_ += value;
-  min_ = total_ == 0 ? value : std::min(min_, value);
-  max_ = total_ == 0 ? value : std::max(max_, value);
-  ++total_;
+  min_ = first ? value : std::min(min_, value);
+  max_ = first ? value : std::max(max_, value);
 }
 
 std::size_t Histogram::count() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
+  return static_cast<std::size_t>(sketch_.count());
 }
 
 double Histogram::sum() const {
@@ -127,40 +60,13 @@ double Histogram::max() const {
   return max_;
 }
 
-std::vector<std::size_t> Histogram::bucket_counts() const {
+QuantileSketch Histogram::sketch() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
+  return sketch_;
 }
 
-double Histogram::quantile(double q) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (total_ == 0) return 0.0;
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  const double rank = q * static_cast<double>(total_);
-  std::size_t cumulative = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    const double reached = static_cast<double>(cumulative + counts_[b]);
-    if (reached >= rank) {
-      // Bucket b covers (bounds_[b-1], bounds_[b]]; min_/max_ tighten the
-      // open-ended first and overflow buckets.
-      const double lower = b == 0 ? min_ : std::max(min_, bounds_[b - 1]);
-      const double upper =
-          b < bounds_.size() ? std::min(max_, bounds_[b]) : max_;
-      const double fraction = (rank - static_cast<double>(cumulative)) /
-                              static_cast<double>(counts_[b]);
-      return std::clamp(lower + (upper - lower) * fraction, min_, max_);
-    }
-    cumulative += counts_[b];
-  }
-  return max_;
-}
-
-std::span<const double> default_iteration_buckets() {
-  static constexpr std::array<double, 12> kBuckets = {
-      1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
-  return kBuckets;
+QuantileSketch::Spec default_iteration_buckets() {
+  return {/*min_value=*/1.0, /*max_value=*/8192.0, /*sub_buckets=*/8};
 }
 
 Counter& Registry::counter(std::string_view name) {
@@ -188,14 +94,13 @@ Gauge& Registry::gauge(std::string_view name) {
 }
 
 Histogram& Registry::histogram(std::string_view name,
-                               std::span<const double> bucket_bounds) {
+                               const QuantileSketch::Spec& spec) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(std::string(name), std::unique_ptr<Histogram>(
-                                             new Histogram(&enabled_,
-                                                           bucket_bounds)))
+                                             new Histogram(&enabled_, spec)))
              .first;
   }
   return *it->second;
@@ -215,13 +120,25 @@ void Registry::reset_values() {
   }
   for (auto& [name, histogram] : histograms_) {
     const std::lock_guard<std::mutex> histogram_lock(histogram->mutex_);
-    std::fill(histogram->counts_.begin(), histogram->counts_.end(), 0);
-    histogram->total_ = 0;
+    histogram->sketch_ = QuantileSketch(histogram->sketch_.spec());
     histogram->sum_ = 0.0;
     histogram->min_ = 0.0;
     histogram->max_ = 0.0;
   }
 }
+
+namespace {
+
+// The quantiles both snapshot formats export for every histogram.
+struct SummaryQuantile {
+  const char* json_key;
+  const char* prometheus_label;
+  double q;
+};
+constexpr SummaryQuantile kSummaryQuantiles[] = {
+    {"p50", "0.5", 0.50}, {"p90", "0.9", 0.90}, {"p99", "0.99", 0.99}};
+
+}  // namespace
 
 std::string Registry::to_json() const {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -230,22 +147,26 @@ std::string Registry::to_json() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ',';
     first = false;
-    out += json_string(name);
+    out += json::escape(name);
     out += ':';
-    out += json_number(counter->value());
+    out += json::number(counter->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ',';
     first = false;
-    out += json_string(name);
+    out += json::escape(name);
     out += ":{\"value\":";
-    out += json_number(gauge->value());
-    out += ",\"samples\":";
-    out += json_array(gauge->samples());
-    out += ",\"dropped_samples\":";
-    out += json_number(static_cast<double>(gauge->dropped_samples()));
+    out += json::number(gauge->value());
+    out += ",\"samples\":[";
+    const std::vector<double> samples = gauge->samples();
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      if (i > 0) out += ',';
+      out += json::number(samples[i]);
+    }
+    out += "],\"dropped_samples\":";
+    out += json::number(static_cast<double>(gauge->dropped_samples()));
     out += '}';
   }
   out += "},\"histograms\":{";
@@ -253,25 +174,23 @@ std::string Registry::to_json() const {
   for (const auto& [name, histogram] : histograms_) {
     if (!first) out += ',';
     first = false;
-    out += json_string(name);
-    out += ":{\"bounds\":";
-    out += json_array(histogram->bounds());
-    out += ",\"counts\":";
-    out += json_array(histogram->bucket_counts());
-    out += ",\"count\":";
-    out += json_number(static_cast<double>(histogram->count()));
+    const std::lock_guard<std::mutex> histogram_lock(histogram->mutex_);
+    const QuantileSketch& sketch = histogram->sketch_;
+    out += json::escape(name);
+    out += ":{\"count\":";
+    out += json::number(static_cast<double>(sketch.count()));
     out += ",\"sum\":";
-    out += json_number(histogram->sum());
+    out += json::number(histogram->sum_);
     out += ",\"min\":";
-    out += json_number(histogram->min());
+    out += json::number(histogram->min_);
     out += ",\"max\":";
-    out += json_number(histogram->max());
-    out += ",\"p50\":";
-    out += json_number(histogram->quantile(0.50));
-    out += ",\"p90\":";
-    out += json_number(histogram->quantile(0.90));
-    out += ",\"p99\":";
-    out += json_number(histogram->quantile(0.99));
+    out += json::number(histogram->max_);
+    for (const SummaryQuantile& summary : kSummaryQuantiles) {
+      out += ",\"";
+      out += summary.json_key;
+      out += "\":";
+      out += json::number(sketch.quantile(summary.q));
+    }
     out += '}';
   }
   out += "}}";
@@ -297,13 +216,11 @@ std::string prometheus_name(std::string_view name) {
   return out;
 }
 
-// Prometheus floats: standard decimal rendering plus +Inf/-Inf/NaN.
+// Prometheus floats: the JSON rendering plus +Inf/-Inf/NaN.
 std::string prometheus_number(double value) {
   if (std::isnan(value)) return "NaN";
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  return json::number(value);
 }
 
 }  // namespace
@@ -343,30 +260,15 @@ std::string Registry::to_prometheus() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     const std::string metric = prometheus_name(name);
-    header(metric, "histogram", "Registry histogram " + name + ".");
-    const auto& bounds = histogram->bounds();
-    const auto counts = histogram->bucket_counts();
-    std::size_t cumulative = 0;
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += counts[i];
-      out += metric + "_bucket{le=\"" + prometheus_number(bounds[i]) + "\"} " +
-             std::to_string(cumulative) + "\n";
+    header(metric, "summary", "Registry histogram " + name + ".");
+    const std::lock_guard<std::mutex> histogram_lock(histogram->mutex_);
+    const QuantileSketch& sketch = histogram->sketch_;
+    for (const SummaryQuantile& summary : kSummaryQuantiles) {
+      out += metric + "{quantile=\"" + summary.prometheus_label + "\"} " +
+             prometheus_number(sketch.quantile(summary.q)) + "\n";
     }
-    cumulative += counts.back();
-    out += metric + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) + "\n";
-    out += metric + "_sum " + prometheus_number(histogram->sum()) + "\n";
-    out += metric + "_count " + std::to_string(histogram->count()) + "\n";
-    // Prometheus histograms carry no server-side quantiles; export the
-    // bucket-interpolated summaries as one labeled companion gauge family
-    // (a single # TYPE for all three series, per the format).
-    const std::pair<const char*, double> kQuantiles[] = {
-        {"0.5", 0.50}, {"0.9", 0.90}, {"0.99", 0.99}};
-    header(metric + "_quantile", "gauge",
-           "Bucket-interpolated quantiles of histogram " + name + ".");
-    for (const auto& [label, q] : kQuantiles) {
-      out += metric + "_quantile{q=\"" + label + "\"} " +
-             prometheus_number(histogram->quantile(q)) + "\n";
-    }
+    out += metric + "_sum " + prometheus_number(histogram->sum_) + "\n";
+    out += metric + "_count " + std::to_string(sketch.count()) + "\n";
   }
   return out;
 }

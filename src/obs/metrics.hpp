@@ -1,12 +1,13 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms,
-// with snapshot-to-JSON export.
+// Metrics registry: named counters, gauges, and sketch-backed histograms,
+// with snapshot-to-JSON and Prometheus export.
 //
 //   * Counter   — monotonically increasing double (bytes, solves, seconds).
 //   * Gauge     — last-written value plus a bounded sample trace, so a
 //                 snapshot carries the *trajectory* (objective per CCCP
 //                 round, ADMM residuals per iteration), not just the final
 //                 scalar.
-//   * Histogram — fixed upper-bound buckets plus an overflow bucket, with
+//   * Histogram — a QuantileSketch (obs/sketch.hpp, the repo's one
+//                 distribution type: log-bucketed and mergeable) plus exact
 //                 count/sum/min/max (QP iteration distributions).
 //
 // Instruments are created on first lookup and live as long as their
@@ -25,10 +26,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/sketch.hpp"
 
 namespace plos::obs {
 
@@ -81,40 +83,33 @@ class Gauge {
 
 class Histogram {
  public:
+  /// Records one sample; `value` must be finite and >= 0 (the sketch's
+  /// domain).
   void record(double value);
   std::size_t count() const;
   double sum() const;
   double min() const;
   double max() const;
-  /// Approximate quantile (q clamped to [0, 1]) reconstructed from the
-  /// bucket counts, Prometheus-style: the containing bucket is found by
-  /// cumulative rank, then the value is linearly interpolated between the
-  /// bucket's edges. The tracked min/max tighten the first and overflow
-  /// buckets and clamp the result, so q=0 → min(), q=1 → max(). Returns
-  /// 0 when the histogram is empty.
-  double quantile(double q) const;
-  /// Upper bucket bounds, as fixed at creation.
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// bounds().size() + 1 entries; the last is the overflow bucket.
-  std::vector<std::size_t> bucket_counts() const;
+  /// Copy of the distribution; QuantileSketch::quantile answers p50/p99.
+  QuantileSketch sketch() const;
 
  private:
   friend class Registry;
   Histogram(const std::atomic<bool>* enabled,
-            std::span<const double> bucket_bounds);
+            const QuantileSketch::Spec& spec)
+      : sketch_(spec), enabled_(enabled) {}
 
-  const std::vector<double> bounds_;
   mutable std::mutex mutex_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
+  QuantileSketch sketch_;
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   const std::atomic<bool>* enabled_;
 };
 
-/// Bucket bounds suited to iteration counts of the FISTA QP solvers.
-std::span<const double> default_iteration_buckets();
+/// Sketch layout for iteration counts of the FISTA QP solvers: 1/8-octave
+/// buckets from 1 up to 8192, beyond every solver's iteration cap.
+QuantileSketch::Spec default_iteration_buckets();
 
 class Registry {
  public:
@@ -128,10 +123,10 @@ class Registry {
   /// Lookup-or-create. References stay valid for the Registry's lifetime.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// On first creation the bucket bounds are fixed from `bucket_bounds`
-  /// (must be strictly increasing); later lookups ignore the argument.
+  /// On first creation the sketch layout is fixed from `spec`; later
+  /// lookups ignore the argument.
   Histogram& histogram(std::string_view name,
-                       std::span<const double> bucket_bounds);
+                       const QuantileSketch::Spec& spec);
 
   /// Zeroes every instrument's values; instrument identities survive.
   void reset_values();
@@ -139,20 +134,18 @@ class Registry {
   /// Snapshot of all instruments as a JSON object:
   /// {"counters":{name:value,…},
   ///  "gauges":{name:{"value":v,"samples":[…]},…},
-  ///  "histograms":{name:{"bounds":[…],"counts":[…],"count":n,"sum":s,
-  ///                      "min":m,"max":M,"p50":…,"p90":…,"p99":…},…}}
-  /// Gauges additionally carry "dropped_samples" when their sample trace
-  /// overflowed kMaxSamples. The p50/p90/p99 summaries are bucket-
-  /// interpolated quantiles (see Histogram::quantile).
+  ///  "histograms":{name:{"count":n,"sum":s,"min":m,"max":M,
+  ///                      "p50":…,"p90":…,"p99":…},…}}
+  /// Gauges additionally carry "dropped_samples". count/sum/min/max are
+  /// exact; p50/p90/p99 are QuantileSketch::quantile bucket lower edges.
   std::string to_json() const;
 
   /// Snapshot in the Prometheus text exposition format (version 0.0.4):
-  /// counters and gauges as scalar samples, histograms as cumulative
-  /// `_bucket{le="…"}` series plus `_sum`/`_count` and bucket-
-  /// interpolated `<name>_p50`/`_p90`/`_p99` summary gauges. Instrument
-  /// names are sanitized to [a-zA-Z0-9_:] (every other character becomes
-  /// '_'); gauges with an overflowed sample trace expose an extra
-  /// `<name>_dropped_samples` gauge.
+  /// counters and gauges as scalar samples, each histogram as one `summary`
+  /// family ({quantile="0.5|0.9|0.99"} series plus `_sum`/`_count`).
+  /// Instrument names are sanitized to [a-zA-Z0-9_:] (every other
+  /// character becomes '_'); gauges with an overflowed sample trace expose
+  /// an extra `<name>_dropped_samples` gauge.
   std::string to_prometheus() const;
 
  private:

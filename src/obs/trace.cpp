@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 
+#include "obs/json.hpp"
 #include "obs/profile.hpp"
 
 namespace plos::obs {
@@ -25,41 +25,6 @@ std::uint32_t current_tid() {
 }
 
 thread_local int span_depth = 0;
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 }  // namespace
 
@@ -103,20 +68,20 @@ std::string TraceCollector::to_chrome_json() const {
     const Event& e = snapshot[i];
     if (i > 0) out += ',';
     out += "{\"name\":";
-    out += json_string(e.name);
+    out += json::escape(e.name);
     out += ",\"cat\":\"plos\",\"ph\":\"X\",\"pid\":1,\"tid\":";
-    out += json_number(static_cast<double>(e.tid));
+    out += json::number(static_cast<double>(e.tid));
     out += ",\"ts\":";
-    out += json_number(e.ts_us);
+    out += json::number(e.ts_us);
     out += ",\"dur\":";
-    out += json_number(e.dur_us);
+    out += json::number(e.dur_us);
     out += ",\"args\":{\"depth\":";
-    out += json_number(static_cast<double>(e.depth));
+    out += json::number(static_cast<double>(e.depth));
     if (e.has_arg) {
       out += ',';
-      out += json_string(e.arg_name);
+      out += json::escape(e.arg_name);
       out += ':';
-      out += json_number(e.arg);
+      out += json::number(e.arg);
     }
     out += "}}";
   }

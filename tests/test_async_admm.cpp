@@ -423,23 +423,23 @@ TEST(LatencyModel, CompletionSecondsIsDeterministicAndJitterBounded) {
 }
 
 TEST(AdaptiveDeadlinesTest, EwmaTracksObservationsAndSlackApplies) {
-  core::AdaptiveDeadlines deadlines(2, /*adaptive=*/true, /*slack=*/2.0,
-                              /*alpha=*/0.5, /*fixed_deadline_s=*/0.0);
+  core::AdaptiveDeadlines deadlines(2, /*adaptive=*/true,
+                                    /*fixed_deadline_s=*/0.0);
   // No observations yet and no fixed fallback: no deadline.
   EXPECT_TRUE(std::isinf(deadlines.deadline(0)));
   deadlines.observe(0, 1.0);
   EXPECT_DOUBLE_EQ(deadlines.ewma(0), 1.0);
   EXPECT_DOUBLE_EQ(deadlines.deadline(0), 2.0);
-  deadlines.observe(0, 2.0);
-  EXPECT_DOUBLE_EQ(deadlines.ewma(0), 1.5);
-  EXPECT_DOUBLE_EQ(deadlines.deadline(0), 3.0);
+  deadlines.observe(0, 2.0);  // EWMA weight 0.3 on the newest latency
+  EXPECT_DOUBLE_EQ(deadlines.ewma(0), 1.3);
+  EXPECT_DOUBLE_EQ(deadlines.deadline(0), 2.6);
   // Device 1 is untouched.
   EXPECT_TRUE(std::isinf(deadlines.deadline(1)));
 }
 
 TEST(AdaptiveDeadlinesTest, FixedFallbackWhenNotAdaptive) {
-  core::AdaptiveDeadlines deadlines(1, /*adaptive=*/false, /*slack=*/2.0,
-                              /*alpha=*/0.5, /*fixed_deadline_s=*/4.0);
+  core::AdaptiveDeadlines deadlines(1, /*adaptive=*/false,
+                                    /*fixed_deadline_s=*/4.0);
   EXPECT_DOUBLE_EQ(deadlines.deadline(0), 4.0);
   deadlines.observe(0, 100.0);  // observations must not move a fixed deadline
   EXPECT_DOUBLE_EQ(deadlines.deadline(0), 4.0);

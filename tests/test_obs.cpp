@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -290,33 +291,44 @@ TEST(Metrics, GaugeKeepsLastValueAndSampleTrace) {
   EXPECT_DOUBLE_EQ(samples[2], 2.0);
 }
 
-TEST(Metrics, HistogramBucketsAreInclusiveUpperBounds) {
+TEST(Metrics, HistogramSumIsExactAndResetZeroesIt) {
+  // e2ebench's per-layer qp.iterations reads this sum, so it must be the
+  // exact total of the recorded values, not a bucket reconstruction.
   Registry registry;
-  const double bounds[] = {1.0, 2.0, 5.0};
-  Histogram& histogram = registry.histogram("h", bounds);
-  histogram.record(0.5);  // <= 1
-  histogram.record(1.0);  // <= 1 (inclusive)
-  histogram.record(1.5);  // <= 2
-  histogram.record(5.0);  // <= 5 (inclusive)
-  histogram.record(7.0);  // overflow
-  const auto counts = histogram.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(histogram.count(), 5u);
-  EXPECT_DOUBLE_EQ(histogram.sum(), 15.0);
-  EXPECT_DOUBLE_EQ(histogram.min(), 0.5);
-  EXPECT_DOUBLE_EQ(histogram.max(), 7.0);
+  Histogram& histogram = registry.histogram("h", default_iteration_buckets());
+  const double values[] = {0.0, 3.0, 17.0, 2001.0, 2999.0, 9000.0};
+  for (const double value : values) histogram.record(value);
+  EXPECT_EQ(histogram.count(), 6u);
+  EXPECT_EQ(histogram.sum(), 14020.0);
+  EXPECT_EQ(histogram.min(), 0.0);
+  EXPECT_EQ(histogram.max(), 9000.0);
+  EXPECT_EQ(registry.histogram("h", default_iteration_buckets()).sum(),
+            14020.0);
+
+  registry.reset_values();
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.sum(), 0.0);
+  EXPECT_EQ(histogram.min(), 0.0);
+  EXPECT_EQ(histogram.max(), 0.0);
+  EXPECT_TRUE(histogram.sketch().empty());
+  histogram.record(5.0);
+  EXPECT_EQ(histogram.sum(), 5.0);
+  EXPECT_EQ(histogram.min(), 5.0);
+}
+
+TEST(Metrics, HistogramRejectsValuesOutsideTheSketchDomain) {
+  Registry registry;
+  Histogram& histogram = registry.histogram("h", default_iteration_buckets());
+  EXPECT_THROW(histogram.record(-1.0), PreconditionError);
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.sum(), 0.0);
 }
 
 TEST(Metrics, ResetValuesKeepsInstrumentIdentity) {
   Registry registry;
   Counter& counter = registry.counter("c");
   Gauge& gauge = registry.gauge("g");
-  const double bounds[] = {1.0, 2.0};
-  Histogram& histogram = registry.histogram("h", bounds);
+  Histogram& histogram = registry.histogram("h", default_iteration_buckets());
   counter.add(5.0);
   gauge.set(1.0);
   histogram.record(1.5);
@@ -336,8 +348,7 @@ TEST(Metrics, SnapshotIsValidJsonWithAllInstruments) {
   Registry registry;
   registry.counter("a.count").add(3.0);
   registry.gauge("b.gauge").set(1.25);
-  const double bounds[] = {1.0, 10.0};
-  registry.histogram("c.hist", bounds).record(4.0);
+  registry.histogram("c.hist", default_iteration_buckets()).record(4.0);
   const std::string json = registry.to_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"a.count\":3"), std::string::npos) << json;
@@ -351,53 +362,58 @@ TEST(Metrics, EmptyRegistrySnapshotIsValidJson) {
   EXPECT_TRUE(is_valid_json(registry.to_json()));
 }
 
-TEST(Metrics, HistogramQuantilesInterpolateWithinBuckets) {
+TEST(Metrics, IterationQuantilesSeparate2001From3000) {
+  // Iteration counts near the solvers' 3000-iteration cap must stay
+  // distinguishable: 2001 and 3000 land in different sketch buckets.
   Registry registry;
-  const double bounds[] = {1.0, 2.0, 5.0, 10.0};
-  Histogram& histogram = registry.histogram("h", bounds);
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 0.0);  // empty
-  for (int v = 1; v <= 10; ++v) histogram.record(static_cast<double>(v));
-  // Buckets hold {1, 1, 3, 5} values; rank-based interpolation:
-  // p50 rank 5 lands at the top of the (2, 5] bucket.
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.50), 5.0);
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.90), 9.0);
-  EXPECT_NEAR(histogram.quantile(0.99), 9.9, 1e-9);
-  // Extremes snap to the tracked min/max.
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(histogram.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(histogram.quantile(-3.0), 1.0);  // clamped q
-  EXPECT_DOUBLE_EQ(histogram.quantile(7.0), 10.0);
+  Histogram& histogram = registry.histogram("h", default_iteration_buckets());
+  EXPECT_EQ(histogram.sketch().quantile(0.5), 0.0);  // empty
+  for (const double value : {2001.0, 2001.0, 3000.0, 3000.0}) {
+    histogram.record(value);
+  }
+  const QuantileSketch sketch = histogram.sketch();
+  const double p25 = sketch.quantile(0.25);
+  const double p75 = sketch.quantile(0.75);
+  EXPECT_LT(p25, p75);
+  EXPECT_LE(p25, 2001.0);
+  EXPECT_GT(p75, 2001.0);
+  EXPECT_LE(p75, 3000.0);
 }
 
 TEST(Metrics, HistogramQuantileSingleValueIsExact) {
   Registry registry;
-  const double bounds[] = {1.0, 2.0, 5.0, 10.0};
-  Histogram& histogram = registry.histogram("h", bounds);
+  Histogram& histogram = registry.histogram("h", default_iteration_buckets());
   histogram.record(7.0);
-  // min/max tighten the containing bucket to the single point.
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.50), 7.0);
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.99), 7.0);
+  // At 8 sub-buckets per octave every integer below 16 is a bucket's lower
+  // edge, so a single small iteration count reads back exactly.
+  const QuantileSketch sketch = histogram.sketch();
+  EXPECT_EQ(sketch.quantile(0.50), 7.0);
+  EXPECT_EQ(sketch.quantile(0.99), 7.0);
 }
 
 TEST(Metrics, SnapshotsCarryQuantileSummaries) {
   Registry registry;
-  const double bounds[] = {1.0, 2.0, 5.0, 10.0};
-  Histogram& histogram = registry.histogram("q.hist", bounds);
+  Histogram& histogram = registry.histogram("q.hist",
+                                            default_iteration_buckets());
   for (int v = 1; v <= 10; ++v) histogram.record(static_cast<double>(v));
+  // Sketch quantiles: rank floor(q * 9) of the ten samples 1..10.
   const std::string json = registry.to_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"p50\":5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p90\":9"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"q.hist\":{\"count\":10,\"sum\":55,\"min\":1,"
+                      "\"max\":10,\"p50\":5,\"p90\":9,\"p99\":9}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"bounds\""), std::string::npos) << json;
   const std::string prom = registry.to_prometheus();
-  EXPECT_NE(prom.find("# TYPE q_hist_quantile gauge"), std::string::npos)
+  EXPECT_NE(prom.find("# TYPE q_hist summary"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("q_hist{quantile=\"0.5\"} 5\n"), std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("q_hist_quantile{q=\"0.5\"} 5"), std::string::npos)
+  EXPECT_NE(prom.find("q_hist{quantile=\"0.9\"} 9\n"), std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("q_hist_quantile{q=\"0.9\"} 9"), std::string::npos)
+  EXPECT_NE(prom.find("q_hist{quantile=\"0.99\"} 9\n"), std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("q_hist_quantile{q=\"0.99\"} "), std::string::npos)
-      << prom;
+  EXPECT_NE(prom.find("q_hist_sum 55\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("q_hist_count 10\n"), std::string::npos) << prom;
 }
 
 namespace {
@@ -416,20 +432,22 @@ TEST(Metrics, PrometheusEmitsHelpAndTypeOncePerFamily) {
   Registry registry;
   registry.counter("fmt.count").add(1.0);
   registry.gauge("fmt.gauge").set(2.0);
-  const double bounds[] = {1.0, 10.0};
-  Histogram& histogram = registry.histogram("fmt.hist", bounds);
+  Histogram& histogram = registry.histogram("fmt.hist",
+                                            default_iteration_buckets());
   histogram.record(3.0);
   const std::string prom = registry.to_prometheus();
-  // Exactly one HELP and one TYPE per family — including the single
-  // labeled quantile gauge family (three series, one header).
-  for (const std::string family :
-       {"fmt_count", "fmt_gauge", "fmt_hist", "fmt_hist_quantile"}) {
+  // Exactly one HELP and one TYPE per family — including the histogram's
+  // summary family (three quantile series plus _sum/_count, one header).
+  for (const std::string family : {"fmt_count", "fmt_gauge", "fmt_hist"}) {
     EXPECT_EQ(count_occurrences(prom, "# HELP " + family + " "), 1u)
         << family << "\n" << prom;
     EXPECT_EQ(count_occurrences(prom, "# TYPE " + family + " "), 1u)
         << family << "\n" << prom;
   }
-  EXPECT_EQ(count_occurrences(prom, "fmt_hist_quantile{q="), 3u) << prom;
+  EXPECT_EQ(count_occurrences(prom, "# TYPE fmt_hist summary\n"), 1u) << prom;
+  EXPECT_EQ(count_occurrences(prom, "fmt_hist{quantile="), 3u) << prom;
+  EXPECT_EQ(count_occurrences(prom, "# HELP "), 3u) << prom;
+  EXPECT_EQ(count_occurrences(prom, "# TYPE "), 3u) << prom;
   // HELP precedes TYPE precedes the samples of the family.
   const std::size_t help_pos = prom.find("# HELP fmt_count ");
   const std::size_t type_pos = prom.find("# TYPE fmt_count ");

@@ -816,8 +816,8 @@ TEST(Metrics, PrometheusExposesCountersGaugesHistograms) {
   registry.set_enabled(true);
   registry.counter("telemetry.test.counter").add(3.0);
   registry.gauge("telemetry.test/gauge").set(1.5);
-  const double bounds[] = {1.0, 10.0};
-  auto& histogram = registry.histogram("telemetry.test.hist", bounds);
+  auto& histogram = registry.histogram("telemetry.test.hist",
+                                       obs::default_iteration_buckets());
   histogram.record(0.5);
   histogram.record(5.0);
   histogram.record(50.0);
@@ -834,13 +834,19 @@ TEST(Metrics, PrometheusExposesCountersGaugesHistograms) {
     if (line.rfind("# HELP ", 0) == 0) continue;
     EXPECT_EQ(line.find('/'), std::string::npos) << line;
   }
-  EXPECT_NE(prom.find("telemetry_test_hist_bucket{le=\"1\"} 1"),
+  // Each histogram is one summary family: sketch quantiles (bucket lower
+  // edges) plus the exact _sum and _count.
+  EXPECT_NE(prom.find("# TYPE telemetry_test_hist summary"),
             std::string::npos);
-  EXPECT_NE(prom.find("telemetry_test_hist_bucket{le=\"10\"} 2"),
-            std::string::npos);
-  EXPECT_NE(prom.find("telemetry_test_hist_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("telemetry_test_hist_count 3"), std::string::npos);
+  EXPECT_NE(prom.find("telemetry_test_hist{quantile=\"0.5\"} 5\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("telemetry_test_hist{quantile=\"0.99\"} 5\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("telemetry_test_hist_sum 55.5\n"), std::string::npos);
+  EXPECT_NE(prom.find("telemetry_test_hist_count 3\n"), std::string::npos);
+  EXPECT_EQ(prom.find("telemetry_test_hist_bucket"), std::string::npos);
 }
 
 TEST(Metrics, GaugeCountsDroppedSamplesPastCap) {

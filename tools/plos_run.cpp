@@ -10,6 +10,7 @@
 //
 // Run `plos_run --help` for the full flag list.
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -238,6 +239,18 @@ std::optional<Args> parse(int argc, char** argv) {
         ok = false;
       }
     };
+    // A u64 that must also fit an int; larger values would wrap on the cast.
+    const auto int_value = [&](int& out) {
+      std::uint64_t parsed = 0;
+      u64_value(parsed);
+      if (ok && parsed > static_cast<std::uint64_t>(INT_MAX)) {
+        std::fprintf(stderr, "plos_run: %s must be at most %d, got %llu\n",
+                     flag.c_str(), INT_MAX,
+                     static_cast<unsigned long long>(parsed));
+        ok = false;
+      }
+      if (ok) out = static_cast<int>(parsed);
+    };
     if (flag == "--help" || flag == "-h") {
       print_usage();
       std::exit(0);
@@ -278,9 +291,7 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--seed") {
       u64_value(args.seed);
     } else if (flag == "--threads") {
-      std::uint64_t threads = 0;
-      u64_value(threads);
-      args.threads = static_cast<int>(threads);
+      int_value(args.threads);
     } else if (flag == "--distributed") {
       args.distributed = true;
     } else if (flag == "--no-hotpath-cache") {
@@ -393,9 +404,7 @@ std::optional<Args> parse(int argc, char** argv) {
         ok = false;
       }
     } else if (flag == "--watchdog-stall-rounds") {
-      std::uint64_t rounds = 0;
-      u64_value(rounds);
-      args.watchdog_stall_rounds = static_cast<int>(rounds);
+      int_value(args.watchdog_stall_rounds);
     } else {
       std::fprintf(stderr, "plos_run: unknown flag %s\n", flag.c_str());
       ok = false;
