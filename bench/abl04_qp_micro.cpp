@@ -140,10 +140,28 @@ void emit_bench_json() {
   {
     const std::size_t n = 256;
     const auto problem = random_problem(n, n / 16, n);
+    // `matvecs` is H·x products per solve (power iteration included): the
+    // exact work counter behind the solve's wall time.
+    auto& registry = obs::metrics();
+    const auto matvecs_per_solve = [&registry] {
+      const double solves =
+          registry.counter("qp.capped_simplex.solves").value();
+      return solves > 0.0
+                 ? registry.counter("qp.capped_simplex.matvecs").value() /
+                       solves
+                 : 0.0;
+    };
     qp::QpResult result;
     bench::BenchCase bench_case;
     bench_case.stats = bench::run_timed(
         [&] { result = qp::solve_capped_simplex_qp(problem); });
+    // Timed with the registry off; one extra solve with it on reads the
+    // counter.
+    registry.set_enabled(true);
+    registry.reset_values();
+    qp::solve_capped_simplex_qp(problem);
+    bench_case.counters["matvecs"] = matvecs_per_solve();
+    registry.set_enabled(false);
     bench_case.counters["n"] = static_cast<double>(n);
     bench_case.counters["iterations"] = static_cast<double>(result.iterations);
     micro.cases["qp_solve_n256"] = bench_case;
@@ -158,7 +176,6 @@ void emit_bench_json() {
     warm_options.lipschitz = qp::lipschitz_estimate(problem.hessian);
     qp::QpResult warm_result;
     bench::BenchCase warm_case;
-    auto& registry = obs::metrics();
     registry.set_enabled(true);
     registry.reset_values();
     warm_case.stats = bench::run_timed([&] {
@@ -170,7 +187,9 @@ void emit_bench_json() {
         registry.counter("qp.capped_simplex.warm_hits").value();
     const double lipschitz_reuses =
         registry.counter("qp.capped_simplex.lipschitz_reuses").value();
+    const double warm_matvecs = matvecs_per_solve();
     registry.set_enabled(false);
+    warm_case.counters["matvecs"] = warm_matvecs;
     warm_case.counters["n"] = static_cast<double>(n);
     warm_case.counters["iterations"] =
         static_cast<double>(warm_result.iterations);

@@ -53,10 +53,16 @@ Vector Matrix::col(std::size_t j) const {
 }
 
 Vector Matrix::matvec(std::span<const double> x) const {
-  PLOS_CHECK(x.size() == cols_, "matvec: size mismatch");
   Vector out(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) out[i] = dot(row(i), x);
+  matvec_into(x, out);
   return out;
+}
+
+void Matrix::matvec_into(std::span<const double> x,
+                         std::span<double> out) const {
+  PLOS_CHECK(x.size() == cols_, "matvec: size mismatch");
+  PLOS_CHECK(out.size() == rows_, "matvec: output size mismatch");
+  for (std::size_t i = 0; i < rows_; ++i) out[i] = dot(row(i), x);
 }
 
 Vector Matrix::matvec_transposed(std::span<const double> x) const {

@@ -42,6 +42,10 @@ class Matrix {
   /// this * x (matrix-vector product).
   Vector matvec(std::span<const double> x) const;
 
+  /// out = this * x without allocating: out.size() must equal rows(). Same
+  /// per-row dot as matvec(), so the two agree bit for bit.
+  void matvec_into(std::span<const double> x, std::span<double> out) const;
+
   /// this^T * x.
   Vector matvec_transposed(std::span<const double> x) const;
 

@@ -1,6 +1,8 @@
 #include "qp/capped_simplex_qp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
@@ -36,29 +38,58 @@ void validate(const CappedSimplexQpProblem& p) {
   }
 }
 
-void project_groups(const CappedSimplexQpProblem& p, linalg::Vector& x) {
+// Caller-owned buffers for project_groups: the gathered group and the
+// projection's sort buffer. Reserved for the widest group up front, so
+// projecting inside the FISTA loop never touches the heap.
+struct ProjectionScratch {
+  linalg::Vector block;
+  linalg::Vector sorted;
+
+  explicit ProjectionScratch(const CappedSimplexQpProblem& p) {
+    std::size_t widest = 0;
+    for (const auto& g : p.groups) widest = std::max(widest, g.size());
+    block.reserve(widest);
+    sorted.reserve(widest);
+  }
+};
+
+void project_groups(const CappedSimplexQpProblem& p, linalg::Vector& x,
+                    ProjectionScratch& scratch) {
   // Gather/scatter per group; the feasible set is a product over groups so
   // projection decomposes exactly.
+  linalg::Vector& block = scratch.block;
   for (std::size_t g = 0; g < p.groups.size(); ++g) {
     const auto& idx = p.groups[g];
-    linalg::Vector block(idx.size());
+    block.resize(idx.size());
     for (std::size_t k = 0; k < idx.size(); ++k) block[k] = x[idx[k]];
-    project_capped_simplex(block, p.caps[g]);
+    project_capped_simplex(block, p.caps[g], scratch.sorted);
     for (std::size_t k = 0; k < idx.size(); ++k) x[idx[k]] = block[k];
   }
 }
 
-double objective(const CappedSimplexQpProblem& p,
-                 std::span<const double> x) {
-  const linalg::Vector hx = p.hessian.matvec(x);
+// f(x) = ½ xᵀHx − cᵀx from a precomputed hx = H·x.
+double objective_from(const CappedSimplexQpProblem& p,
+                      std::span<const double> x, std::span<const double> hx) {
   return 0.5 * linalg::dot(x, hx) - linalg::dot(p.linear, x);
 }
 
-linalg::Vector gradient(const CappedSimplexQpProblem& p,
-                        std::span<const double> x) {
-  linalg::Vector g = p.hessian.matvec(x);
-  linalg::axpy(-1.0, p.linear, g);
-  return g;
+// Power iteration behind lipschitz_estimate; adds its H·v products to
+// `matvecs`.
+double power_iteration(const linalg::Matrix& h, std::size_t& matvecs) {
+  const std::size_t n = h.rows();
+  linalg::Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
+  linalg::Vector hv(n);
+  double lambda = 0.0;
+  for (int it = 0; it < 30; ++it) {
+    h.matvec_into(v, hv);
+    ++matvecs;
+    const double nrm = linalg::norm(hv);
+    if (nrm <= 1e-300) return 1e-12;  // H ~ 0: any small constant works
+    lambda = nrm;
+    linalg::scale(hv, 1.0 / nrm);
+    std::swap(v, hv);
+  }
+  return 1.1 * lambda + 1e-12;
 }
 
 // Step length for a given Lipschitz constant: estimate it unless the
@@ -66,7 +97,7 @@ linalg::Vector gradient(const CappedSimplexQpProblem& p,
 // and insist on exact equality — a stale cache would silently change
 // iterate trajectories, so the contract is bitwise, not approximate.
 double resolve_lipschitz(const linalg::Matrix& h, double supplied,
-                         obs::Counter& reuses) {
+                         obs::Counter& reuses, std::size_t& matvecs) {
   if (supplied > 0.0) {
     PLOS_DCHECK(supplied == lipschitz_estimate(h),
                 "QpOptions::lipschitz " << supplied
@@ -74,7 +105,7 @@ double resolve_lipschitz(const linalg::Matrix& h, double supplied,
     reuses.increment();
     return supplied;
   }
-  return lipschitz_estimate(h);
+  return power_iteration(h, matvecs);
 }
 
 }  // namespace
@@ -83,18 +114,8 @@ double resolve_lipschitz(const linalg::Matrix& h, double supplied,
 // gradient). A loose overestimate only slows convergence, so a handful of
 // iterations with a safety factor is enough.
 double lipschitz_estimate(const linalg::Matrix& h) {
-  const std::size_t n = h.rows();
-  linalg::Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  double lambda = 0.0;
-  for (int it = 0; it < 30; ++it) {
-    linalg::Vector hv = h.matvec(v);
-    const double nrm = linalg::norm(hv);
-    if (nrm <= 1e-300) return 1e-12;  // H ~ 0: any small constant works
-    lambda = nrm;
-    linalg::scale(hv, 1.0 / nrm);
-    v = std::move(hv);
-  }
-  return 1.1 * lambda + 1e-12;
+  std::size_t matvecs = 0;
+  return power_iteration(h, matvecs);
 }
 
 QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
@@ -114,21 +135,38 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
       obs::metrics().counter("qp.capped_simplex.lipschitz_reuses");
   static obs::Counter& warm_hits =
       obs::metrics().counter("qp.capped_simplex.warm_hits");
-  const double lips =
-      resolve_lipschitz(problem.hessian, options.lipschitz, lipschitz_reuses);
+  std::size_t matvecs = 0;  // every H·x of this solve, power iteration too
+  const double lips = resolve_lipschitz(problem.hessian, options.lipschitz,
+                                        lipschitz_reuses, matvecs);
   const double step = 1.0 / lips;
 
+  // Every buffer the loop touches is sized here; the loop body itself does
+  // no heap allocation (DESIGN.md §13.5).
+  ProjectionScratch scratch(problem);
   linalg::Vector x(n, 0.0);
   if (!options.warm_start.empty()) {
     PLOS_CHECK(options.warm_start.size() == n,
                "CappedSimplexQp: warm start size mismatch");
     x = options.warm_start;
   }
-  project_groups(problem, x);
+  project_groups(problem, x, scratch);
   linalg::Vector y = x;       // FISTA extrapolation point
   linalg::Vector x_prev = x;
+  linalg::Vector x_next(n);
+  linalg::Vector hx(n);       // H·x_next, shared by pg and f_next
+  linalg::Vector pg(n);       // ∇f(x_next)
+  linalg::Vector grad_y(n);   // ∇f(y)
+  linalg::Vector probe(n);
   double momentum = 1.0;      // FISTA t_k sequence
-  double f_prev = objective(problem, x);
+
+  // f(x) and ∇f(x) share one H·x. Since y == x, that gradient is also
+  // iteration 0's ∇f(y).
+  problem.hessian.matvec_into(x, hx);
+  ++matvecs;
+  double f_prev = objective_from(problem, x, hx);
+  grad_y = hx;
+  linalg::axpy(-1.0, problem.linear, grad_y);
+  bool grad_y_current = true;
 
   // Iteration-0 convergence test: when the projected warm start already
   // satisfies the stopping rule it is returned unchanged, so re-solving
@@ -136,9 +174,9 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
   // suite pins this) and late ADMM iterations whose working set and prox
   // center barely moved skip the FISTA loop entirely.
   {
-    linalg::Vector probe = x;
-    linalg::axpy(-step, gradient(problem, x), probe);
-    project_groups(problem, probe);
+    probe = x;
+    linalg::axpy(-step, grad_y, probe);
+    project_groups(problem, probe, scratch);
     const double pg_step0 = std::sqrt(linalg::squared_distance(probe, x)) /
                             std::max(step, 1e-300);
     if (pg_step0 <= options.tolerance * (1.0 + std::abs(f_prev))) {
@@ -148,24 +186,35 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
   }
 
   for (int it = 0; !result.converged && it < options.max_iterations; ++it) {
-    const linalg::Vector grad_y = gradient(problem, y);
-    linalg::Vector x_next = y;
+    if (!grad_y_current) {
+      problem.hessian.matvec_into(y, grad_y);
+      ++matvecs;
+      linalg::axpy(-1.0, problem.linear, grad_y);
+    }
+    x_next = y;
     linalg::axpy(-step, grad_y, x_next);
-    project_groups(problem, x_next);
+    project_groups(problem, x_next, scratch);
 
     // Convergence: projected-gradient step measured at the new iterate.
-    linalg::Vector pg = gradient(problem, x_next);
-    linalg::Vector probe = x_next;
+    // The same H·x_next yields the gradient and the objective.
+    problem.hessian.matvec_into(x_next, hx);
+    ++matvecs;
+    pg = hx;
+    linalg::axpy(-1.0, problem.linear, pg);
+    probe = x_next;
     linalg::axpy(-step, pg, probe);
-    project_groups(problem, probe);
+    project_groups(problem, probe, scratch);
     const double pg_step = std::sqrt(linalg::squared_distance(probe, x_next)) /
                            std::max(step, 1e-300);
 
-    const double f_next = objective(problem, x_next);
+    const double f_next = objective_from(problem, x_next, hx);
     // Adaptive restart (O'Donoghue & Candès): drop momentum on non-descent.
     if (f_next > f_prev) {
       momentum = 1.0;
       y = x_next;
+      // y == x_next, so the next ∇f(y) is the pg just computed.
+      std::swap(grad_y, pg);
+      grad_y_current = true;
     } else {
       const double momentum_next =
           0.5 * (1.0 + std::sqrt(1.0 + 4.0 * momentum * momentum));
@@ -173,9 +222,12 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
       y = x_next;
       for (std::size_t i = 0; i < n; ++i) y[i] += beta * (x_next[i] - x_prev[i]);
       momentum = momentum_next;
+      grad_y_current = false;
     }
-    x_prev = x;
-    x = x_next;
+    // x_prev ← x ← x_next; the stale buffer left in x_next is overwritten
+    // at the top of the next iteration.
+    std::swap(x_prev, x);
+    std::swap(x, x_next);
     f_prev = f_next;
     result.iterations = it + 1;
 
@@ -186,7 +238,9 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
   }
 
   result.solution = std::move(x);
-  result.objective = PLOS_CHECK_FINITE(objective(problem, result.solution));
+  // f_prev is f at the returned iterate, computed by the same sequence a
+  // fresh objective evaluation would run.
+  result.objective = PLOS_CHECK_FINITE(f_prev);
 
   // Checked-build postcondition: the iterate is (numerically) inside the
   // capped simplex — dual feasibility of the recovered multipliers.
@@ -210,9 +264,15 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
       obs::metrics().counter("qp.capped_simplex.seconds");
   static obs::Histogram& iterations = obs::metrics().histogram(
       "qp.capped_simplex.iterations", obs::default_iteration_buckets());
+  static obs::Counter& matvec_count =
+      obs::metrics().counter("qp.capped_simplex.matvecs");
+  static obs::Counter& unconverged =
+      obs::metrics().counter("qp.capped_simplex.unconverged");
   solves.increment();
   seconds.add(watch.elapsed_seconds());
   iterations.record(static_cast<double>(result.iterations));
+  matvec_count.add(static_cast<double>(matvecs));
+  if (!result.converged) unconverged.increment();
   return result;
 }
 
@@ -232,9 +292,11 @@ double kkt_residual(const CappedSimplexQpProblem& problem,
 
   // Stationarity on a convex set: x is optimal iff x == P(x - grad(x)).
   linalg::Vector probe(gamma.begin(), gamma.end());
-  const linalg::Vector grad = gradient(problem, gamma);
+  linalg::Vector grad = problem.hessian.matvec(gamma);
+  linalg::axpy(-1.0, problem.linear, grad);
   linalg::axpy(-1.0, grad, probe);
-  project_groups(problem, probe);
+  ProjectionScratch scratch(problem);
+  project_groups(problem, probe, scratch);
   linalg::Vector x(gamma.begin(), gamma.end());
   const double stationarity = std::sqrt(linalg::squared_distance(probe, x));
 

@@ -10,6 +10,12 @@
 namespace plos::qp {
 
 void project_capped_simplex(std::span<double> x, double cap) {
+  linalg::Vector scratch;
+  project_capped_simplex(x, cap, scratch);
+}
+
+void project_capped_simplex(std::span<double> x, double cap,
+                            linalg::Vector& scratch) {
   PLOS_CHECK(cap >= 0.0, "project_capped_simplex: negative cap");
   for (double& v : x) {
     if (v < 0.0) v = 0.0;
@@ -21,7 +27,8 @@ void project_capped_simplex(std::span<double> x, double cap) {
 
   // Project onto { v >= 0, sum(v) = cap }: find theta such that
   // sum_i max(x_i - theta, 0) = cap, via descending sort.
-  std::vector<double> u(x.begin(), x.end());
+  linalg::Vector& u = scratch;
+  u.assign(x.begin(), x.end());
   std::sort(u.begin(), u.end(), std::greater<double>());
   double running = 0.0;
   double theta = 0.0;

@@ -15,6 +15,12 @@ namespace plos::qp {
 /// (Held/Wolfe/Crowder). cap must be >= 0.
 void project_capped_simplex(std::span<double> x, double cap);
 
+/// Same projection, bit for bit, with a caller-owned sort buffer: once
+/// `scratch` has capacity for x.size() values the call does not allocate,
+/// which is what lets the FISTA loop project every iterate heap-free.
+void project_capped_simplex(std::span<double> x, double cap,
+                            linalg::Vector& scratch);
+
 /// In-place projection of x onto the box [lo, hi] element-wise.
 void project_box(std::span<double> x, double lo, double hi);
 

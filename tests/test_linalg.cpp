@@ -97,6 +97,17 @@ TEST(Matrix, MatvecKnown) {
   EXPECT_EQ(m.matvec(Vector{1.0, 1.0}), (Vector{3.0, 7.0}));
 }
 
+TEST(Matrix, MatvecIntoOverwritesAndChecksSizes) {
+  const Matrix m = Matrix::from_rows({{0.1, 0.2, 0.3}, {-0.7, 1e-9, 5.5}});
+  const Vector x{0.3, -1.7, 2.9};
+  Vector out{42.0, 42.0};  // stale contents must be overwritten
+  m.matvec_into(x, out);
+  EXPECT_EQ(out, m.matvec(x));
+  Vector wrong(3);
+  EXPECT_THROW(m.matvec_into(x, wrong), PreconditionError);
+  EXPECT_THROW(m.matvec_into(Vector{1.0}, out), PreconditionError);
+}
+
 TEST(Matrix, MatvecTransposedMatchesTranspose) {
   const Matrix m = Matrix::from_rows({{1.0, 2.0, 0.0}, {3.0, 4.0, -1.0}});
   const Vector x{2.0, -1.0};

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "obs/metrics.hpp"
 #include "qp/box_qp.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
@@ -150,6 +151,60 @@ TEST(CappedSimplexQp, KktResidualSmallAtSolution) {
   EXPECT_LT(kkt_residual(tiny_problem(), result.solution), 1e-5);
   // And clearly non-small away from it.
   EXPECT_GT(kkt_residual(tiny_problem(), Vector{0.0, 0.0}), 0.1);
+}
+
+// Registry counter deltas across one solve (the registry is process-wide and
+// disabled by default, so the helper enables it only for the call).
+struct SolveCounters {
+  QpResult result;
+  double matvecs = 0.0;
+  double unconverged = 0.0;
+};
+
+SolveCounters solve_counted(const CappedSimplexQpProblem& p,
+                            const QpOptions& options) {
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  SolveCounters out;
+  out.result = solve_capped_simplex_qp(p, options);
+  out.matvecs = registry.counter("qp.capped_simplex.matvecs").value();
+  out.unconverged = registry.counter("qp.capped_simplex.unconverged").value();
+  registry.set_enabled(false);
+  return out;
+}
+
+TEST(CappedSimplexQp, UnconvergedCounterTracksCappedSolves) {
+  QpOptions capped;
+  capped.max_iterations = 1;
+  const auto cut_short = solve_counted(tiny_problem(), capped);
+  ASSERT_FALSE(cut_short.result.converged);
+  EXPECT_EQ(cut_short.result.iterations, 1);
+  EXPECT_EQ(cut_short.unconverged, 1.0);
+
+  const auto finished = solve_counted(tiny_problem(), QpOptions{});
+  ASSERT_TRUE(finished.result.converged);
+  EXPECT_EQ(finished.unconverged, 0.0);
+}
+
+TEST(CappedSimplexQp, MatvecCounterCountsEveryProduct) {
+  // Cold, one iteration: 30 power-iteration products, one shared H·x for
+  // f(x) and ∇f(x) at entry (iteration 0 reuses it as ∇f(y)), one H·x_next.
+  QpOptions one_step;
+  one_step.max_iterations = 1;
+  EXPECT_EQ(solve_counted(tiny_problem(), one_step).matvecs, 32.0);
+
+  // A supplied Lipschitz constant skips the power iteration.
+  one_step.lipschitz = lipschitz_estimate(tiny_problem().hessian);
+  EXPECT_EQ(solve_counted(tiny_problem(), one_step).matvecs, 2.0);
+
+  // k iterations cost between one and two products each: the first reuses
+  // the entry gradient, and so does any step after an adaptive restart.
+  const auto full = solve_counted(tiny_problem(), QpOptions{});
+  const double k = full.result.iterations;
+  ASSERT_GT(k, 1.0);
+  EXPECT_GE(full.matvecs, 31.0 + k);
+  EXPECT_LE(full.matvecs, 31.0 + 2.0 * k - 1.0);
 }
 
 // Property: on random PSD problems with random group structure the solver's
