@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/inspect.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -206,17 +207,12 @@ bool write_bench_suite(const BenchSuite& suite) {
   if (!bench_json_enabled()) return false;
   const std::string path =
       std::string(bench_json_dir()) + "/BENCH_" + suite.name + ".json";
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
+  if (!obs::write_file(path, bench_suite_to_json(suite) + "\n")) {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
     return false;
   }
-  const std::string json = bench_suite_to_json(suite);
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), file) == json.size() &&
-      std::fputc('\n', file) != EOF;
   std::printf("wrote %s\n", path.c_str());
-  return std::fclose(file) == 0 && ok;
+  return true;
 }
 
 bool bench_metrics_enabled() { return bench_metrics_path() != nullptr; }

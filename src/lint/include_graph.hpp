@@ -74,9 +74,10 @@ std::optional<LayerGraph> parse_layers(std::string_view json_text,
 /// directly under src/ (no module directory) map to "src".
 std::string module_of(const std::string& path);
 
-/// Module an *include target* belongs to ("qp/box_qp.hpp" → "qp"). A bare
-/// target with no directory ("bench_support.hpp") resolves same-directory
-/// and returns the including file's module, passed as `from_module`.
+/// Module an *include target* belongs to ("qp/projection.hpp" → "qp").
+/// A bare target with no directory ("bench_support.hpp") resolves
+/// same-directory and returns the including file's module, passed as
+/// `from_module`.
 std::string module_of_target(const std::string& target,
                              const std::string& from_module);
 

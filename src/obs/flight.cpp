@@ -1,7 +1,6 @@
 #include "obs/flight.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <map>
 
 #include "common/assert.hpp"
@@ -161,17 +160,6 @@ std::string FlightRecorder::to_chrome_json() const {
   }
   out += "]}";
   return out;
-}
-
-bool FlightRecorder::write(const std::string& path) const {
-  const std::string text = to_chrome_json();
-  if (path == "-") {
-    return std::fwrite(text.data(), 1, text.size(), stdout) == text.size();
-  }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  return std::fclose(file) == 0 && ok;
 }
 
 bool parse_flight_json(std::string_view text, std::vector<FlightEvent>& out,

@@ -94,10 +94,6 @@ class FlightRecorder {
   /// upload -> quorum-cut -> aggregate flow events.
   std::string to_chrome_json() const;
 
-  /// Writes to_chrome_json() to `path` ("-" = stdout). False on I/O
-  /// failure.
-  bool write(const std::string& path) const;
-
  private:
   std::size_t capacity_;
   std::size_t head_ = 0;  ///< overwrite cursor once the ring is full

@@ -485,4 +485,12 @@ bool read_file(const std::string& path, std::string& out) {
   return ok;
 }
 
+bool write_file(const std::string& path, std::string_view text) {
+  std::FILE* file = path == "-" ? stdout : std::fopen(path.c_str(), "w");
+  if (file == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  if (file == stdout) return std::fflush(stdout) == 0 && ok;
+  return std::fclose(file) == 0 && ok;
+}
+
 }  // namespace plos::obs

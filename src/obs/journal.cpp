@@ -1,7 +1,6 @@
 #include "obs/journal.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/assert.hpp"
 #include "obs/json.hpp"
@@ -179,17 +178,6 @@ std::string Journal::to_jsonl() const {
     out += '\n';
   }
   return out;
-}
-
-bool Journal::write_jsonl(const std::string& path) const {
-  const std::string text = to_jsonl();
-  if (path == "-") {
-    return std::fwrite(text.data(), 1, text.size(), stdout) == text.size();
-  }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  return std::fclose(file) == 0 && ok;
 }
 
 bool parse_journal_jsonl(std::string_view text, std::vector<RoundRecord>& out,

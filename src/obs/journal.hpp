@@ -128,9 +128,6 @@ class Journal {
   /// All records as JSON Lines (each line newline-terminated).
   std::string to_jsonl() const;
 
-  /// Writes to_jsonl() to `path` ("-" = stdout). False on I/O failure.
-  bool write_jsonl(const std::string& path) const;
-
  private:
   mutable std::mutex mutex_;
   std::uint64_t every_ = 1;

@@ -125,18 +125,6 @@ std::string manifest_to_json(const RunManifest& manifest,
   return out;
 }
 
-bool write_manifest(const RunManifest& manifest, const std::string& path,
-                    bool include_timing) {
-  const std::string text = manifest_to_json(manifest, include_timing) + "\n";
-  if (path == "-") {
-    return std::fwrite(text.data(), 1, text.size(), stdout) == text.size();
-  }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  return std::fclose(file) == 0 && ok;
-}
-
 void Fnv1a::add_bytes(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < size; ++i) {

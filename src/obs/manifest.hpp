@@ -77,10 +77,6 @@ void fill_build_info(RunManifest& manifest);
 std::string manifest_to_json(const RunManifest& manifest,
                              bool include_timing = true);
 
-/// Writes manifest_to_json + trailing newline to `path` ("-" = stdout).
-bool write_manifest(const RunManifest& manifest, const std::string& path,
-                    bool include_timing = true);
-
 /// Incremental FNV-1a 64-bit hasher for dataset/content fingerprints.
 class Fnv1a {
  public:

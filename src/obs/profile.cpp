@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <sys/resource.h>
 
 #include "obs/json.hpp"
@@ -309,21 +308,6 @@ std::string profile_to_json(const ProfileJsonOptions& options) {
   }
   out += '}';
   return out;
-}
-
-bool write_profile(const std::string& path,
-                   const ProfileJsonOptions& options) {
-  const std::string json = profile_to_json(options);
-  if (path == "-") {
-    return std::fwrite(json.data(), 1, json.size(), stdout) == json.size() &&
-           std::fputc('\n', stdout) != EOF;
-  }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), file) == json.size() &&
-      std::fputc('\n', file) != EOF;
-  return std::fclose(file) == 0 && ok;
 }
 
 long peak_rss_kb() {

@@ -161,10 +161,6 @@ struct ProfileJsonOptions {
 /// quarantined under timing.seconds / timing.histograms.
 std::string profile_to_json(const ProfileJsonOptions& options = {});
 
-/// Writes profile_to_json() to `path` ("-" = stdout); false on I/O error.
-bool write_profile(const std::string& path,
-                   const ProfileJsonOptions& options = {});
-
 /// Peak resident set size of the process in kilobytes (getrusage), or 0
 /// when unavailable. Lives in the timing quarantine: allocator and OS
 /// behavior make it machine-dependent.

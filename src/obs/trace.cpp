@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
@@ -87,15 +86,6 @@ std::string TraceCollector::to_chrome_json() const {
   }
   out += "]}";
   return out;
-}
-
-bool TraceCollector::write_chrome_json(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = to_chrome_json();
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), file) == json.size();
-  return std::fclose(file) == 0 && ok;
 }
 
 ScopedSpan::ScopedSpan(const char* name, const char* arg_name, double arg)

@@ -64,9 +64,6 @@ class TraceCollector {
   /// {"displayTimeUnit":"ms","traceEvents":[…]} — chrome://tracing format.
   std::string to_chrome_json() const;
 
-  /// Writes to_chrome_json() to `path`; false on I/O failure.
-  bool write_chrome_json(const std::string& path) const;
-
  private:
   TraceCollector() = default;
 

@@ -63,9 +63,4 @@ void project_capped_simplex(std::span<double> x, double cap,
   }
 }
 
-void project_box(std::span<double> x, double lo, double hi) {
-  PLOS_CHECK(lo <= hi, "project_box: lo > hi");
-  for (double& v : x) v = std::clamp(v, lo, hi);
-}
-
 }  // namespace plos::qp

@@ -21,7 +21,4 @@ void project_capped_simplex(std::span<double> x, double cap);
 void project_capped_simplex(std::span<double> x, double cap,
                             linalg::Vector& scratch);
 
-/// In-place projection of x onto the box [lo, hi] element-wise.
-void project_box(std::span<double> x, double lo, double hi);
-
 }  // namespace plos::qp

@@ -1,0 +1,164 @@
+// End-to-end tests of the plos_run and plos_inspect command lines: invalid
+// invocations exit 2 before any training, --help renders the whole flag
+// table, and a "-" artifact path streams to stdout instead of creating a
+// file.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "obs/json.hpp"
+
+namespace {
+
+struct Outcome {
+  int status = -1;  // exit code, or -1 when the process did not exit
+  std::string out;  // stdout; stderr is discarded
+};
+
+Outcome run(const std::string& command) {
+  Outcome outcome;
+  std::FILE* pipe = popen((command + " 2>/dev/null").c_str(), "r");
+  if (pipe == nullptr) return outcome;
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
+    outcome.out.append(buffer, n);
+  }
+  const int raw = pclose(pipe);
+  if (WIFEXITED(raw)) outcome.status = WEXITSTATUS(raw);
+  return outcome;
+}
+
+std::string plos_run(const std::string& args) {
+  return std::string("'") + PLOS_RUN_BIN + "' " + args;
+}
+
+std::string plos_inspect(const std::string& args) {
+  return std::string("'") + PLOS_INSPECT_BIN + "' " + args;
+}
+
+TEST(Cli, PlosRunRejectsInvalidInvocationsWithExit2) {
+  const std::vector<std::string> cases = {
+      // Out-of-range and malformed values.
+      "--async --quorum 1.5",
+      "--async --quorum 0",
+      "--async --staleness-bound 0",
+      "--distributed --fault-drop nan",
+      "--distributed --fault-drop 1.5",
+      "--threads 3000000000",
+      "--threads 4294967296",
+      "--watchdog-stall-rounds 3000000000",
+      "--users -1",
+      "--dataset nope",
+      "--bogus",
+      "--rate",
+      // Flags that would be parsed and then ignored.
+      "--quorum 0.5",
+      "--staleness-bound 3",
+      "--adaptive-deadline off",
+      "--auto-tune on",
+      "--flight-out flight.json",
+      "--watchdog-stall-rounds 5",
+      "--metrics-format prom",
+      "--methods all --save-model model.bin",
+      "--dataset body --rotation 1.0",
+      "--distributed --round-deadline 0.001",
+      "--async --round-deadline 0.5 --fault-drop 0.1",
+      "--fault-drop 0.1",
+      "--distributed --logistic --fault-offline 0.1",
+      "--async --logistic",
+  };
+  for (const std::string& args : cases) {
+    EXPECT_EQ(run(plos_run("--dataset synth --users 4 --methods plos " + args))
+                  .status,
+              2)
+        << args;
+  }
+}
+
+TEST(Cli, PlosRunHelpNamesEveryFlagOnce) {
+  const std::vector<std::string> expected = {
+      "--dataset",         "--methods",           "--users",
+      "--providers",       "--rate",              "--rotation",
+      "--lambda",          "--cl",                "--cu",
+      "--seed",            "--threads",           "--distributed",
+      "--fault-drop",      "--fault-offline",     "--fault-straggler",
+      "--fault-corrupt",   "--round-deadline",    "--async",
+      "--quorum",          "--staleness-bound",   "--adaptive-deadline",
+      "--auto-tune",       "--flight-out",        "--no-hotpath-cache",
+      "--logistic",        "--save-model",        "--log-level",
+      "--trace-out",       "--metrics-out",       "--metrics-format",
+      "--manifest-out",    "--journal-out",       "--journal-every",
+      "--profile-out",     "--watchdog",          "--watchdog-stall-rounds",
+      "--help",
+  };
+  const Outcome help = run(plos_run("--help"));
+  ASSERT_EQ(help.status, 0);
+  // A table row starts with two spaces and the flag name.
+  std::vector<std::string> rows;
+  std::istringstream lines(help.out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) != 0) continue;
+    rows.push_back(line.substr(2, line.find(' ', 2) - 2));
+  }
+  for (const std::string& flag : expected) {
+    EXPECT_EQ(std::count(rows.begin(), rows.end(), flag), 1) << flag;
+  }
+  EXPECT_EQ(rows.size(), expected.size());
+}
+
+TEST(Cli, TraceOutDashWritesJsonToStdout) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("plos_cli_trace_" + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const Outcome outcome =
+      run("cd '" + dir.string() + "' && " +
+          plos_run("--dataset synth --users 4 --methods plos --trace-out -"));
+  const bool dir_empty = std::filesystem::is_empty(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(outcome.status, 0);
+  EXPECT_TRUE(dir_empty) << "--trace-out - created a file";
+  // The trace follows the human-readable report lines.
+  const std::size_t start = outcome.out.find("{\"displayTimeUnit\"");
+  ASSERT_NE(start, std::string::npos) << outcome.out;
+  std::string error;
+  const auto trace = plos::obs::json::parse(
+      std::string_view(outcome.out).substr(start), &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  const plos::obs::json::Value* events = trace->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  EXPECT_FALSE(events->as_array().empty());
+}
+
+TEST(Cli, PlosInspectRejectsNonFiniteTolerancesWithExit2) {
+  const std::string baseline =
+      std::string("'") + PLOS_SOURCE_DIR + "/BENCH_cccp_threads.json'";
+  const std::string golden = std::string("'") + PLOS_SOURCE_DIR +
+                             "/tests/golden/run_synth_distributed.json'";
+  // Sanity: the same files pass with a finite tolerance.
+  EXPECT_EQ(run(plos_inspect("bench-check " + baseline + " --against " +
+                             baseline + " --time-tol 3"))
+                .status,
+            0);
+  const std::vector<std::string> cases = {
+      "bench-check " + baseline + " --against " + baseline + " --time-tol nan",
+      "bench-check " + baseline + " --against " + baseline + " --time-tol inf",
+      "check " + golden + " --against " + golden + " --tol nan",
+      "diff " + golden + " " + golden + " --field-tol results.retries=inf",
+      "diff " + golden + " " + golden + " --tol -1",
+  };
+  for (const std::string& args : cases) {
+    EXPECT_EQ(run(plos_inspect(args)).status, 2) << args;
+  }
+}
+
+}  // namespace

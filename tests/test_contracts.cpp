@@ -21,7 +21,6 @@
 #include "linalg/matrix.hpp"
 #include "net/serialize.hpp"
 #include "obs/journal.hpp"
-#include "qp/box_qp.hpp"
 #include "qp/capped_simplex_qp.hpp"
 
 namespace plos {
@@ -164,14 +163,17 @@ TEST(ContractSites, CappedSimplexQpRejectsWarmStartSizeMismatch) {
                PreconditionError);
 }
 
-TEST(ContractSites, BoxQpNonFiniteObjectiveTripsFinitenessGate) {
-  qp::BoxQpProblem problem;
+TEST(ContractSites, CappedSimplexQpNonFiniteObjectiveTripsFinitenessGate) {
+  // Every iterate stays finite inside the huge cap, but the objective
+  // 0.5·x'Hx − l'x overflows to inf − inf = NaN.
+  qp::CappedSimplexQpProblem problem;
   problem.hessian = linalg::Matrix(2, 2);
   problem.hessian(0, 0) = problem.hessian(1, 1) = 1.0;
-  problem.linear = linalg::Vector(2, kNan);  // poisons the objective
-  problem.lo = -1.0;
-  problem.hi = 1.0;
-  EXPECT_THROW(qp::solve_box_qp(problem, qp::QpOptions{}), PreconditionError);
+  problem.linear = linalg::Vector(2, 1e200);
+  problem.groups = {{0, 1}};
+  problem.caps = {1e200};
+  EXPECT_THROW(qp::solve_capped_simplex_qp(problem, qp::QpOptions{}),
+               PreconditionError);
 }
 
 // ---- contract sites: linalg ----------------------------------------------

@@ -1,13 +1,12 @@
-// Tests for the QP solver library: projections, capped-simplex QP (the PLOS
-// dual shape), and box QP, validated against brute-force grid search and
-// KKT conditions.
+// Tests for the QP solver library: projections and the capped-simplex QP
+// (the PLOS dual shape), validated against brute-force grid search and KKT
+// conditions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
-#include "qp/box_qp.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
 #include "rng/engine.hpp"
@@ -48,14 +47,6 @@ TEST(Projection, CappedSimplexZeroCap) {
 TEST(Projection, CappedSimplexRejectsNegativeCap) {
   Vector x{1.0};
   EXPECT_THROW(project_capped_simplex(x, -1.0), PreconditionError);
-}
-
-TEST(Projection, BoxClamps) {
-  Vector x{-2.0, 0.5, 7.0};
-  project_box(x, 0.0, 1.0);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-  EXPECT_DOUBLE_EQ(x[1], 0.5);
-  EXPECT_DOUBLE_EQ(x[2], 1.0);
 }
 
 // Property: the projection is the closest feasible point — no random
@@ -273,69 +264,6 @@ TEST_P(CappedSimplexQpProperty, BeatsRandomFeasibleProbesAndSatisfiesKkt) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CappedSimplexQpProperty,
                          ::testing::Range<std::uint64_t>(0, 15));
-
-TEST(BoxQp, UnconstrainedInteriorSolution) {
-  BoxQpProblem p;
-  p.hessian = Matrix::identity(2);
-  p.linear = {0.25, 0.5};
-  p.lo = 0.0;
-  p.hi = 1.0;
-  const auto result = solve_box_qp(p);
-  EXPECT_NEAR(result.solution[0], 0.25, 1e-6);
-  EXPECT_NEAR(result.solution[1], 0.5, 1e-6);
-}
-
-TEST(BoxQp, ClampsAtBounds) {
-  BoxQpProblem p;
-  p.hessian = Matrix::identity(2);
-  p.linear = {5.0, -3.0};
-  p.lo = 0.0;
-  p.hi = 1.0;
-  const auto result = solve_box_qp(p);
-  EXPECT_NEAR(result.solution[0], 1.0, 1e-6);
-  EXPECT_NEAR(result.solution[1], 0.0, 1e-6);
-}
-
-TEST(BoxQp, RejectsInvertedBounds) {
-  BoxQpProblem p;
-  p.hessian = Matrix::identity(1);
-  p.linear = {0.0};
-  p.lo = 1.0;
-  p.hi = 0.0;
-  EXPECT_THROW(solve_box_qp(p), PreconditionError);
-}
-
-class BoxQpProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BoxQpProperty, BeatsRandomFeasibleProbes) {
-  rng::Engine engine(GetParam() * 31 + 7);
-  const std::size_t n = 2 + static_cast<std::size_t>(engine.uniform_int(0, 5));
-  Matrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = engine.gaussian();
-  }
-  BoxQpProblem p;
-  p.hessian = b.matmul(b.transposed());
-  for (std::size_t i = 0; i < n; ++i) p.hessian(i, i) += 0.1;
-  p.linear = engine.gaussian_vector(n);
-  p.lo = 0.0;
-  p.hi = engine.uniform(0.5, 2.0);
-
-  const auto result = solve_box_qp(p);
-  EXPECT_TRUE(result.converged);
-  const auto objective = [&](const Vector& x) {
-    return 0.5 * linalg::dot(x, p.hessian.matvec(x)) -
-           linalg::dot(p.linear, x);
-  };
-  for (int probe = 0; probe < 300; ++probe) {
-    Vector x(n);
-    for (auto& v : x) v = engine.uniform(p.lo, p.hi);
-    EXPECT_GE(objective(x), result.objective - 1e-6);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BoxQpProperty,
-                         ::testing::Range<std::uint64_t>(0, 10));
 
 }  // namespace
 }  // namespace plos::qp

@@ -1,6 +1,7 @@
-// Property-test harness for the two FISTA QP solvers (DESIGN.md §13).
+// Property-test harness for the FISTA capped-simplex QP solver (DESIGN.md
+// §13).
 //
-// Across ~200 seeded random instances per solver the suite checks the three
+// Across ~200 seeded random instances the suite checks the three
 // properties the hot-path engine leans on:
 //   1. correctness — the returned point satisfies the KKT conditions of its
 //      problem to 1e-8 (feasibility + unit-step projected-gradient norm);
@@ -27,7 +28,6 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
-#include "qp/box_qp.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
 #include "rng/engine.hpp"
@@ -107,17 +107,6 @@ CappedSimplexQpProblem random_capped_simplex(int seed) {
   for (std::size_t g = 0; g < num_groups; ++g) {
     problem.caps[g] = engine.uniform(0.25, 2.0);
   }
-  return problem;
-}
-
-BoxQpProblem random_box(int seed) {
-  rng::Engine engine(static_cast<std::uint64_t>(seed) * 6007 + 3);
-  const std::size_t n = 2 + static_cast<std::size_t>(seed % 12);
-  BoxQpProblem problem;
-  problem.hessian = random_psd(n, engine);
-  problem.linear = engine.gaussian_vector(n, 0.0, 2.0);
-  problem.lo = engine.uniform(-1.0, 0.0);
-  problem.hi = problem.lo + engine.uniform(0.5, 2.0);
   return problem;
 }
 
@@ -382,26 +371,6 @@ TEST(QpProperty, CappedSimplexLoopDoesNotAllocate) {
   }
 }
 
-TEST(QpProperty, BoxKktAndWarmIdempotence) {
-  for (int seed = 0; seed < kInstancesPerSolver; ++seed) {
-    const auto problem = random_box(seed);
-    const auto cold = solve_box_qp(problem, tight_options());
-    ASSERT_TRUE(cold.converged) << "seed " << seed;
-    EXPECT_LE(kkt_residual(problem, cold.solution), kKktBound)
-        << "seed " << seed;
-
-    QpOptions warm_options = tight_options();
-    warm_options.warm_start = cold.solution;
-    const auto warm = solve_box_qp(problem, warm_options);
-    ASSERT_TRUE(warm.converged) << "seed " << seed;
-    EXPECT_EQ(warm.iterations, 0) << "seed " << seed;
-    expect_bitwise_equal(cold.solution, warm.solution, seed);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold.objective),
-              std::bit_cast<std::uint64_t>(warm.objective))
-        << "seed " << seed;
-  }
-}
-
 TEST(QpProperty, ProjectionsAreBitwiseIdempotent) {
   for (int seed = 0; seed < kInstancesPerSolver; ++seed) {
     rng::Engine engine(static_cast<std::uint64_t>(seed) * 104729 + 17);
@@ -413,14 +382,6 @@ TEST(QpProperty, ProjectionsAreBitwiseIdempotent) {
     Vector once = x;
     project_capped_simplex(x, cap);
     expect_bitwise_equal(once, x, seed);
-
-    Vector y = engine.gaussian_vector(n, 0.0, 3.0);
-    const double lo = engine.uniform(-1.0, 0.0);
-    const double hi = lo + engine.uniform(0.5, 2.0);
-    project_box(y, lo, hi);
-    Vector box_once = y;
-    project_box(y, lo, hi);
-    expect_bitwise_equal(box_once, y, seed);
   }
 }
 

@@ -38,10 +38,12 @@
 //       late folds, evictions, and aggregates on the virtual clock.
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/flight.hpp"
 #include "obs/inspect.hpp"
 #include "obs/journal.hpp"
@@ -51,44 +53,10 @@ namespace {
 
 using namespace plos;
 
-void print_usage() {
-  std::printf(
-      "plos_inspect — inspect and compare PLOS run telemetry\n\n"
-      "  plos_inspect report FILE [FILE]\n"
-      "      print a convergence report from a run manifest (run.json)\n"
-      "      and/or a round journal (journal.jsonl); '-' reads stdin\n"
-      "  plos_inspect diff A B [--tol EPS] [--field-tol PATH=EPS] [--timing]\n"
-      "               [--ignore PREFIX]\n"
-      "      compare two manifests field by field (exit 1 on differences;\n"
-      "      timing.* ignored unless --timing)\n"
-      "  plos_inspect check RUN --against GOLDEN [--tol EPS]\n"
-      "               [--field-tol PATH=EPS] [--ignore PREFIX]\n"
-      "      gate RUN against a golden manifest (default tolerance 1e-6;\n"
-      "      timing.*, build.*, dataset.content_hash ignored; --ignore\n"
-      "      skips extra dot-path prefixes; exit 1 on violation)\n"
-      "  plos_inspect bench-report BENCH.json\n"
-      "      print a human summary of one BENCH_*.json bench suite\n"
-      "  plos_inspect bench-diff A B\n"
-      "      compare two bench suites' exact counters (wall time ignored;\n"
-      "      exit 1 on drift)\n"
-      "  plos_inspect bench-check RUN --against BASELINE [--time-tol F]\n"
-      "      perf gate: counters exact, median wall time may exceed the\n"
-      "      baseline by at most F (default 3.0 = 4x); exit 1 on violation\n"
-      "  plos_inspect timeline FLIGHT.json\n"
-      "      causal per-round device-lifecycle view of a flight log\n"
-      "      (plos_run --async --flight-out)\n");
-}
-
 int usage_error(const char* message) {
   std::fprintf(stderr, "plos_inspect: %s\nrun 'plos_inspect --help' for usage\n",
                message);
   return 2;
-}
-
-bool parse_double(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != text && *end == '\0';
 }
 
 // A telemetry file is either one JSON object (manifest) or JSON Lines
@@ -157,68 +125,69 @@ struct CompareArgs {
   bool include_timing = false;
 };
 
-std::optional<CompareArgs> parse_compare_args(int argc, char** argv, int first) {
-  CompareArgs args;
-  for (int i = first; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "plos_inspect: missing value for %s\n",
-                     flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (flag == "--tol") {
-      const char* text = value();
-      double tol = 0.0;
-      if (text == nullptr || !parse_double(text, tol) || tol < 0.0) {
-        std::fprintf(stderr, "plos_inspect: --tol expects a number >= 0\n");
-        return std::nullopt;
-      }
-      args.tolerance = tol;
-    } else if (flag == "--time-tol") {
-      const char* text = value();
-      double tol = 0.0;
-      if (text == nullptr || !parse_double(text, tol) || tol < 0.0) {
-        std::fprintf(stderr, "plos_inspect: --time-tol expects a number >= 0\n");
-        return std::nullopt;
-      }
-      args.time_tolerance = tol;
-    } else if (flag == "--field-tol") {
-      const char* text = value();
-      if (text == nullptr) return std::nullopt;
-      const char* eq = std::strchr(text, '=');
-      double tol = 0.0;
-      if (eq == nullptr || eq == text || !parse_double(eq + 1, tol) ||
-          tol < 0.0) {
-        std::fprintf(stderr,
-                     "plos_inspect: --field-tol expects PATH=EPS, got '%s'\n",
-                     text);
-        return std::nullopt;
-      }
-      args.field_tolerances[std::string(text, eq)] = tol;
-    } else if (flag == "--timing") {
-      args.include_timing = true;
-    } else if (flag == "--ignore") {
-      const char* text = value();
-      if (text == nullptr || text[0] == '\0') {
-        std::fprintf(stderr, "plos_inspect: --ignore expects a path prefix\n");
-        return std::nullopt;
-      }
-      args.ignored_prefixes.emplace_back(text);
-    } else if (flag == "--against") {
-      const char* text = value();
-      if (text == nullptr) return std::nullopt;
-      args.against = text;
-    } else if (!flag.empty() && flag[0] == '-' && flag != "-") {
-      std::fprintf(stderr, "plos_inspect: unknown flag %s\n", flag.c_str());
-      return std::nullopt;
-    } else {
-      args.files.push_back(flag);
-    }
-  }
-  return args;
+std::vector<cli::Flag> compare_flags(CompareArgs& args) {
+  return {
+      {"--against", "FILE", "golden manifest or baseline suite",
+       cli::text(args.against)},
+      {"--tol", "EPS",
+       "relative tolerance (diff: exact by default; check: 1e-6)",
+       cli::number(args.tolerance, cli::kNonNegative)},
+      {"--field-tol", "PATH=EPS",
+       "tolerance for one dot-path field (repeatable)",
+       [&args](const char* text) {
+         const char* eq = std::strchr(text, '=');
+         double tol = 0.0;
+         if (eq == nullptr || eq == text || !cli::parse_number(eq + 1, tol) ||
+             tol < 0.0) {
+           return std::string("expects PATH=EPS with a finite EPS >= 0, got '") +
+                  text + "'";
+         }
+         args.field_tolerances[std::string(text, eq)] = tol;
+         return std::string();
+       }},
+      {"--ignore", "PREFIX", "skip a dot-path prefix (repeatable)",
+       [&args](const char* text) {
+         if (text[0] == '\0') return std::string("expects a path prefix");
+         args.ignored_prefixes.emplace_back(text);
+         return std::string();
+       }},
+      {"--timing", nullptr, "diff: also compare timing.*",
+       cli::store(args.include_timing, true)},
+      {"--time-tol", "F",
+       "bench-check: median wall time may exceed the baseline by at most F "
+       "(default 3.0 = 4x)",
+       cli::number(args.time_tolerance, cli::kNonNegative)},
+  };
+}
+
+void print_usage() {
+  CompareArgs unused;
+  std::printf(
+      "plos_inspect — inspect and compare PLOS run telemetry\n\n"
+      "  plos_inspect report FILE [FILE]\n"
+      "      print a convergence report from a run manifest (run.json)\n"
+      "      and/or a round journal (journal.jsonl); '-' reads stdin\n"
+      "  plos_inspect diff A B [--tol EPS] [--field-tol PATH=EPS] [--timing]\n"
+      "               [--ignore PREFIX]\n"
+      "      compare two manifests field by field (exit 1 on differences;\n"
+      "      timing.* ignored unless --timing)\n"
+      "  plos_inspect check RUN --against GOLDEN [--tol EPS]\n"
+      "               [--field-tol PATH=EPS] [--ignore PREFIX]\n"
+      "      gate RUN against a golden manifest (timing.*, build.*,\n"
+      "      dataset.content_hash ignored; exit 1 on violation)\n"
+      "  plos_inspect bench-report BENCH.json\n"
+      "      print a human summary of one BENCH_*.json bench suite\n"
+      "  plos_inspect bench-diff A B\n"
+      "      compare two bench suites' exact counters (wall time ignored;\n"
+      "      exit 1 on drift)\n"
+      "  plos_inspect bench-check RUN --against BASELINE [--time-tol F]\n"
+      "      perf gate: counters exact, median wall time within tolerance;\n"
+      "      exit 1 on violation\n"
+      "  plos_inspect timeline FLIGHT.json\n"
+      "      causal per-round device-lifecycle view of a flight log\n"
+      "      (plos_run --async --flight-out)\n\n"
+      "options:\n%s",
+      cli::help(compare_flags(unused)).c_str());
 }
 
 bool load_manifest(const std::string& path, obs::json::Value& out) {
@@ -462,17 +431,23 @@ int main(int argc, char** argv) {
     print_usage();
     return 0;
   }
-  const auto args = parse_compare_args(argc, argv, 2);
-  if (!args) {
-    std::fprintf(stderr, "run 'plos_inspect --help' for usage\n");
-    return 2;
+  CompareArgs args;
+  switch (cli::parse("plos_inspect", compare_flags(args), argc, argv, 2,
+                     &args.files)) {
+    case cli::ParseResult::kHelp:
+      print_usage();
+      return 0;
+    case cli::ParseResult::kError:
+      return 2;
+    case cli::ParseResult::kOk:
+      break;
   }
-  if (command == "report") return run_report(args->files);
-  if (command == "diff") return run_diff(*args);
-  if (command == "check") return run_check(*args);
-  if (command == "bench-report") return run_bench_report(args->files);
-  if (command == "bench-diff") return run_bench_compare(*args, false);
-  if (command == "bench-check") return run_bench_compare(*args, true);
-  if (command == "timeline") return run_timeline(args->files);
+  if (command == "report") return run_report(args.files);
+  if (command == "diff") return run_diff(args);
+  if (command == "check") return run_check(args);
+  if (command == "bench-report") return run_bench_report(args.files);
+  if (command == "bench-diff") return run_bench_compare(args, false);
+  if (command == "bench-check") return run_bench_compare(args, true);
+  if (command == "timeline") return run_timeline(args.files);
   return usage_error(("unknown command '" + command + "'").c_str());
 }

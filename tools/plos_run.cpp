@@ -4,20 +4,16 @@
 // the selected method(s), and prints provider / non-provider accuracy.
 //
 //   plos_run --dataset body --users 12 --providers 6 --rate 0.1
-//   plos_run --dataset har --method plos --lambda 100 --cu 1
-//   plos_run --dataset synth --rotation 1.57 --method all,single,plos
+//   plos_run --dataset har --methods plos --lambda 100 --cu 1
+//   plos_run --dataset synth --rotation 1.57 --methods all,single,plos
 //   plos_run --dataset body --distributed --save-model /tmp/model.bin
 //
 // Run `plos_run --help` for the full flag list.
 #include <chrono>
-#include <climits>
-#include <cmath>
 #include <cstdio>
-#include <map>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <numbers>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,8 +28,10 @@
 #include "data/dataset.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
+#include "flags.hpp"
 #include "net/simnet.hpp"
 #include "obs/flight.hpp"
+#include "obs/inspect.hpp"
 #include "obs/journal.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
@@ -49,147 +47,36 @@ namespace {
 
 using namespace plos;
 
-struct Args {
-  std::string dataset = "synth";  // synth | body | har
+// Everything the command line sets. Trainer knobs are stored straight in
+// the option structs the trainers take; `quorum.base` carries the PLOS
+// hyper-parameters, thread count and cache switch for every trainer.
+struct RunConfig {
+  std::string dataset = "synth";
   std::string methods = "plos,all,group,single";
-  std::size_t users = 0;  // 0 = dataset default
-  std::size_t providers = 0;
+  std::size_t users = 0;      // 0 = dataset default
+  std::size_t providers = 0;  // 0 = half the users
   double rate = 0.06;
-  double rotation = std::numbers::pi / 2.0;  // synth only
-  double lambda = 100.0;
-  double cl = 10.0;
-  double cu = 1.0;
+  double rotation = std::numbers::pi / 2.0;
   std::uint64_t seed = 42;
-  int threads = 1;  // 0 = hardware concurrency
   bool distributed = false;
   bool logistic = false;
-  // Bitwise-transparent hot-path caches (DESIGN.md §13); disabled by
-  // --no-hotpath-cache or PLOS_NO_HOTPATH_CACHE=1 for equivalence runs.
-  bool hotpath_cache = true;
-  // Fault injection (distributed only; see net/fault.hpp for semantics).
-  double fault_drop = 0.0;
-  double fault_offline = 0.0;
-  double fault_straggler = 0.0;
-  double fault_corrupt = 0.0;
-  double round_deadline = 0.0;  // simulated seconds; 0 = wait for stragglers
-  // Asynchronous quorum schedule (async/async_admm.hpp); implies
-  // --distributed.
   bool async_mode = false;
-  double quorum = 0.6;
-  std::uint64_t staleness_bound = 3;
-  bool adaptive_deadline = true;
-  bool auto_tune = false;      // --auto-tune on: journal-driven knob walk
-  std::string flight_out;      // empty = no flight recorder; "-" = stdout
-  std::uint64_t journal_every = 1;  // keep every Nth journal record
-  std::string save_model_path;
-  std::string log_level;    // empty = logging stays off
-  std::string trace_out;    // empty = no trace collection
-  std::string metrics_out;  // empty = no metrics snapshot; "-" = stdout
-  std::string metrics_format = "json";  // json | prom
-  std::string manifest_out;  // empty = no run manifest; "-" = stdout
-  std::string journal_out;   // empty = no round journal; "-" = stdout
-  std::string profile_out;   // empty = no profile tree; "-" = stdout
-  std::string watchdog = "off";  // off | warn | abort
-  int watchdog_stall_rounds = 0;  // 0 = stall detection disabled
+  async::AsyncQuorumOptions quorum;
+  net::FaultSpec fault;
+  std::string watchdog = "off";
+  obs::WatchdogConfig watchdog_config;
+  std::uint64_t journal_every = 1;
+  std::string log_level;  // empty = logging stays off
+  std::string metrics_format = "json";
+  // Artifact paths: empty = not written, "-" = stdout.
+  std::string save_model;
+  std::string trace_out;
+  std::string metrics_out;
+  std::string manifest_out;
+  std::string journal_out;
+  std::string profile_out;
+  std::string flight_out;
 };
-
-void print_usage() {
-  std::printf(
-      "plos_run — train PLOS and baselines on a simulated population\n\n"
-      "  --dataset body|har|synth   population simulator (default synth)\n"
-      "  --methods LIST             comma list of plos,all,group,single\n"
-      "  --users N                  population size (default per dataset)\n"
-      "  --providers N              label-providing users (default: half)\n"
-      "  --rate R                   labeled fraction per provider (0..1)\n"
-      "  --rotation RAD             synth: max rotation angle\n"
-      "  --lambda L --cl CL --cu CU PLOS hyper-parameters\n"
-      "  --seed S                   RNG seed\n"
-      "  --threads N                worker threads for training (default 1;\n"
-      "                             0 = hardware concurrency); results are\n"
-      "                             bitwise identical for every N\n"
-      "  --distributed              train PLOS with ADMM on a simulated fleet\n"
-      "  --fault-drop P             per-message-attempt drop probability\n"
-      "  --fault-offline P          per-round device churn probability\n"
-      "  --fault-straggler P        per-round straggler probability (4x slowdown)\n"
-      "  --fault-corrupt P          per-message bit-corruption probability\n"
-      "                             (CRC32-framed, detected and retried)\n"
-      "  --round-deadline S         simulated seconds the server waits per\n"
-      "                             round; stragglers past it are left behind\n"
-      "                             (0 = wait). Fault flags need --distributed\n"
-      "  --async                    asynchronous bounded-staleness quorum\n"
-      "                             engine instead of the round barrier\n"
-      "                             (implies --distributed; --quorum 1.0 with\n"
-      "                             --adaptive-deadline off reproduces the\n"
-      "                             synchronous run bit for bit)\n"
-      "  --quorum Q                 fraction of on-time uploads that closes a\n"
-      "                             round, in (0, 1] (default 0.6)\n"
-      "  --staleness-bound N        max aggregation steps a device update may\n"
-      "                             lag before its server block is evicted;\n"
-      "                             positive integer (default 3)\n"
-      "  --adaptive-deadline on|off per-device deadlines from the latency\n"
-      "                             EWMA (default on)\n"
-      "  --auto-tune on|off         walk --quorum / --staleness-bound per\n"
-      "                             round from the journal's staleness sketch\n"
-      "                             (deterministic hysteresis; every decision\n"
-      "                             is journaled; needs --async; default off)\n"
-      "  --flight-out FILE          write the flight recorder's Chrome-trace\n"
-      "                             JSON of per-device lifecycle events\n"
-      "                             (upload attempts, deadline misses, late\n"
-      "                             folds, evictions, quorum cuts; needs\n"
-      "                             --async; '-' = stdout; explore with\n"
-      "                             'plos_inspect timeline')\n"
-      "  --no-hotpath-cache         disable the Gram/Lipschitz memoization\n"
-      "                             (PLOS_NO_HOTPATH_CACHE=1 does the same);\n"
-      "                             results are bitwise identical, only slower\n"
-      "  --logistic                 use the logistic-loss PLOS variant\n"
-      "  --save-model PATH          checkpoint the trained PLOS model\n"
-      "  --log-level LEVEL          trace|debug|info|warn|error|off (stderr)\n"
-      "  --trace-out FILE           write Chrome trace-event JSON of solver\n"
-      "                             spans (open in chrome://tracing/Perfetto)\n"
-      "  --metrics-out FILE         write a metrics-registry snapshot\n"
-      "                             ('-' = stdout)\n"
-      "  --metrics-format FMT       json (default) or prom (Prometheus text\n"
-      "                             exposition) for --metrics-out\n"
-      "  --manifest-out FILE        write a run manifest (run.json) capturing\n"
-      "                             build, seed, options, dataset fingerprint,\n"
-      "                             and final metrics ('-' = stdout)\n"
-      "  --journal-out FILE         write the per-round JSONL journal of the\n"
-      "                             PLOS training loop ('-' = stdout)\n"
-      "  --journal-every N          keep every Nth journal record (counted at\n"
-      "                             aggregation boundaries; default 1 = all)\n"
-      "  --profile-out FILE         write the hierarchical phase-profile tree\n"
-      "                             (per-phase call counts + exact solver\n"
-      "                             counters; wall times and peak RSS live in\n"
-      "                             its quarantined \"timing\" section)\n"
-      "                             ('-' = stdout)\n"
-      "  --watchdog MODE            off (default), warn, or abort: convergence\n"
-      "                             watchdog over the round journal (NaN,\n"
-      "                             divergence, participation collapse; abort\n"
-      "                             stops training at the next round boundary)\n"
-      "  --watchdog-stall-rounds N  also flag N rounds without objective\n"
-      "                             improvement (0 = stall check off)\n"
-      "  --help                     this message\n");
-}
-
-// ---- strict flag parsing -------------------------------------------------
-// Every parse failure (unknown flag, missing value, malformed number)
-// prints a diagnostic plus a usage hint and makes the tool exit non-zero:
-// a typo must never silently fall back to defaults mid-experiment.
-
-bool parse_double_value(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  // strtod happily parses "nan" and "inf"; a non-finite probability or
-  // bound silently corrupts every downstream comparison, so refuse it here.
-  return end != text && *end == '\0' && std::isfinite(out);
-}
-
-bool parse_u64_value(const char* text, std::uint64_t& out) {
-  if (text[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  return end != text && *end == '\0';
-}
 
 bool valid_methods_list(const std::string& methods) {
   std::size_t start = 0;
@@ -208,255 +95,160 @@ bool valid_methods_list(const std::string& methods) {
   return true;
 }
 
-std::optional<Args> parse(int argc, char** argv) {
-  Args args;
-  bool ok = true;
-  for (int i = 1; i < argc && ok; ++i) {
-    const std::string flag = argv[i];
-    // Fetches the flag's value; records an error when it is absent.
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "plos_run: missing value for %s\n", flag.c_str());
-        ok = false;
-        return "";
-      }
-      return argv[++i];
-    };
-    const auto double_value = [&](double& out) {
-      const char* text = value();
-      if (ok && !parse_double_value(text, out)) {
-        std::fprintf(stderr, "plos_run: %s expects a number, got '%s'\n",
-                     flag.c_str(), text);
-        ok = false;
-      }
-    };
-    const auto u64_value = [&](std::uint64_t& out) {
-      const char* text = value();
-      if (ok && !parse_u64_value(text, out)) {
-        std::fprintf(stderr,
-                     "plos_run: %s expects a non-negative integer, got '%s'\n",
-                     flag.c_str(), text);
-        ok = false;
-      }
-    };
-    // A u64 that must also fit an int; larger values would wrap on the cast.
-    const auto int_value = [&](int& out) {
-      std::uint64_t parsed = 0;
-      u64_value(parsed);
-      if (ok && parsed > static_cast<std::uint64_t>(INT_MAX)) {
-        std::fprintf(stderr, "plos_run: %s must be at most %d, got %llu\n",
-                     flag.c_str(), INT_MAX,
-                     static_cast<unsigned long long>(parsed));
-        ok = false;
-      }
-      if (ok) out = static_cast<int>(parsed);
-    };
-    if (flag == "--help" || flag == "-h") {
-      print_usage();
-      std::exit(0);
-    } else if (flag == "--dataset") {
-      args.dataset = value();
-    } else if (flag == "--methods") {
-      args.methods = value();
-      if (ok && !valid_methods_list(args.methods)) {
-        std::fprintf(stderr,
-                     "plos_run: --methods expects a comma list of "
-                     "plos,all,group,single, got '%s'\n",
-                     args.methods.c_str());
-        ok = false;
-      }
-    } else if (flag == "--users") {
-      std::uint64_t users = 0;
-      u64_value(users);
-      args.users = static_cast<std::size_t>(users);
-    } else if (flag == "--providers") {
-      std::uint64_t providers = 0;
-      u64_value(providers);
-      args.providers = static_cast<std::size_t>(providers);
-    } else if (flag == "--rate") {
-      double_value(args.rate);
-      if (ok && (args.rate < 0.0 || args.rate > 1.0)) {
-        std::fprintf(stderr, "plos_run: --rate must be in [0, 1], got %g\n",
-                     args.rate);
-        ok = false;
-      }
-    } else if (flag == "--rotation") {
-      double_value(args.rotation);
-    } else if (flag == "--lambda") {
-      double_value(args.lambda);
-    } else if (flag == "--cl") {
-      double_value(args.cl);
-    } else if (flag == "--cu") {
-      double_value(args.cu);
-    } else if (flag == "--seed") {
-      u64_value(args.seed);
-    } else if (flag == "--threads") {
-      int_value(args.threads);
-    } else if (flag == "--distributed") {
-      args.distributed = true;
-    } else if (flag == "--no-hotpath-cache") {
-      args.hotpath_cache = false;
-    } else if (flag == "--fault-drop" || flag == "--fault-offline" ||
-               flag == "--fault-straggler" || flag == "--fault-corrupt") {
-      double* slot = flag == "--fault-drop"       ? &args.fault_drop
-                     : flag == "--fault-offline"  ? &args.fault_offline
-                     : flag == "--fault-straggler" ? &args.fault_straggler
-                                                    : &args.fault_corrupt;
-      double_value(*slot);
-      if (ok && (*slot < 0.0 || *slot > 1.0)) {
-        std::fprintf(stderr, "plos_run: %s must be in [0, 1], got %g\n",
-                     flag.c_str(), *slot);
-        ok = false;
-      }
-    } else if (flag == "--round-deadline") {
-      double_value(args.round_deadline);
-      if (ok && args.round_deadline < 0.0) {
-        std::fprintf(stderr, "plos_run: --round-deadline must be >= 0, got %g\n",
-                     args.round_deadline);
-        ok = false;
-      }
-    } else if (flag == "--async") {
-      args.async_mode = true;
-      args.distributed = true;
-    } else if (flag == "--quorum") {
-      double_value(args.quorum);
-      if (ok && (args.quorum <= 0.0 || args.quorum > 1.0)) {
-        std::fprintf(stderr, "plos_run: --quorum must be in (0, 1], got %g\n",
-                     args.quorum);
-        ok = false;
-      }
-    } else if (flag == "--staleness-bound") {
-      u64_value(args.staleness_bound);
-      if (ok && args.staleness_bound == 0) {
-        std::fprintf(stderr,
-                     "plos_run: --staleness-bound must be a positive "
-                     "integer\n");
-        ok = false;
-      }
-    } else if (flag == "--adaptive-deadline") {
-      const std::string mode = value();
-      if (ok && mode != "on" && mode != "off") {
-        std::fprintf(stderr,
-                     "plos_run: --adaptive-deadline expects on or off, "
-                     "got '%s'\n",
-                     mode.c_str());
-        ok = false;
-      }
-      args.adaptive_deadline = mode == "on";
-    } else if (flag == "--auto-tune") {
-      const std::string mode = value();
-      if (ok && mode != "on" && mode != "off") {
-        std::fprintf(stderr,
-                     "plos_run: --auto-tune expects on or off, got '%s'\n",
-                     mode.c_str());
-        ok = false;
-      }
-      args.auto_tune = mode == "on";
-    } else if (flag == "--flight-out") {
-      args.flight_out = value();
-    } else if (flag == "--journal-every") {
-      u64_value(args.journal_every);
-      if (ok && args.journal_every == 0) {
-        std::fprintf(stderr,
-                     "plos_run: --journal-every must be a positive integer\n");
-        ok = false;
-      }
-    } else if (flag == "--logistic") {
-      args.logistic = true;
-    } else if (flag == "--save-model") {
-      args.save_model_path = value();
-    } else if (flag == "--log-level") {
-      args.log_level = value();
-      if (ok && !obs::parse_level(args.log_level).has_value()) {
-        std::fprintf(stderr,
-                     "plos_run: --log-level expects one of "
-                     "trace|debug|info|warn|error|off, got '%s'\n",
-                     args.log_level.c_str());
-        ok = false;
-      }
-    } else if (flag == "--trace-out") {
-      args.trace_out = value();
-    } else if (flag == "--metrics-out") {
-      args.metrics_out = value();
-    } else if (flag == "--metrics-format") {
-      args.metrics_format = value();
-      if (ok && args.metrics_format != "json" && args.metrics_format != "prom") {
-        std::fprintf(stderr,
-                     "plos_run: --metrics-format expects json or prom, "
-                     "got '%s'\n",
-                     args.metrics_format.c_str());
-        ok = false;
-      }
-    } else if (flag == "--manifest-out") {
-      args.manifest_out = value();
-    } else if (flag == "--journal-out") {
-      args.journal_out = value();
-    } else if (flag == "--profile-out") {
-      args.profile_out = value();
-    } else if (flag == "--watchdog") {
-      args.watchdog = value();
-      if (ok && args.watchdog != "off" && args.watchdog != "warn" &&
-          args.watchdog != "abort") {
-        std::fprintf(stderr,
-                     "plos_run: --watchdog expects off, warn, or abort, "
-                     "got '%s'\n",
-                     args.watchdog.c_str());
-        ok = false;
-      }
-    } else if (flag == "--watchdog-stall-rounds") {
-      int_value(args.watchdog_stall_rounds);
-    } else {
-      std::fprintf(stderr, "plos_run: unknown flag %s\n", flag.c_str());
-      ok = false;
-    }
-  }
-  const bool any_fault_flag = args.fault_drop > 0.0 ||
-                              args.fault_offline > 0.0 ||
-                              args.fault_straggler > 0.0 ||
-                              args.fault_corrupt > 0.0 ||
-                              args.round_deadline > 0.0;
-  if (ok && any_fault_flag && !(args.distributed && !args.logistic)) {
-    std::fprintf(stderr,
-                 "plos_run: fault flags apply only to --distributed "
-                 "(non-logistic) training\n");
-    ok = false;
-  }
-  if (ok && args.async_mode && args.logistic) {
-    std::fprintf(stderr,
-                 "plos_run: --async is the distributed hinge-loss engine; "
-                 "it cannot combine with --logistic\n");
-    ok = false;
-  }
-  if (ok && args.async_mode && args.round_deadline > 0.0) {
-    std::fprintf(stderr,
-                 "plos_run: --round-deadline is the synchronous barrier's "
-                 "deadline; under --async use --adaptive-deadline\n");
-    ok = false;
-  }
-  if (ok && args.auto_tune && !args.async_mode) {
-    std::fprintf(stderr,
-                 "plos_run: --auto-tune drives the async engine's quorum and "
-                 "staleness bound; it needs --async\n");
-    ok = false;
-  }
-  if (ok && !args.flight_out.empty() && !args.async_mode) {
-    std::fprintf(stderr,
-                 "plos_run: --flight-out records the async engine's device "
-                 "lifecycle; it needs --async\n");
-    ok = false;
-  }
-  // Environment escape hatch so CI equivalence jobs can flip whole test
-  // matrices without threading a flag through every invocation. "0" and
-  // empty keep the cache on; anything else disables it.
-  if (const char* env = std::getenv("PLOS_NO_HOTPATH_CACHE");
-      env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-    args.hotpath_cache = false;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "run 'plos_run --help' for usage\n");
-    return std::nullopt;
-  }
-  return args;
+bool wants(const RunConfig& c, const char* method) {
+  return c.methods.find(method) != std::string::npos;
+}
+
+std::vector<cli::Flag> flag_table(RunConfig& c) {
+  core::DistributedPlosOptions& plos = c.quorum.base;
+  const cli::Needs needs_async{"--async", [&c] { return c.async_mode; }};
+  const cli::Needs needs_hinge_fleet{
+      "--distributed without --logistic",
+      [&c] { return c.distributed && !c.logistic; }};
+  return {
+      {"--dataset", "body|har|synth", "population simulator (default synth)",
+       cli::choice(c.dataset, {"body", "har", "synth"})},
+      {"--methods", "LIST",
+       "comma list of plos,all,group,single (default all four)",
+       [&c](const char* value) {
+         if (!valid_methods_list(value)) {
+           return std::string(
+                      "expects a comma list of plos,all,group,single, got '") +
+                  value + "'";
+         }
+         c.methods = value;
+         return std::string();
+       }},
+      {"--users", "N", "population size (default per dataset)",
+       cli::count(c.users)},
+      {"--providers", "N", "label-providing users (default half)",
+       cli::count(c.providers)},
+      {"--rate", "R", "labeled fraction per provider, in [0, 1]",
+       cli::number(c.rate, cli::kProbability)},
+      {"--rotation", "RAD", "max rotation angle of the synthetic population",
+       cli::number(c.rotation),
+       {"--dataset synth", [&c] { return c.dataset == "synth"; }}},
+      {"--lambda", "L", "PLOS hyper-parameter lambda (default 100)",
+       cli::number(plos.params.lambda)},
+      {"--cl", "CL", "PLOS labeled-loss weight (default 10)",
+       cli::number(plos.params.cl)},
+      {"--cu", "CU", "PLOS unlabeled-loss weight (default 1)",
+       cli::number(plos.params.cu)},
+      {"--seed", "S", "RNG seed", cli::count(c.seed)},
+      {"--threads", "N",
+       "worker threads for training (default 1; 0 = hardware concurrency); "
+       "results are bitwise identical for every N",
+       cli::count(plos.num_threads)},
+      {"--distributed", nullptr, "train PLOS with ADMM on a simulated fleet",
+       cli::store(c.distributed, true)},
+      {"--fault-drop", "P", "per-message-attempt drop probability",
+       cli::number(c.fault.drop_probability, cli::kProbability),
+       needs_hinge_fleet},
+      {"--fault-offline", "P", "per-round device churn probability",
+       cli::number(c.fault.offline_probability, cli::kProbability),
+       needs_hinge_fleet},
+      {"--fault-straggler", "P",
+       "per-round straggler probability (4x slowdown)",
+       cli::number(c.fault.straggler_probability, cli::kProbability),
+       needs_hinge_fleet},
+      {"--fault-corrupt", "P",
+       "per-message bit-corruption probability (CRC32-framed, detected and "
+       "retried)",
+       cli::number(c.fault.corrupt_probability, cli::kProbability),
+       needs_hinge_fleet},
+      {"--round-deadline", "S",
+       "simulated seconds the server waits per round; stragglers past it "
+       "are left behind (0 = wait)",
+       cli::number(c.fault.round_deadline_s, cli::kNonNegative),
+       {"--distributed without --async or --logistic, and a nonzero "
+        "--fault-* probability",
+        [&c] {
+          return c.distributed && !c.logistic && !c.async_mode &&
+                 c.fault.any_faults();
+        }}},
+      {"--async", nullptr,
+       "asynchronous bounded-staleness quorum engine instead of the round "
+       "barrier (implies --distributed; --quorum 1.0 with "
+       "--adaptive-deadline off reproduces the synchronous run bit for bit)",
+       [&c](const char*) {
+         c.async_mode = c.distributed = true;
+         return std::string();
+       },
+       {"hinge-loss training, not --logistic", [&c] { return !c.logistic; }}},
+      {"--quorum", "Q",
+       "fraction of on-time uploads that closes a round, in (0, 1] "
+       "(default 0.6)",
+       cli::number(c.quorum.quorum, cli::kPositiveFraction), needs_async},
+      {"--staleness-bound", "N",
+       "max aggregation steps a device update may lag before its server "
+       "block is evicted; positive integer (default 3)",
+       cli::count(c.quorum.staleness_bound, 1), needs_async},
+      {"--adaptive-deadline", "on|off",
+       "per-device deadlines from the latency EWMA (default on)",
+       cli::on_off(c.quorum.adaptive_deadline), needs_async},
+      {"--auto-tune", "on|off",
+       "walk --quorum / --staleness-bound per round from the journal's "
+       "staleness sketch (deterministic hysteresis; every decision is "
+       "journaled; default off)",
+       cli::on_off(c.quorum.autotune.enabled), needs_async},
+      {"--flight-out", "FILE",
+       "write the flight recorder's Chrome-trace JSON of per-device "
+       "lifecycle events (upload attempts, deadline misses, late folds, "
+       "evictions, quorum cuts; '-' = stdout; explore with 'plos_inspect "
+       "timeline')",
+       cli::text(c.flight_out), needs_async},
+      {"--no-hotpath-cache", nullptr,
+       "disable the Gram/Lipschitz memoization (PLOS_NO_HOTPATH_CACHE=1 does "
+       "the same); results are bitwise identical, only slower",
+       cli::store(plos.hotpath_cache, false)},
+      {"--logistic", nullptr, "use the logistic-loss PLOS variant",
+       cli::store(c.logistic, true)},
+      {"--save-model", "PATH", "checkpoint the trained PLOS model",
+       cli::text(c.save_model),
+       {"plos in --methods", [&c] { return wants(c, "plos"); }}},
+      {"--log-level", "LEVEL",
+       "stderr log level: trace, debug, info, warn, error or off",
+       cli::choice(c.log_level,
+                   {"trace", "debug", "info", "warn", "error", "off"})},
+      {"--trace-out", "FILE",
+       "write Chrome trace-event JSON of solver spans (open in "
+       "chrome://tracing or Perfetto; '-' = stdout)",
+       cli::text(c.trace_out)},
+      {"--metrics-out", "FILE",
+       "write a metrics-registry snapshot ('-' = stdout)",
+       cli::text(c.metrics_out)},
+      {"--metrics-format", "json|prom",
+       "json (default) or prom (Prometheus text exposition)",
+       cli::choice(c.metrics_format, {"json", "prom"}),
+       {"--metrics-out", [&c] { return !c.metrics_out.empty(); }}},
+      {"--manifest-out", "FILE",
+       "write a run manifest (run.json) capturing build, seed, options, "
+       "dataset fingerprint, and final metrics ('-' = stdout)",
+       cli::text(c.manifest_out)},
+      {"--journal-out", "FILE",
+       "write the per-round JSONL journal of the PLOS training loop "
+       "('-' = stdout)",
+       cli::text(c.journal_out)},
+      {"--journal-every", "N",
+       "keep every Nth journal record (counted at aggregation boundaries; "
+       "default 1 = all)",
+       cli::count(c.journal_every, 1)},
+      {"--profile-out", "FILE",
+       "write the hierarchical phase-profile tree (per-phase call counts + "
+       "exact solver counters; wall times and peak RSS live in its "
+       "quarantined \"timing\" section; '-' = stdout)",
+       cli::text(c.profile_out)},
+      {"--watchdog", "MODE",
+       "off (default), warn, or abort: convergence watchdog over the round "
+       "journal (NaN, divergence, participation collapse; abort stops "
+       "training at the next round boundary)",
+       cli::choice(c.watchdog, {"off", "warn", "abort"})},
+      {"--watchdog-stall-rounds", "N",
+       "also flag N rounds without objective improvement (0 = stall check "
+       "off)",
+       cli::count(c.watchdog_config.stall_rounds),
+       {"--watchdog warn or abort", [&c] { return c.watchdog != "off"; }}},
+  };
 }
 
 // Pre-creates the canonical solver/network instruments so every snapshot
@@ -495,16 +287,18 @@ void register_standard_instruments() {
   obs::metrics().gauge("plos.watchdog.violations_total");
 }
 
-// Writes `text` to `path`, with "-" meaning stdout (so artifacts can be
-// piped straight into plos_inspect).
-bool write_text(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    return std::fwrite(text.data(), 1, text.size(), stdout) == text.size();
+// Writes one run artifact to `path` ("-" = stdout) and says where it went,
+// followed by `detail`.
+bool write_artifact(const char* what, const std::string& path,
+                    const std::string& text, const std::string& detail = "") {
+  if (!obs::write_file(path, text)) {
+    std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
+    return false;
   }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  return std::fclose(file) == 0 && ok;
+  if (path != "-") {
+    std::printf("%s written to %s%s\n", what, path.c_str(), detail.c_str());
+  }
+  return true;
 }
 
 std::string render_double(double value) {
@@ -513,36 +307,33 @@ std::string render_double(double value) {
   return buffer;
 }
 
-data::MultiUserDataset build_dataset(const Args& args) {
-  rng::Engine engine(args.seed);
+data::MultiUserDataset build_dataset(const RunConfig& c) {
+  rng::Engine engine(c.seed);
   data::MultiUserDataset dataset;
-  if (args.dataset == "body") {
+  if (c.dataset == "body") {
     sensing::BodySensorSpec spec;
-    if (args.users > 0) spec.num_users = args.users;
+    if (c.users > 0) spec.num_users = c.users;
     dataset = sensing::generate_body_sensor_dataset(spec, engine);
-  } else if (args.dataset == "har") {
+  } else if (c.dataset == "har") {
     sensing::HarSpec spec;
-    if (args.users > 0) spec.num_users = args.users;
+    if (c.users > 0) spec.num_users = c.users;
     dataset = sensing::generate_har_dataset(spec, engine);
-  } else if (args.dataset == "synth") {
-    data::SyntheticSpec spec;
-    if (args.users > 0) spec.num_users = args.users;
-    spec.max_rotation = args.rotation;
-    dataset = data::generate_synthetic(spec, engine);
   } else {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
-    std::exit(2);
+    data::SyntheticSpec spec;
+    if (c.users > 0) spec.num_users = c.users;
+    spec.max_rotation = c.rotation;
+    dataset = data::generate_synthetic(spec, engine);
   }
 
   const std::size_t num_providers =
-      args.providers > 0 ? args.providers : dataset.num_users() / 2;
+      c.providers > 0 ? c.providers : dataset.num_users() / 2;
   std::vector<std::size_t> providers;
   for (std::size_t i = 0; i < num_providers && i < dataset.num_users(); ++i) {
     providers.push_back(i * dataset.num_users() /
                         std::max<std::size_t>(1, num_providers));
   }
-  rng::Engine label_engine(args.seed + 1);
-  data::reveal_labels(dataset, providers, args.rate, label_engine);
+  rng::Engine label_engine(c.seed + 1);
+  data::reveal_labels(dataset, providers, c.rate, label_engine);
   return dataset;
 }
 
@@ -551,29 +342,45 @@ void print_report(const char* name, const core::AccuracyReport& report) {
               name, report.providers, report.non_providers, report.overall);
 }
 
-bool wants(const Args& args, const char* method) {
-  return args.methods.find(method) != std::string::npos;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed) return 2;
-  const Args& args = *parsed;
-
-  if (!args.log_level.empty()) {
-    obs::Logger::instance().set_sink(std::make_shared<obs::StderrSink>());
-    obs::Logger::instance().set_level(*obs::parse_level(args.log_level));
+  RunConfig c;
+  const std::vector<cli::Flag> flags = flag_table(c);
+  switch (cli::parse("plos_run", flags, argc, argv, 1)) {
+    case cli::ParseResult::kHelp:
+      std::printf(
+          "plos_run — train PLOS and baselines on a simulated population\n\n"
+          "%s",
+          cli::help(flags).c_str());
+      return 0;
+    case cli::ParseResult::kError:
+      return 2;
+    case cli::ParseResult::kOk:
+      break;
   }
-  if (!args.metrics_out.empty() || !args.profile_out.empty()) {
+  core::DistributedPlosOptions& plos = c.quorum.base;
+  // Environment escape hatch so CI equivalence jobs can flip whole test
+  // matrices without threading a flag through every invocation. "0" and
+  // empty keep the cache on; anything else disables it.
+  if (const char* env = std::getenv("PLOS_NO_HOTPATH_CACHE");
+      env != nullptr && env[0] != '\0' && std::string(env) != "0") {
+    plos.hotpath_cache = false;
+  }
+  c.fault.seed = c.seed;
+
+  if (!c.log_level.empty()) {
+    obs::Logger::instance().set_sink(std::make_shared<obs::StderrSink>());
+    obs::Logger::instance().set_level(*obs::parse_level(c.log_level));
+  }
+  if (!c.metrics_out.empty() || !c.profile_out.empty()) {
     obs::metrics().set_enabled(true);
     register_standard_instruments();
   }
-  if (!args.trace_out.empty()) {
+  if (!c.trace_out.empty()) {
     obs::TraceCollector::instance().set_enabled(true);
   }
-  if (!args.profile_out.empty()) {
+  if (!c.profile_out.empty()) {
     obs::Profiler::instance().reset();
     obs::Profiler::instance().set_enabled(true);
   }
@@ -584,12 +391,11 @@ int main(int argc, char** argv) {
   // the watchdog classifies each record online. Both are wired into the
   // trainer options below only when requested.
   obs::Journal journal;
-  journal.set_every(args.journal_every);
-  obs::WatchdogConfig watchdog_config;
-  watchdog_config.on_violation = args.watchdog == "abort"
+  journal.set_every(c.journal_every);
+  obs::WatchdogConfig& watchdog_config = c.watchdog_config;
+  watchdog_config.on_violation = c.watchdog == "abort"
                                      ? obs::WatchdogConfig::OnViolation::kAbort
                                      : obs::WatchdogConfig::OnViolation::kWarn;
-  watchdog_config.stall_rounds = args.watchdog_stall_rounds;
   // Fault-injected runs keep training through partial participation; flag
   // rounds where most of the fleet stops reaching the server.
   watchdog_config.participation_floor = 0.5;
@@ -597,15 +403,14 @@ int main(int argc, char** argv) {
   // Under the async engine, aggregates that ride the eviction boundary for
   // several consecutive rounds mean the staleness bound is doing all the
   // work — flag that as a staleness collapse.
-  if (args.async_mode) {
-    watchdog_config.staleness_ceiling = args.staleness_bound;
+  if (c.async_mode) {
+    watchdog_config.staleness_ceiling = c.quorum.staleness_bound;
   }
   obs::Watchdog watchdog(watchdog_config);
-  const bool watchdog_on = args.watchdog != "off";
-  const bool journal_wanted =
-      !args.journal_out.empty() || !args.manifest_out.empty();
-  obs::Journal* journal_ptr = journal_wanted ? &journal : nullptr;
-  obs::Watchdog* watchdog_ptr = watchdog_on ? &watchdog : nullptr;
+  const bool watchdog_on = c.watchdog != "off";
+  const bool journal_wanted = !c.journal_out.empty() || !c.manifest_out.empty();
+  plos.journal = journal_wanted ? &journal : nullptr;
+  plos.watchdog = watchdog_on ? &watchdog : nullptr;
 
   // Deterministic end-of-run facts destined for the manifest.
   std::map<std::string, double> results;
@@ -614,22 +419,17 @@ int main(int argc, char** argv) {
   double plos_overall_accuracy = 0.0;
   bool trained_plos = false;
 
-  const auto dataset = build_dataset(args);
+  const auto dataset = build_dataset(c);
   std::printf("dataset %s: %zu users (%zu providers), %zu samples, dim %zu\n",
-              args.dataset.c_str(), dataset.num_users(),
+              c.dataset.c_str(), dataset.num_users(),
               dataset.labeled_users().size(), dataset.total_samples(),
               dataset.dim());
 
-  core::PlosHyperParams params;
-  params.lambda = args.lambda;
-  params.cl = args.cl;
-  params.cu = args.cu;
-
-  if (wants(args, "plos")) {
+  if (wants(c, "plos")) {
     core::PersonalizedModel model;
-    if (args.logistic) {
+    if (c.logistic) {
       core::LogisticPlosOptions options;
-      options.params = params;
+      options.params = plos.params;
       const auto result = core::train_logistic_plos(dataset, options);
       model = result.model;
       std::printf("logistic PLOS: %d CCCP rounds, %.2fs\n",
@@ -638,52 +438,25 @@ int main(int argc, char** argv) {
       rounds_completed = result.diagnostics.cccp_iterations;
       results["cccp_rounds"] =
           static_cast<double>(result.diagnostics.cccp_iterations);
-    } else if (args.distributed) {
-      core::DistributedPlosOptions options;
-      options.params = params;
-      options.num_threads = args.threads;
-      options.hotpath_cache = args.hotpath_cache;
-      options.journal = journal_ptr;
-      options.watchdog = watchdog_ptr;
+    } else if (c.distributed) {
       net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
                               net::LinkProfile{});
-      net::FaultSpec fault_spec;
-      fault_spec.drop_probability = args.fault_drop;
-      fault_spec.offline_probability = args.fault_offline;
-      fault_spec.straggler_probability = args.fault_straggler;
-      fault_spec.corrupt_probability = args.fault_corrupt;
-      fault_spec.round_deadline_s = args.round_deadline;
-      fault_spec.seed = args.seed;
-      if (fault_spec.any_faults()) {
-        network.set_fault_model(net::FaultModel(fault_spec));
+      if (c.fault.any_faults()) {
+        network.set_fault_model(net::FaultModel(c.fault));
       }
       core::DistributedPlosDiagnostics diagnostics;
-      if (args.async_mode) {
-        async::AsyncQuorumOptions async_options;
-        async_options.base = options;
-        async_options.quorum = args.quorum;
-        async_options.staleness_bound = args.staleness_bound;
-        async_options.adaptive_deadline = args.adaptive_deadline;
-        async_options.autotune.enabled = args.auto_tune;
+      if (c.async_mode) {
         obs::FlightRecorder flight_recorder;
-        if (!args.flight_out.empty()) {
-          async_options.flight = &flight_recorder;
-        }
+        if (!c.flight_out.empty()) c.quorum.flight = &flight_recorder;
         const auto result =
-            async::train_async_quorum_plos(dataset, async_options, &network);
-        if (!args.flight_out.empty()) {
-          if (!flight_recorder.write(args.flight_out)) {
-            std::fprintf(stderr, "failed to write flight log to %s\n",
-                         args.flight_out.c_str());
-            return 1;
-          }
-          if (args.flight_out != "-") {
-            std::printf("flight log written to %s (%zu events, %llu "
-                        "overwritten)\n",
-                        args.flight_out.c_str(), flight_recorder.size(),
-                        static_cast<unsigned long long>(
-                            flight_recorder.dropped()));
-          }
+            async::train_async_quorum_plos(dataset, c.quorum, &network);
+        if (!c.flight_out.empty() &&
+            !write_artifact(
+                "flight log", c.flight_out, flight_recorder.to_chrome_json(),
+                " (" + std::to_string(flight_recorder.size()) + " events, " +
+                    std::to_string(flight_recorder.dropped()) +
+                    " overwritten)")) {
+          return 1;
         }
         model = result.model;
         diagnostics = result.diagnostics;
@@ -714,7 +487,7 @@ int main(int argc, char** argv) {
         results["async_virtual_seconds"] = a.virtual_seconds;
         results["async_max_staleness"] =
             static_cast<double>(a.max_staleness_seen);
-        if (args.auto_tune) {
+        if (c.quorum.autotune.enabled) {
           std::printf(
               "auto-tune: %llu actions, final quorum %.2f, final staleness "
               "bound %llu\n",
@@ -730,7 +503,7 @@ int main(int argc, char** argv) {
         timing_map["simulated_seconds"] = a.virtual_seconds;
       } else {
         const auto result =
-            core::train_distributed_plos(dataset, options, &network);
+            core::train_distributed_plos(dataset, plos, &network);
         model = result.model;
         diagnostics = result.diagnostics;
         std::printf(
@@ -767,21 +540,15 @@ int main(int argc, char** argv) {
       results["messages_dropped"] =
           static_cast<double>(traffic.messages_dropped);
       results["retries"] = static_cast<double>(traffic.retries);
-      if (!diagnostics.participation_trace.empty()) {
-        double mean = 0.0;
-        for (double p : diagnostics.participation_trace) mean += p;
-        results["mean_participation"] =
-            mean /
-            static_cast<double>(diagnostics.participation_trace.size());
+      const auto& d = diagnostics;
+      double mean_participation = 0.0;
+      for (double p : d.participation_trace) mean_participation += p;
+      if (!d.participation_trace.empty()) {
+        mean_participation /=
+            static_cast<double>(d.participation_trace.size());
+        results["mean_participation"] = mean_participation;
       }
-      if (fault_spec.any_faults()) {
-        const auto& d = diagnostics;
-        double mean_participation = 0.0;
-        for (double p : d.participation_trace) mean_participation += p;
-        if (!d.participation_trace.empty()) {
-          mean_participation /=
-              static_cast<double>(d.participation_trace.size());
-        }
+      if (c.fault.any_faults()) {
         std::printf(
             "faults: participation %.3f, offline %zu, deadline misses %zu, "
             "dropped %zu (down %zu / up %zu), corrupted %zu, retries %zu, "
@@ -796,11 +563,11 @@ int main(int argc, char** argv) {
       }
     } else {
       core::CentralizedPlosOptions options;
-      options.params = params;
-      options.num_threads = args.threads;
-      options.hotpath_cache = args.hotpath_cache;
-      options.journal = journal_ptr;
-      options.watchdog = watchdog_ptr;
+      options.params = plos.params;
+      options.num_threads = plos.num_threads;
+      options.hotpath_cache = plos.hotpath_cache;
+      options.journal = plos.journal;
+      options.watchdog = plos.watchdog;
       const auto result = core::train_centralized_plos(dataset, options);
       model = result.model;
       std::printf("centralized PLOS: %d CCCP rounds, %zu planes, %.2fs\n",
@@ -829,25 +596,25 @@ int main(int argc, char** argv) {
     results["accuracy.plos.providers"] = plos_report.providers;
     results["accuracy.plos.non_providers"] = plos_report.non_providers;
     results["accuracy.plos.overall"] = plos_report.overall;
-    if (!args.save_model_path.empty()) {
-      if (core::save_model(model, args.save_model_path)) {
-        std::printf("model saved to %s\n", args.save_model_path.c_str());
+    if (!c.save_model.empty()) {
+      if (core::save_model(model, c.save_model)) {
+        std::printf("model saved to %s\n", c.save_model.c_str());
       } else {
         std::fprintf(stderr, "failed to save model to %s\n",
-                     args.save_model_path.c_str());
+                     c.save_model.c_str());
         return 1;
       }
     }
   }
   core::BaselineOptions baseline_options;
-  baseline_options.num_threads = args.threads;
-  if (wants(args, "all")) {
+  baseline_options.num_threads = plos.num_threads;
+  if (wants(c, "all")) {
     const auto report = core::evaluate(
         dataset, core::run_all_baseline(dataset, baseline_options));
     print_report("All", report);
     results["accuracy.all.overall"] = report.overall;
   }
-  if (wants(args, "group")) {
+  if (wants(c, "group")) {
     core::GroupBaselineOptions group_options;
     group_options.base = baseline_options;
     const auto report = core::evaluate(
@@ -855,7 +622,7 @@ int main(int argc, char** argv) {
     print_report("Group", report);
     results["accuracy.group.overall"] = report.overall;
   }
-  if (wants(args, "single")) {
+  if (wants(c, "single")) {
     const auto report = core::evaluate(
         dataset, core::run_single_baseline(dataset, baseline_options));
     print_report("Single", report);
@@ -873,58 +640,59 @@ int main(int argc, char** argv) {
                 obs::F("wall_seconds", wall_seconds),
                 obs::F("watchdog", watchdog_verdict));
 
-  if (!args.manifest_out.empty()) {
+  if (!c.manifest_out.empty()) {
     obs::RunManifest manifest;
     manifest.tool = "plos_run";
     obs::fill_build_info(manifest);
-    manifest.seed = args.seed;
-    manifest.dataset = data::fingerprint(dataset, args.dataset);
-    manifest.options["dataset"] = args.dataset;
-    manifest.options["methods"] = args.methods;
-    manifest.options["mode"] = args.logistic      ? "logistic"
-                               : args.distributed ? "distributed"
-                                                  : "centralized";
-    manifest.options["lambda"] = render_double(args.lambda);
-    manifest.options["cl"] = render_double(args.cl);
-    manifest.options["cu"] = render_double(args.cu);
-    manifest.options["rate"] = render_double(args.rate);
-    if (args.dataset == "synth") {
-      manifest.options["rotation"] = render_double(args.rotation);
+    manifest.seed = c.seed;
+    manifest.dataset = data::fingerprint(dataset, c.dataset);
+    manifest.options["dataset"] = c.dataset;
+    manifest.options["methods"] = c.methods;
+    manifest.options["mode"] = c.logistic      ? "logistic"
+                               : c.distributed ? "distributed"
+                                               : "centralized";
+    manifest.options["lambda"] = render_double(plos.params.lambda);
+    manifest.options["cl"] = render_double(plos.params.cl);
+    manifest.options["cu"] = render_double(plos.params.cu);
+    manifest.options["rate"] = render_double(c.rate);
+    if (c.dataset == "synth") {
+      manifest.options["rotation"] = render_double(c.rotation);
     }
-    manifest.options["hotpath_cache"] = args.hotpath_cache ? "1" : "0";
+    manifest.options["hotpath_cache"] = plos.hotpath_cache ? "1" : "0";
     // Async keys ride under the "async" prefix so a degenerate-equivalence
     // diff can exclude them wholesale (--ignore options.async); synchronous
     // manifests gain no new keys at all.
-    if (args.async_mode) {
+    if (c.async_mode) {
       manifest.options["async"] = "1";
-      manifest.options["async_quorum"] = render_double(args.quorum);
+      manifest.options["async_quorum"] = render_double(c.quorum.quorum);
       manifest.options["async_staleness_bound"] =
-          std::to_string(args.staleness_bound);
+          std::to_string(c.quorum.staleness_bound);
       manifest.options["async_adaptive_deadline"] =
-          args.adaptive_deadline ? "on" : "off";
-      if (args.auto_tune) manifest.options["async_auto_tune"] = "on";
+          c.quorum.adaptive_deadline ? "on" : "off";
+      if (c.quorum.autotune.enabled) {
+        manifest.options["async_auto_tune"] = "on";
+      }
     }
     // Only non-default downsampling lands in the manifest: default-1 runs
     // keep byte-identical manifests with pre-flag builds (golden files).
-    if (args.journal_every > 1) {
-      manifest.options["journal_every"] = std::to_string(args.journal_every);
+    if (c.journal_every > 1) {
+      manifest.options["journal_every"] = std::to_string(c.journal_every);
     }
-    manifest.options["watchdog"] = args.watchdog;
-    if (args.watchdog_stall_rounds > 0) {
+    manifest.options["watchdog"] = c.watchdog;
+    if (watchdog_config.stall_rounds > 0) {
       manifest.options["watchdog_stall_rounds"] =
-          std::to_string(args.watchdog_stall_rounds);
+          std::to_string(watchdog_config.stall_rounds);
     }
-    const bool any_faults = args.fault_drop > 0.0 || args.fault_offline > 0.0 ||
-                            args.fault_straggler > 0.0 ||
-                            args.fault_corrupt > 0.0 ||
-                            args.round_deadline > 0.0;
-    if (any_faults) {
-      manifest.fault["drop_probability"] = render_double(args.fault_drop);
-      manifest.fault["offline_probability"] = render_double(args.fault_offline);
+    if (c.fault.any_faults()) {
+      const net::FaultSpec& f = c.fault;
+      manifest.fault["drop_probability"] = render_double(f.drop_probability);
+      manifest.fault["offline_probability"] =
+          render_double(f.offline_probability);
       manifest.fault["straggler_probability"] =
-          render_double(args.fault_straggler);
-      manifest.fault["corrupt_probability"] = render_double(args.fault_corrupt);
-      manifest.fault["round_deadline_s"] = render_double(args.round_deadline);
+          render_double(f.straggler_probability);
+      manifest.fault["corrupt_probability"] =
+          render_double(f.corrupt_probability);
+      manifest.fault["round_deadline_s"] = render_double(f.round_deadline_s);
     }
     manifest.results = results;
     manifest.watchdog_verdict = watchdog_verdict;
@@ -934,62 +702,37 @@ int main(int argc, char** argv) {
           obs::violation_kind_name(watchdog.violations().front().kind);
     }
     manifest.threads =
-        args.threads == 0
+        plos.num_threads == 0
             ? static_cast<int>(std::thread::hardware_concurrency())
-            : args.threads;
+            : plos.num_threads;
     manifest.wall_seconds = wall_seconds;
     manifest.timing = timing_map;
-    if (!obs::write_manifest(manifest, args.manifest_out)) {
-      std::fprintf(stderr, "failed to write manifest to %s\n",
-                   args.manifest_out.c_str());
-      return 1;
-    }
-    if (args.manifest_out != "-") {
-      std::printf("manifest written to %s\n", args.manifest_out.c_str());
-    }
-  }
-  if (!args.journal_out.empty()) {
-    if (!journal.write_jsonl(args.journal_out)) {
-      std::fprintf(stderr, "failed to write journal to %s\n",
-                   args.journal_out.c_str());
-      return 1;
-    }
-    if (args.journal_out != "-") {
-      std::printf("journal written to %s\n", args.journal_out.c_str());
-    }
-  }
-  if (!args.trace_out.empty()) {
-    if (obs::TraceCollector::instance().write_chrome_json(args.trace_out)) {
-      std::printf("trace written to %s\n", args.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write trace to %s\n",
-                   args.trace_out.c_str());
+    if (!write_artifact("manifest", c.manifest_out,
+                        obs::manifest_to_json(manifest) + "\n")) {
       return 1;
     }
   }
-  if (!args.metrics_out.empty()) {
-    const std::string payload = args.metrics_format == "prom"
-                                    ? obs::metrics().to_prometheus()
-                                    : obs::metrics().to_json();
-    if (!write_text(args.metrics_out, payload)) {
-      std::fprintf(stderr, "failed to write metrics to %s\n",
-                   args.metrics_out.c_str());
-      return 1;
-    }
-    if (args.metrics_out != "-") {
-      std::printf("metrics written to %s\n", args.metrics_out.c_str());
-    }
+  if (!c.journal_out.empty() &&
+      !write_artifact("journal", c.journal_out, journal.to_jsonl())) {
+    return 1;
   }
-  if (!args.profile_out.empty()) {
+  if (!c.trace_out.empty() &&
+      !write_artifact("trace", c.trace_out,
+                      obs::TraceCollector::instance().to_chrome_json())) {
+    return 1;
+  }
+  if (!c.metrics_out.empty() &&
+      !write_artifact("metrics", c.metrics_out,
+                      c.metrics_format == "prom" ? obs::metrics().to_prometheus()
+                                                 : obs::metrics().to_json())) {
+    return 1;
+  }
+  if (!c.profile_out.empty()) {
     obs::ProfileJsonOptions profile_options;
     profile_options.registry = &obs::metrics();
-    if (!obs::write_profile(args.profile_out, profile_options)) {
-      std::fprintf(stderr, "failed to write profile to %s\n",
-                   args.profile_out.c_str());
+    if (!write_artifact("profile", c.profile_out,
+                        obs::profile_to_json(profile_options) + "\n")) {
       return 1;
-    }
-    if (args.profile_out != "-") {
-      std::printf("profile written to %s\n", args.profile_out.c_str());
     }
   }
   return 0;
