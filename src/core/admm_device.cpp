@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
+#include "linalg/kernels.hpp"
 #include "net/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "svm/linear_svm.hpp"
@@ -57,7 +58,6 @@ AdmmDevice::AdmmDevice(const data::UserData& user, std::size_t num_users,
              1.0 / options.rho),
       v_over_g_(static_cast<double>(num_users) /
                 (2.0 * options.params.lambda)),
-      gram_(options.hotpath_cache),
       warm_(warm),
       slot_(slot) {}
 
@@ -69,9 +69,7 @@ linalg::Vector AdmmDevice::bootstrap_weights() const {
     xs.push_back(ctx_.user->samples[i]);
     ys.push_back(ctx_.user->true_labels[i]);
   }
-  svm::LinearSvmOptions svm_options;
-  svm_options.c = options_->init_svm_c;
-  return svm::train_linear_svm(xs, ys, svm_options).weights;
+  return svm::train_linear_svm(xs, ys).weights;
 }
 
 void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
@@ -81,12 +79,11 @@ void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
   if (!plane_ids_.empty() && previous_gamma_.size() == plane_ids_.size()) {
     warm_->store(slot_, plane_ids_, previous_gamma_);
   }
-  if (first_round && options_->cluster_sign_initialization &&
-      ctx_.labeled.empty()) {
+  if (first_round && ctx_.labeled.empty()) {
     signs_ = cluster_initial_signs(ctx_, current_weights,
                                    options_->params.lambda / num_users_,
                                    options_->params.cl, options_->params.cu,
-                                   seed, &gram_);
+                                   seed);
   } else {
     signs_ = cccp_signs(ctx_, current_weights);
   }
@@ -143,18 +140,16 @@ void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
   const std::size_t a = working_set_.size();
   const std::uint32_t id = gram_.intern(plane.s);
   // Extend the prox-QP Hessian (already scaled by κ) by one border
-  // row/column through the Gram cache: a plane re-derived from an earlier
-  // round serves its whole border from memo.
+  // row/column.
   linalg::Matrix h(a + 1, a + 1);
   for (std::size_t i = 0; i < a; ++i) {
     for (std::size_t j = 0; j < a; ++j) h(i, j) = hessian_(i, j);
-  }
-  for (std::size_t i = 0; i < a; ++i) {
-    const double entry = kappa_ * gram_.dot(plane_ids_[i], id);
+    const double entry =
+        kappa_ * linalg::kernels::blocked_dot(working_set_[i].s, plane.s);
     h(i, a) = entry;
     h(a, i) = entry;
   }
-  h(a, a) = kappa_ * gram_.dot(id, id);
+  h(a, a) = kappa_ * linalg::kernels::blocked_dot(plane.s, plane.s);
   hessian_ = std::move(h);
   lipschitz_ = 0.0;  // Hessian version changed
   linear_.push_back(plane.offset - linalg::dot(plane.s, d));
@@ -179,16 +174,12 @@ void AdmmDevice::solve_dual(const linalg::Vector& d, LocalSolution& sol) {
   qp::QpOptions qp_options = options_->qp;
   qp_options.warm_start = previous_gamma_;
   qp_options.warm_start.resize(n, 0.0);
-  if (gram_.memoize()) {
-    // Lipschitz memo per working-set version: re-solves of an unchanged
-    // Hessian (every late ADMM iteration) skip the power iteration.
-    // Bitwise-neutral — lipschitz_estimate is a pure function of H, and
-    // checked builds re-derive and compare (see QpOptions::lipschitz).
-    if (lipschitz_ == 0.0) {
-      lipschitz_ = qp::lipschitz_estimate(problem.hessian);
-    }
-    qp_options.lipschitz = lipschitz_;
-  }
+  // Lipschitz memo per working-set version: re-solves of an unchanged
+  // Hessian (every late ADMM iteration) skip the power iteration.
+  // Bitwise-neutral — lipschitz_estimate is a pure function of H, and
+  // checked builds re-derive and compare (see QpOptions::lipschitz).
+  if (lipschitz_ == 0.0) lipschitz_ = qp::lipschitz_estimate(problem.hessian);
+  qp_options.lipschitz = lipschitz_;
   const qp::QpResult result = qp::solve_capped_simplex_qp(problem, qp_options);
   ++qp_solves_;
   qp_iterations_ += result.iterations;

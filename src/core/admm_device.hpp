@@ -3,8 +3,8 @@
 //
 // One AdmmDevice owns one simulated device: its raw data, CCCP signs, the
 // cutting-plane working set of the current CCCP round, and the hot-path
-// state of DESIGN.md §13 (device-owned Gram cache, trainer-owned WarmStore
-// slot, Lipschitz memo per working-set version). Under the thread pool's
+// state of DESIGN.md §13 (device-owned plane interner, trainer-owned
+// WarmStore slot, Lipschitz memo per working-set version). Under the thread pool's
 // static chunking each device is touched by exactly one worker per round,
 // so none of this needs locking.
 #pragma once
@@ -101,7 +101,7 @@ class AdmmDevice {
   linalg::Vector linear_;    ///< b_i − ⟨s_i, d⟩ at the current prox center
   double lipschitz_ = 0.0;   ///< memoized λmax(hessian_); 0 = stale
   linalg::Vector previous_gamma_;
-  PlaneGramCache gram_;      ///< persists across CCCP rounds
+  PlaneGramCache gram_;      ///< working-set plane ids; persists across rounds
   qp::WarmStore* warm_;      ///< trainer-owned; this device's slot is slot_
   std::size_t slot_;
   int qp_solves_ = 0;

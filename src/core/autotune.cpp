@@ -3,29 +3,33 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
-
 namespace plos::core {
 
-AutoTuner::AutoTuner(const AutoTuneConfig& config, double initial_quorum,
-                     std::uint64_t initial_bound)
-    : config_(config),
-      quorum_(std::clamp(initial_quorum, config.min_quorum,
-                         config.max_quorum)),
-      bound_(std::clamp(initial_bound, config.min_bound, config.max_bound)) {
-  PLOS_CHECK(config.min_quorum > 0.0 &&
-                 config.min_quorum <= config.max_quorum &&
-                 config.max_quorum <= 1.0,
-             "AutoTuneConfig: quorum bounds outside (0, 1]");
-  PLOS_CHECK(config.quorum_step > 0.0,
-             "AutoTuneConfig: quorum_step must be positive");
-  PLOS_CHECK(config.min_bound >= 1 && config.min_bound <= config.max_bound,
-             "AutoTuneConfig: staleness bounds out of order");
-  PLOS_CHECK(config.patience >= 1, "AutoTuneConfig: patience must be >= 1");
-  PLOS_CHECK(config.cooldown >= 0, "AutoTuneConfig: negative cooldown");
-  PLOS_CHECK(config.widen_fraction > 0.0 && config.widen_fraction <= 1.0,
-             "AutoTuneConfig: widen_fraction outside (0, 1]");
-}
+namespace {
+
+/// Quorum fraction bounds and step of the hysteresis walk.
+constexpr double kMinQuorum = 0.5;
+constexpr double kMaxQuorum = 1.0;
+constexpr double kQuorumStep = 0.1;
+/// Staleness-bound bounds; the bound moves by doubling/halving.
+constexpr std::uint64_t kMinBound = 2;
+constexpr std::uint64_t kMaxBound = 64;
+/// Consecutive steps a signal must persist before the controller acts.
+constexpr int kPatience = 2;
+/// Steps of enforced hold after every action. One step is enough for the
+/// next aggregate to reflect the new knobs (the streak counters keep
+/// accruing through the hold, so a persistent signal is not forgotten);
+/// longer holds mostly stretch the transient on straggler fleets
+/// (bench/abl10_autotune).
+constexpr int kCooldown = 1;
+/// Widen the bound when stale_p99 >= kWidenFraction * bound.
+constexpr double kWidenFraction = 0.75;
+
+}  // namespace
+
+AutoTuner::AutoTuner(double initial_quorum, std::uint64_t initial_bound)
+    : quorum_(std::clamp(initial_quorum, kMinQuorum, kMaxQuorum)),
+      bound_(std::clamp(initial_bound, kMinBound, kMaxBound)) {}
 
 AutoTuneDecision AutoTuner::observe(const obs::RoundRecord& record) {
   AutoTuneDecision decision;
@@ -39,7 +43,7 @@ AutoTuneDecision AutoTuner::observe(const obs::RoundRecord& record) {
   // exact FP against journaled values, so the walk is bitwise-reproducible
   // from the journal alone.
   const double bound = static_cast<double>(bound_);
-  const bool widen_signal = p99 >= config_.widen_fraction * bound;
+  const bool widen_signal = p99 >= kWidenFraction * bound;
   // The tail fits in half the bound: the cut is fresher than it needs to
   // be, so stop paying barrier time for it.
   const bool lower_signal = !widen_signal && 2.0 * p99 <= bound;
@@ -60,7 +64,7 @@ AutoTuneDecision AutoTuner::observe(const obs::RoundRecord& record) {
     decision.trigger = trigger;
     decision.quorum = quorum_;
     decision.staleness_bound = bound_;
-    cooldown_left_ = config_.cooldown;
+    cooldown_left_ = kCooldown;
     widen_streak_ = 0;
     lower_streak_ = 0;
     tighten_streak_ = 0;
@@ -68,28 +72,28 @@ AutoTuneDecision AutoTuner::observe(const obs::RoundRecord& record) {
 
   // Priority: protect blocks from wholesale eviction first, then chase
   // the cheaper cut, then reel the bound back in.
-  if (widen_streak_ >= config_.patience) {
-    if (bound_ < config_.max_bound) {
-      bound_ = std::min(bound_ * 2, config_.max_bound);
+  if (widen_streak_ >= kPatience) {
+    if (bound_ < kMaxBound) {
+      bound_ = std::min(bound_ * 2, kMaxBound);
       act("bound_widen", p99);
-    } else if (quorum_ < config_.max_quorum) {
+    } else if (quorum_ < kMaxQuorum) {
       // Bound maxed out and the tail still grows: the fleet cannot keep
       // up with the cut pace — wait for more of it.
-      quorum_ = std::min(quorum_ + config_.quorum_step, config_.max_quorum);
+      quorum_ = std::min(quorum_ + kQuorumStep, kMaxQuorum);
       act("quorum_up", p99);
     }
     return decision;
   }
-  if (lower_streak_ >= config_.patience && quorum_ > config_.min_quorum) {
-    quorum_ = std::max(quorum_ - config_.quorum_step, config_.min_quorum);
+  if (lower_streak_ >= kPatience && quorum_ > kMinQuorum) {
+    quorum_ = std::max(quorum_ - kQuorumStep, kMinQuorum);
     act("quorum_down", p99);
     return decision;
   }
-  if (tighten_streak_ >= config_.patience && bound_ > config_.min_bound &&
-      quorum_ <= config_.min_quorum) {
+  if (tighten_streak_ >= kPatience && bound_ > kMinBound &&
+      quorum_ <= kMinQuorum) {
     // Only tighten once the quorum walk has settled: halving the bound
     // mid-descent would evict the very blocks the descent makes late.
-    bound_ = std::max(bound_ / 2, config_.min_bound);
+    bound_ = std::max(bound_ / 2, kMinBound);
     act("bound_tighten", p99);
     return decision;
   }

@@ -18,12 +18,13 @@
 //   * a tail pinned at zero with a wide bound -> halve the bound back
 //     (tight bounds keep the eviction safety net meaningful).
 //
-// The rule is a deterministic hysteresis: a signal must persist for
-// `patience` consecutive aggregation steps before acting, and every action
-// is followed by `cooldown` steps of enforced hold — so one noisy round
-// never flips a knob, and decisions are a pure function of the journal
-// sequence (bitwise thread-count-independent, DESIGN.md §15). Every
-// decision is journaled with the percentile value that triggered it.
+// The rule is a deterministic hysteresis: a signal must persist for two
+// consecutive aggregation steps before acting, and every action is
+// followed by one step of enforced hold — so one noisy round never flips a
+// knob, and decisions are a pure function of the journal sequence (bitwise
+// thread-count-independent, DESIGN.md §15). Every decision is journaled
+// with the percentile value that triggered it. The walk's constants live
+// in autotune.cpp.
 #pragma once
 
 #include <cstdint>
@@ -34,23 +35,6 @@ namespace plos::core {
 
 struct AutoTuneConfig {
   bool enabled = false;
-  /// Quorum fraction bounds and step of the hysteresis walk.
-  double min_quorum = 0.5;
-  double max_quorum = 1.0;
-  double quorum_step = 0.1;
-  /// Staleness-bound bounds; the bound moves by doubling/halving.
-  std::uint64_t min_bound = 2;
-  std::uint64_t max_bound = 64;
-  /// Consecutive steps a signal must persist before the controller acts.
-  int patience = 2;
-  /// Steps of enforced hold after every action. One step is enough for
-  /// the next aggregate to reflect the new knobs (the streak counters keep
-  /// accruing through the hold, so a persistent signal is not forgotten);
-  /// longer holds mostly stretch the transient on straggler fleets
-  /// (bench/abl10_autotune).
-  int cooldown = 1;
-  /// Widen the bound when stale_p99 >= widen_fraction * bound.
-  double widen_fraction = 0.75;
 };
 
 /// One observe() outcome: the knob values in force for the *next* step and
@@ -71,8 +55,8 @@ struct AutoTuneDecision {
 /// returned knobs apply from the next aggregation step.
 class AutoTuner {
  public:
-  AutoTuner(const AutoTuneConfig& config, double initial_quorum,
-            std::uint64_t initial_bound);
+  /// Starts from the configured knobs, clamped into the walk's range.
+  AutoTuner(double initial_quorum, std::uint64_t initial_bound);
 
   double quorum() const { return quorum_; }
   std::uint64_t staleness_bound() const { return bound_; }
@@ -82,7 +66,6 @@ class AutoTuner {
   AutoTuneDecision observe(const obs::RoundRecord& record);
 
  private:
-  AutoTuneConfig config_;
   double quorum_;
   std::uint64_t bound_;
   int cooldown_left_ = 0;

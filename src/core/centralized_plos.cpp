@@ -6,6 +6,7 @@
 #include "common/stopwatch.hpp"
 #include "core/cutting_plane.hpp"
 #include "core/gram_cache.hpp"
+#include "linalg/kernels.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -20,10 +21,10 @@ namespace {
 
 // Dual QP state over the union of all users' working sets. Grows
 // incrementally: adding a constraint appends one variable, one Hessian
-// row/column, one linear coefficient, and one group member. Plane products
-// flow through the trainer-owned PlaneGramCache (so a plane re-derived in a
-// later CCCP round serves its Hessian border from memo) and converged duals
-// persist per user in the trainer-owned WarmStore at round boundaries.
+// row/column, one linear coefficient, and one group member. Planes are
+// interned in the trainer-owned PlaneGramCache, and converged duals persist
+// per user, keyed by plane id, in the trainer-owned WarmStore at round
+// boundaries.
 class DualState {
  public:
   DualState(std::size_t num_users, double lambda, PlaneGramCache* gram,
@@ -40,22 +41,19 @@ class DualState {
                       parallel::ThreadPool& pool) {
     const std::size_t a = planes_.size();
     const std::uint32_t id = gram_->intern(plane.s);
-    // Extend the Hessian by one row/column. Row copies parallelize (each
-    // worker owns disjoint rows), but the border dots run on the calling
-    // thread: they mutate the shared Gram cache, which is single-owner by
-    // contract — and after the first CCCP round they are mostly memo hits.
+    // Extend the Hessian by one row/column. Worker i owns row i and the
+    // border pair (i, a)/(a, i), so every entry has exactly one writer.
     linalg::Matrix h(a + 1, a + 1);
     pool.parallel_for(a, [&](std::size_t i) {
       for (std::size_t j = 0; j < a; ++j) h(i, j) = hessian_(i, j);
-    });
-    for (std::size_t i = 0; i < a; ++i) {
-      const double d = gram_->dot(ids_[i], id);
       const double entry =
-          (lambda_over_t_ + (planes_[i].user == user ? 1.0 : 0.0)) * d;
+          (lambda_over_t_ + (planes_[i].user == user ? 1.0 : 0.0)) *
+          linalg::kernels::blocked_dot(planes_[i].plane.s, plane.s);
       h(i, a) = entry;
       h(a, i) = entry;
-    }
-    h(a, a) = (lambda_over_t_ + 1.0) * gram_->dot(id, id);
+    });
+    h(a, a) = (lambda_over_t_ + 1.0) *
+              linalg::kernels::blocked_dot(plane.s, plane.s);
     // The bordered Hessian stays positive semidefinite only if the new
     // diagonal entry (a Gram self-product) is finite and non-negative.
     PLOS_DCHECK(std::isfinite(h(a, a)) && h(a, a) >= 0.0,
@@ -149,21 +147,15 @@ class DualState {
 linalg::Vector initial_global_weights(const data::MultiUserDataset& dataset,
                                       const CentralizedPlosOptions& options) {
   const std::size_t dim = dataset.dim();
-  if (options.svm_initialization) {
-    std::vector<linalg::Vector> xs;
-    std::vector<int> ys;
-    for (const auto& user : dataset.users) {
-      for (std::size_t i : user.revealed_indices()) {
-        xs.push_back(user.samples[i]);
-        ys.push_back(user.true_labels[i]);
-      }
-    }
-    if (!xs.empty()) {
-      svm::LinearSvmOptions svm_options;
-      svm_options.c = options.init_svm_c;
-      return svm::train_linear_svm(xs, ys, svm_options).weights;
+  std::vector<linalg::Vector> xs;
+  std::vector<int> ys;
+  for (const auto& user : dataset.users) {
+    for (std::size_t i : user.revealed_indices()) {
+      xs.push_back(user.samples[i]);
+      ys.push_back(user.true_labels[i]);
     }
   }
+  if (!xs.empty()) return svm::train_linear_svm(xs, ys).weights;
   // No labels anywhere: PLOS degenerates to maximum-margin clustering and
   // needs a symmetry-breaking start.
   rng::Engine engine(options.seed);
@@ -232,10 +224,10 @@ CentralizedPlosResult train_centralized_plos(
     contexts.push_back(PlosUserContext::from_user(user));
   }
 
-  // Hot-path state that outlives the per-round DualState: the Gram cache
-  // keeps every plane (and pairwise product) ever derived, and the warm
-  // store carries converged duals across CCCP rounds (DESIGN.md §13).
-  PlaneGramCache gram(options.hotpath_cache);
+  // Hot-path state that outlives the per-round DualState: the interner
+  // gives every plane ever derived a stable id, and the warm store carries
+  // converged duals across CCCP rounds under those ids (DESIGN.md §13).
+  PlaneGramCache gram;
   qp::WarmStore warm_store(num_users);
 
   double previous_objective = std::numeric_limits<double>::infinity();
@@ -256,17 +248,11 @@ CentralizedPlosResult train_centralized_plos(
       PLOS_SPAN("plos.sign_fit");
       pool.parallel_for(num_users, [&](std::size_t t) {
         weights[t] = result.model.user_weights(t);
-        if (cccp == 0 && options.cluster_sign_initialization &&
-            contexts[t].labeled.empty()) {
-          // Per-user scratch cache: the sign-fitting refinements re-derive
-          // planes across their CCCP rounds, but the fits run concurrently,
-          // so they must not touch the trainer's single-owner cache.
-          PlaneGramCache sign_cache(options.hotpath_cache);
+        if (cccp == 0 && contexts[t].labeled.empty()) {
           signs[t] = cluster_initial_signs(
               contexts[t], weights[t],
               options.params.lambda / static_cast<double>(num_users),
-              options.params.cl, options.params.cu, options.seed + t,
-              &sign_cache);
+              options.params.cl, options.params.cu, options.seed + t);
         } else {
           signs[t] = cccp_signs(contexts[t], weights[t]);
         }

@@ -30,29 +30,19 @@ struct CentralizedPlosOptions {
   /// Inner dual-QP accuracy only needs to stay comfortably below the
   /// cutting-plane epsilon, hence the looser-than-default tolerance.
   qp::QpOptions qp{1e-7, 3000, {}};
-  /// Initialize w0 by training a pooled linear SVM on all revealed labels
-  /// (falls back to a random unit direction when nobody provides labels,
-  /// which turns PLOS into pure maximum-margin clustering).
-  bool svm_initialization = true;
-  double init_svm_c = 1.0;
-  /// First-round CCCP signs for users with zero labels come from 2-means
-  /// clustering of their own data (polarity aligned with w0) instead of
+  /// Initialization is fixed: w0 starts from a pooled linear SVM (C = 1) on
+  /// all revealed labels, or from a random unit direction when nobody
+  /// provides labels (PLOS then is pure maximum-margin clustering). The
+  /// first-round CCCP signs of users with zero labels come from 2-means
+  /// clustering of their own data (cluster_initial_signs) instead of
   /// sign(w0·x): the personal cluster structure is exactly what the
   /// unlabeled loss is meant to exploit, and this keeps the linearization
   /// from inheriting w0's systematic per-user errors.
-  bool cluster_sign_initialization = true;
   std::uint64_t seed = 99;  ///< cluster-init / no-label fallback randomness
   /// Worker threads for per-user separation, CCCP sign fitting, and dual
   /// Hessian row assembly. 0 = all hardware threads, 1 = legacy serial.
   /// Results are bitwise identical for every value (see DESIGN.md §8).
   int num_threads = 1;
-  /// Master switch for the bitwise-transparent hot-path caches: Gram dot
-  /// memoization and cached Lipschitz estimates (DESIGN.md §13). Models
-  /// and journals are bitwise identical either way — the flag exists so
-  /// the equivalence suite and PLOS_NO_HOTPATH_CACHE runs can prove that.
-  /// Plane interning and cross-round QP warm starts are algorithm state
-  /// and stay on in both flavors.
-  bool hotpath_cache = true;
   /// Telemetry sinks, both optional and borrowed (caller owns, must
   /// outlive the call). The journal receives one RoundRecord per started
   /// CCCP round, appended on the aggregation thread in round order, so

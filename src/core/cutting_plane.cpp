@@ -5,6 +5,7 @@
 #include "cluster/kmeans.hpp"
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
+#include "linalg/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "rng/engine.hpp"
@@ -36,8 +37,7 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
                                       std::span<const double> global_weights,
                                       double lambda_over_t, double cl,
                                       double cu, double epsilon,
-                                      int max_iterations,
-                                      PlaneGramCache* cache) {
+                                      int max_iterations) {
   PLOS_CHECK(ctx.user != nullptr, "fit_local_deviation: null user");
   PLOS_CHECK(lambda_over_t > 0.0,
              "fit_local_deviation: lambda_over_t must be positive");
@@ -48,11 +48,7 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
   fit.weights.assign(global_weights.begin(), global_weights.end());
   if (ctx.num_samples() == 0) return fit;
 
-  PlaneGramCache local_cache;
-  PlaneGramCache& gram = cache != nullptr ? *cache : local_cache;
-
   std::vector<CuttingPlane> working_set;
-  std::vector<std::uint32_t> plane_ids;
   linalg::Matrix dots;
   linalg::Vector linear_base;  // b_i − ⟨s_i, w0⟩, fixed once a plane enters
   linalg::Vector gamma;
@@ -64,24 +60,18 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
         most_violated_constraint(ctx, signs, fit.weights, cl, cu);
     if (constraint_violation(plane, fit.weights, xi) <= epsilon) break;
 
-    // Extend the ⟨s_i, s_j⟩ matrix with the new plane through the Gram
-    // cache: a bitwise re-derivation of a known plane serves its whole row
-    // from memo instead of recomputing a dot per existing plane.
+    // Extend the ⟨s_i, s_j⟩ matrix by the new plane's row and column.
     const std::size_t a = working_set.size();
-    const std::uint32_t id = gram.intern(plane.s);
     linalg::Matrix next(a + 1, a + 1);
     for (std::size_t i = 0; i < a; ++i) {
       for (std::size_t j = 0; j < a; ++j) next(i, j) = dots(i, j);
-    }
-    for (std::size_t i = 0; i < a; ++i) {
-      const double d = gram.dot(plane_ids[i], id);
+      const double d = linalg::kernels::blocked_dot(working_set[i].s, plane.s);
       next(i, a) = d;
       next(a, i) = d;
     }
-    next(a, a) = gram.dot(id, id);
+    next(a, a) = linalg::kernels::blocked_dot(plane.s, plane.s);
     dots = std::move(next);
     working_set.push_back(plane);
-    plane_ids.push_back(id);
     linear_base.push_back(plane.offset -
                           linalg::dot(plane.s, global_weights));
     count_constraint_added();
@@ -131,12 +121,12 @@ namespace {
 std::pair<std::vector<int>, double> refine_signs_locally(
     const PlosUserContext& ctx, std::vector<int> signs,
     std::span<const double> global_weights, double lambda_over_t, double cl,
-    double cu, PlaneGramCache* cache) {
+    double cu) {
   double objective = 0.0;
   for (int round = 0; round < 4; ++round) {
     const LocalDeviationFit fit =
         fit_local_deviation(ctx, signs, global_weights, lambda_over_t, cl, cu,
-                            /*epsilon=*/1e-2, /*max_iterations=*/50, cache);
+                            /*epsilon=*/1e-2, /*max_iterations=*/50);
     objective = fit.objective;
     std::vector<int> next = cccp_signs(ctx, fit.weights);
     if (next == signs) break;
@@ -150,8 +140,7 @@ std::pair<std::vector<int>, double> refine_signs_locally(
 std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
                                        std::span<const double> user_weights,
                                        double lambda_over_t, double cl,
-                                       double cu, std::uint64_t seed,
-                                       PlaneGramCache* cache) {
+                                       double cu, std::uint64_t seed) {
   PLOS_CHECK(ctx.user != nullptr, "cluster_initial_signs: null user");
   PLOS_CHECK(ctx.labeled.empty(),
              "cluster_initial_signs: only for users without labels");
@@ -176,15 +165,14 @@ std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
   }
 
   auto [refined_weight_signs, weight_score] = refine_signs_locally(
-      ctx, weight_signs, user_weights, lambda_over_t, cl, cu, cache);
+      ctx, weight_signs, user_weights, lambda_over_t, cl, cu);
   const bool one_sided =
       std::all_of(cluster_signs.begin(), cluster_signs.end(),
                   [&](int s) { return s == cluster_signs.front(); });
   if (one_sided) return refined_weight_signs;
 
   auto [refined_cluster_signs, cluster_score] = refine_signs_locally(
-      ctx, std::move(cluster_signs), user_weights, lambda_over_t, cl, cu,
-      cache);
+      ctx, std::move(cluster_signs), user_weights, lambda_over_t, cl, cu);
   return cluster_score < weight_score ? std::move(refined_cluster_signs)
                                       : std::move(refined_weight_signs);
 }

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/gram_cache.hpp"
 #include "data/dataset.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -57,18 +56,12 @@ struct LocalDeviationFit {
   double objective = 0.0;  ///< (λ/T)||v||² + ξ
 };
 
-/// `cache` (optional) interns every cutting plane and serves all pairwise
-/// products; callers fitting the same user repeatedly pass a shared cache so
-/// re-derived planes cost one hash instead of a dot row. nullptr uses a
-/// fit-local cache (bitwise-identical results either way — see
-/// PlaneGramCache's contract).
 LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
                                       std::span<const int> signs,
                                       std::span<const double> global_weights,
                                       double lambda_over_t, double cl,
                                       double cu, double epsilon,
-                                      int max_iterations,
-                                      PlaneGramCache* cache = nullptr);
+                                      int max_iterations);
 
 /// Initial CCCP signs for a user with NO labels, chosen by PLOS's own
 /// objective. Two candidate assignments — the current weights' predictions
@@ -82,8 +75,7 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
 std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
                                        std::span<const double> user_weights,
                                        double lambda_over_t, double cl,
-                                       double cu, std::uint64_t seed,
-                                       PlaneGramCache* cache = nullptr);
+                                       double cu, std::uint64_t seed);
 
 /// The most violated constraint (Eq. 14) for user `ctx` at weights `w`:
 /// selects labeled samples with y_i (w·x_i) < 1 and unlabeled samples with

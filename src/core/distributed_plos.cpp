@@ -19,7 +19,6 @@ DistributedPlosResult train_distributed_plos(
   schedule.quorum = 1.0;
   schedule.staleness_bound = std::numeric_limits<std::uint64_t>::max();
   schedule.adaptive_deadline = false;
-  schedule.fixed_deadline_s = 0.0;
   QuorumAdmmResult result = train_quorum_admm(dataset, schedule, network);
   return {std::move(result.model), std::move(result.diagnostics)};
 }

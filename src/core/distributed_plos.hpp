@@ -54,25 +54,19 @@ struct DistributedPlosOptions {
   /// 1e-2 relative term).
   double eps_abs = 1e-3;
   int max_admm_iterations = 300;
-  /// Bootstrap round: label-providing devices train a local SVM on their
-  /// revealed labels and upload it once; the server averages the uploads
-  /// into the initial w0 (charged to the communication budget). Without
-  /// labels anywhere the server falls back to a random unit direction.
-  bool svm_bootstrap = true;
-  double init_svm_c = 1.0;
-  /// See CentralizedPlosOptions::cluster_sign_initialization; the 2-means
-  /// runs on-device, so privacy is unaffected.
-  bool cluster_sign_initialization = true;
+  /// Initialization is fixed. A bootstrap round has label-providing devices
+  /// train a local SVM (C = 1) on their revealed labels and upload it once;
+  /// the server averages the uploads into the initial w0 (charged to the
+  /// communication budget). Without labels anywhere the server falls back
+  /// to a random unit direction. Devices without labels take their
+  /// first-round signs from an on-device 2-means (see
+  /// CentralizedPlosOptions), so privacy is unaffected.
   std::uint64_t seed = 99;
   /// Worker threads for concurrent per-device ADMM solves (and bootstrap
   /// SVM fits). 0 = all hardware threads, 1 = legacy serial. Models, byte
   /// ledgers, and traces are bitwise identical for every value; only real
   /// wall time changes (see DESIGN.md §8).
   int num_threads = 1;
-  /// See CentralizedPlosOptions::hotpath_cache: disables the Gram-dot and
-  /// Lipschitz memoization (bitwise-identical results, just slower); plane
-  /// interning and cross-round warm starts stay on in both flavors.
-  bool hotpath_cache = true;
   /// Telemetry sinks, both optional and borrowed. The journal receives
   /// one RoundRecord per ADMM iteration (objective, residuals,
   /// participation, byte/fault deltas from the simulated network),

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/assert.hpp"
-#include "linalg/kernels.hpp"
 #include "obs/metrics.hpp"
 
 namespace plos::core {
@@ -58,36 +57,6 @@ std::uint32_t PlaneGramCache::intern(const linalg::Vector& s) {
   candidates.push_back(id);
   interned.increment();
   return id;
-}
-
-const linalg::Vector& PlaneGramCache::plane(std::uint32_t id) const {
-  PLOS_CHECK(id < planes_.size(), "PlaneGramCache: plane id out of range");
-  return planes_[id];
-}
-
-double PlaneGramCache::dot(std::uint32_t i, std::uint32_t j) {
-  PLOS_CHECK(i < planes_.size() && j < planes_.size(),
-             "PlaneGramCache: plane id out of range");
-  static obs::Counter& computed =
-      obs::metrics().counter("plos.gram_cache.dots_computed");
-  static obs::Counter& hits =
-      obs::metrics().counter("plos.gram_cache.dots_reused");
-  if (!memoize_) {
-    computed.increment();
-    return linalg::kernels::blocked_dot(planes_[i], planes_[j]);
-  }
-  const std::uint64_t lo = i < j ? i : j;
-  const std::uint64_t hi = i < j ? j : i;
-  const std::uint64_t key = (lo << 32) | hi;
-  const auto it = dots_.find(key);
-  if (it != dots_.end()) {
-    hits.increment();
-    return it->second;
-  }
-  computed.increment();
-  const double value = linalg::kernels::blocked_dot(planes_[i], planes_[j]);
-  dots_.emplace(key, value);
-  return value;
 }
 
 }  // namespace plos::core

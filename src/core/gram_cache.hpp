@@ -1,34 +1,26 @@
-// Content-interned cutting-plane store with memoized inner products.
+// Content interner for cutting planes.
 //
-// Both PLOS trainers spend most of their Gram work on ⟨s_i, s_j⟩ products
-// between cutting planes (d = 120/561 doubles each). Within one CCCP round
-// the working set only grows, so those products are already computed once
-// per pair — but every round REBUILDS the working set from freshly derived
-// planes, and because the CCCP signs converge after a round or two, most
-// "new" planes are bitwise re-derivations of planes the previous round
-// already measured. The PlaneGramCache interns planes by content (exact
-// bitwise equality, hash + full compare) and memoizes pairwise products by
-// interned id, so a re-derived plane costs one hash instead of one
-// d-dimensional dot per existing plane.
+// Both PLOS trainers rebuild their working sets every CCCP round, and
+// because the CCCP signs converge after a round or two, most "new" planes
+// are bitwise re-derivations of planes an earlier round already held. The
+// PlaneGramCache gives every plane a stable id by content (exact bitwise
+// equality, hash + full compare), and qp::WarmStore keys its cross-round
+// dual seeds by that id, so a re-derived plane resumes from the γ it
+// converged to last time.
 //
 // Contract (DESIGN.md §13):
-//   * Interning is ALWAYS on — plane identity feeds the qp::WarmStore and
-//     is part of the algorithm state, identical in both cache flavors.
-//   * Memoization is bitwise-transparent: dot(i, j) returns exactly
-//     kernels::blocked_dot(plane(i), plane(j)) whether it hits or misses,
-//     because a hit merely replays a previously computed value of the same
-//     pure function. PLOS_NO_HOTPATH_CACHE / hotpath_cache=false turns
-//     memoization off and results may not move by a single bit (enforced
-//     by tests/test_hotpath_cache.cpp).
-//   * Entries are never invalidated — planes are immutable once interned
-//     and products depend on nothing else. The cache stores no wall-clock
-//     and no pointer-derived state (cache-purity lint rule), so its
-//     contents are a pure function of the planes fed to it.
+//   * Interning is algorithm state: ids feed the WarmStore, which compares
+//     them only for equality, so the numbering itself never reaches a
+//     result.
+//   * Entries are never invalidated — planes are immutable once interned.
+//     The interner stores no wall-clock and no pointer-derived state
+//     (cache-purity lint rule), so its contents are a pure function of the
+//     planes fed to it.
 //
-// Instances are single-owner: one per distributed Device, one per
-// centralized dual, one per local deviation fit — each touched by exactly
-// one thread at a time under the pool's static chunking, so no locking is
-// needed and thread count cannot reorder anything.
+// Instances are single-owner: one per distributed Device and one per
+// centralized trainer, each touched by exactly one thread at a time under
+// the pool's static chunking, so no locking is needed and thread count
+// cannot reorder anything.
 #pragma once
 
 #include <cstdint>
@@ -41,32 +33,14 @@ namespace plos::core {
 
 class PlaneGramCache {
  public:
-  /// memoize = false keeps interning but recomputes every product —
-  /// the PLOS_NO_HOTPATH_CACHE flavor.
-  explicit PlaneGramCache(bool memoize = true) : memoize_(memoize) {}
-
-  bool memoize() const { return memoize_; }
-
   /// Interns `s` by content and returns its stable id. A bitwise-identical
   /// plane (same doubles in the same order) always maps to the same id.
   std::uint32_t intern(const linalg::Vector& s);
 
-  const linalg::Vector& plane(std::uint32_t id) const;
-
-  std::size_t num_planes() const { return planes_.size(); }
-
-  /// ⟨plane(i), plane(j)⟩ in the blocked-kernel accumulation order;
-  /// memoized per unordered pair when memoize() is on (i == j gives the
-  /// squared norm).
-  double dot(std::uint32_t i, std::uint32_t j);
-
  private:
-  bool memoize_;
   std::vector<linalg::Vector> planes_;
   /// Content hash -> ids sharing it (collisions resolved by full compare).
   std::map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
-  /// (min(i,j) << 32 | max(i,j)) -> memoized product.
-  std::map<std::uint64_t, double> dots_;
 };
 
 }  // namespace plos::core

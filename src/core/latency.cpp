@@ -43,22 +43,14 @@ double completion_seconds(const LatencyModelSpec& spec, double link_seconds,
   return total;
 }
 
-AdaptiveDeadlines::AdaptiveDeadlines(std::size_t num_users, bool adaptive,
-                                     double fixed_deadline_s)
-    : adaptive_(adaptive),
-      fixed_deadline_s_(fixed_deadline_s),
-      ewma_(num_users, 0.0),
-      observed_(num_users, 0) {
-  PLOS_CHECK(fixed_deadline_s >= 0.0,
-             "AdaptiveDeadlines: negative fixed deadline");
-}
+AdaptiveDeadlines::AdaptiveDeadlines(std::size_t num_users, bool adaptive)
+    : adaptive_(adaptive), ewma_(num_users, 0.0), observed_(num_users, 0) {}
 
 double AdaptiveDeadlines::deadline(std::size_t device) const {
   PLOS_CHECK(device < ewma_.size(), "AdaptiveDeadlines: device out of range");
   if (adaptive_ && observed_[device] != 0) {
     return kDeadlineSlack * ewma_[device];
   }
-  if (fixed_deadline_s_ > 0.0) return fixed_deadline_s_;
   return std::numeric_limits<double>::infinity();
 }
 

@@ -44,12 +44,11 @@ double completion_seconds(const LatencyModelSpec& spec, double link_seconds,
 /// Per-device upload deadlines adapted from an EWMA of observed virtual
 /// round-trip latencies (smoothing 0.3; deadline = 2 x EWMA). Observations
 /// happen on the aggregation thread in ascending device order, so the
-/// tracker is deterministic. A device with no observations yet gets the
-/// fixed fallback (0 = no deadline).
+/// tracker is deterministic. A device with no observations yet, and every
+/// device when not adaptive, has no deadline.
 class AdaptiveDeadlines {
  public:
-  AdaptiveDeadlines(std::size_t num_users, bool adaptive,
-                    double fixed_deadline_s);
+  AdaptiveDeadlines(std::size_t num_users, bool adaptive);
 
   /// Deadline for the device's next round trip, in virtual seconds from
   /// dispatch; +infinity when no deadline applies yet.
@@ -63,7 +62,6 @@ class AdaptiveDeadlines {
 
  private:
   bool adaptive_;
-  double fixed_deadline_s_;
   std::vector<double> ewma_;
   std::vector<char> observed_;
 };

@@ -102,11 +102,8 @@ LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
         ys.push_back(user.true_labels[i]);
       }
     }
-    if (options.svm_initialization && !xs.empty()) {
-      svm::LinearSvmOptions svm_options;
-      svm_options.c = options.init_svm_c;
-      result.model.global_weights =
-          svm::train_linear_svm(xs, ys, svm_options).weights;
+    if (!xs.empty()) {
+      result.model.global_weights = svm::train_linear_svm(xs, ys).weights;
     } else {
       rng::Engine engine(options.seed);
       result.model.global_weights = engine.gaussian_vector(dim);
@@ -126,8 +123,7 @@ LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
     std::vector<std::vector<int>> signs(num_users);
     for (std::size_t t = 0; t < num_users; ++t) {
       const linalg::Vector w = result.model.user_weights(t);
-      if (cccp == 0 && options.cluster_sign_initialization &&
-          contexts[t].labeled.empty()) {
+      if (cccp == 0 && contexts[t].labeled.empty()) {
         signs[t] =
             cluster_initial_signs(contexts[t], w, lambda_over_t,
                                   options.params.cl, options.params.cu,

@@ -28,10 +28,8 @@ struct LogisticPlosOptions {
   PlosHyperParams params;
   CccpOptions cccp;
   opt::LbfgsOptions lbfgs{300, 1e-6, 8, 1e-4, 0.5, 40};
-  /// Same initialization policies as the hinge trainer.
-  bool svm_initialization = true;
-  double init_svm_c = 1.0;
-  bool cluster_sign_initialization = true;
+  /// Same fixed initialization as the hinge trainer (pooled SVM, 2-means
+  /// signs for users without labels); seeds the no-label fallback.
   std::uint64_t seed = 99;
 };
 

@@ -101,7 +101,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
 
   // --- bootstrap round: average of local SVMs as the initial w0 ----------
   linalg::Vector w0 = linalg::zeros(dim);
-  if (base.svm_bootstrap) {
+  {
     PLOS_SPAN("plos.bootstrap");
     // Local SVM fits run in parallel on the devices; the upload accounting
     // and the server-side average stay in ascending device order so the
@@ -204,7 +204,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   // configured values stay in force verbatim. The flight recorder needs the
   // network's per-attempt transmit logs.
   const bool tuning = options.autotune.enabled;
-  AutoTuner tuner(options.autotune, options.quorum, options.staleness_bound);
+  AutoTuner tuner(options.quorum, options.staleness_bound);
   double quorum_now = tuning ? tuner.quorum() : options.quorum;
   std::uint64_t staleness_bound_now =
       tuning ? tuner.staleness_bound() : options.staleness_bound;
@@ -216,8 +216,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   StalenessLedger staleness(num_users);
   std::uint64_t aggregation_step = 0;
   double virtual_seconds = 0.0;
-  AdaptiveDeadlines deadlines(num_users, options.adaptive_deadline,
-                              options.fixed_deadline_s);
+  AdaptiveDeadlines deadlines(num_users, options.adaptive_deadline);
   std::vector<PendingUpload> pending(num_users);
   // Why each device last failed to deliver fresh — attributes a later
   // eviction of its block to a cause.

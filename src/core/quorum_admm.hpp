@@ -70,9 +70,8 @@ struct QuorumAdmmOptions {
   /// block is evicted. 0 is only meaningful fault-free (nothing ever ages).
   std::uint64_t staleness_bound = 3;
   /// Adapt per-device deadlines from the latency EWMA (core/latency.hpp).
-  /// When false, the fixed deadline applies (0 = no deadline at all).
+  /// When false, no deadline applies at all.
   bool adaptive_deadline = true;
-  double fixed_deadline_s = 0.0;  ///< fallback/static deadline; 0 = none
   LatencyModelSpec latency;
   /// Observability-driven controller (core/autotune.hpp): when enabled,
   /// `quorum` and `staleness_bound` above are only the starting point — the

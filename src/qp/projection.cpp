@@ -23,6 +23,10 @@ void project_capped_simplex(std::span<double> x, double cap,
   // Same left-to-right add order as the fused clamp-and-sum loop this
   // replaces: clamping only rewrites elements before any is added.
   const double clipped_sum = linalg::kernels::serial_sum(x);
+  // A NaN or infinite coordinate would make the ulp-shaving loop below spin
+  // forever (NaN fails both of its exit tests), so reject it here.
+  PLOS_CHECK(std::isfinite(clipped_sum),
+             "project_capped_simplex: non-finite input sum " << clipped_sum);
   if (clipped_sum <= cap) return;
 
   // Project onto { v >= 0, sum(v) = cap }: find theta such that

@@ -60,7 +60,6 @@ AsyncQuorumOptions degenerate_options(std::uint64_t staleness_bound = 0) {
   options.quorum = 1.0;
   options.staleness_bound = staleness_bound;
   options.adaptive_deadline = false;
-  options.fixed_deadline_s = 0.0;
   return options;
 }
 
@@ -297,22 +296,13 @@ obs::RoundRecord record_with_tail(double stale_p99) {
   return record;
 }
 
-core::AutoTuneConfig small_config() {
-  core::AutoTuneConfig config;
-  config.enabled = true;
-  config.min_quorum = 0.5;
-  config.max_quorum = 1.0;
-  config.quorum_step = 0.1;
-  config.min_bound = 2;
-  config.max_bound = 16;
-  config.patience = 2;
-  config.cooldown = 2;
-  return config;
-}
+// The walk's constants (autotune.cpp): quorum in [0.5, 1] by 0.1, bound in
+// [2, 64] by doubling/halving, widen at p99 >= 0.75 * bound, patience 2,
+// cooldown 1.
 
 TEST(AutoTuner, WidensBoundAfterPatienceThenHoldsThroughCooldown) {
-  core::AutoTuner tuner(small_config(), 0.6, 4);
-  // p99 at 3.5 >= 0.75 * 4: widen signal, but patience = 2 means the first
+  core::AutoTuner tuner(0.6, 4);
+  // p99 at 3.5 >= 0.75 * 4: widen signal, but patience 2 means the first
   // sighting produces no action.
   core::AutoTuneDecision d = tuner.observe(record_with_tail(3.5));
   EXPECT_STREQ(d.event, "");
@@ -322,54 +312,47 @@ TEST(AutoTuner, WidensBoundAfterPatienceThenHoldsThroughCooldown) {
   EXPECT_EQ(d.trigger, 3.5);
   EXPECT_EQ(tuner.staleness_bound(), 8u);
   EXPECT_EQ(d.staleness_bound, 8u);
-  // Two cooldown steps hold even though the signal persists at the new
+  // The cooldown step holds even though the signal persists at the new
   // bound (7 >= 0.75 * 8)...
   d = tuner.observe(record_with_tail(7.0));
   EXPECT_STREQ(d.event, "hold");
-  d = tuner.observe(record_with_tail(7.0));
-  EXPECT_STREQ(d.event, "hold");
   EXPECT_EQ(tuner.staleness_bound(), 8u);
-  // ...and the streak carried through the hold, so the next step acts.
+  // ...and the streak that began in the hold carried through it, so the
+  // next step acts at once.
   d = tuner.observe(record_with_tail(7.0));
   EXPECT_STREQ(d.event, "bound_widen");
   EXPECT_EQ(tuner.staleness_bound(), 16u);
 }
 
 TEST(AutoTuner, RaisesQuorumOnceBoundIsMaxed) {
-  core::AutoTuneConfig config = small_config();
-  config.cooldown = 0;
-  core::AutoTuner tuner(config, 0.6, 16);
-  tuner.observe(record_with_tail(15.0));
-  const core::AutoTuneDecision d = tuner.observe(record_with_tail(15.0));
+  core::AutoTuner tuner(0.6, 64);
+  tuner.observe(record_with_tail(63.0));  // 63 >= 0.75 * 64: widen signal
+  const core::AutoTuneDecision d = tuner.observe(record_with_tail(63.0));
   EXPECT_STREQ(d.event, "quorum_up");
-  EXPECT_EQ(tuner.staleness_bound(), 16u);
+  EXPECT_EQ(tuner.staleness_bound(), 64u);
   EXPECT_NEAR(tuner.quorum(), 0.7, 1e-12);
 }
 
 TEST(AutoTuner, LowersQuorumWhenTailIsComfortablyInsideTheBound) {
-  core::AutoTuneConfig config = small_config();
-  config.cooldown = 0;
-  core::AutoTuner tuner(config, 0.8, 16);
-  tuner.observe(record_with_tail(2.0));  // 2 * 2 <= 16: lower signal
+  core::AutoTuner tuner(0.8, 64);
+  tuner.observe(record_with_tail(2.0));  // 2 * 2 <= 64: lower signal
   const core::AutoTuneDecision d = tuner.observe(record_with_tail(2.0));
   EXPECT_STREQ(d.event, "quorum_down");
   EXPECT_NEAR(tuner.quorum(), 0.7, 1e-12);
-  EXPECT_EQ(tuner.staleness_bound(), 16u);  // tighten deferred to the floor
+  EXPECT_EQ(tuner.staleness_bound(), 64u);  // tighten deferred to the floor
 }
 
 TEST(AutoTuner, TightensBoundOnlyAfterQuorumReachesTheFloor) {
-  core::AutoTuneConfig config = small_config();
-  config.cooldown = 0;
-  core::AutoTuner tuner(config, 0.5, 16);  // quorum already at min_quorum
-  tuner.observe(record_with_tail(1.0));  // 4 * 1 <= 16: tighten signal
+  core::AutoTuner tuner(0.5, 64);  // quorum already at the 0.5 floor
+  tuner.observe(record_with_tail(1.0));  // 4 * 1 <= 64: tighten signal
   const core::AutoTuneDecision d = tuner.observe(record_with_tail(1.0));
   EXPECT_STREQ(d.event, "bound_tighten");
-  EXPECT_EQ(tuner.staleness_bound(), 8u);
+  EXPECT_EQ(tuner.staleness_bound(), 32u);
   EXPECT_NEAR(tuner.quorum(), 0.5, 1e-12);
 }
 
 TEST(AutoTuner, NoisyRoundDoesNotFlipAKnob) {
-  core::AutoTuner tuner(small_config(), 0.6, 4);
+  core::AutoTuner tuner(0.6, 4);
   // Alternate widen / quiet: the streak resets each quiet step, so with
   // patience = 2 nothing ever fires.
   for (int i = 0; i < 10; ++i) {
@@ -382,19 +365,19 @@ TEST(AutoTuner, NoisyRoundDoesNotFlipAKnob) {
 }
 
 TEST(AutoTuner, UnsetSketchMeansNoDecision) {
-  core::AutoTuner tuner(small_config(), 0.6, 4);
+  core::AutoTuner tuner(0.6, 4);
   const core::AutoTuneDecision d = tuner.observe(obs::RoundRecord{});
   EXPECT_STREQ(d.event, "");
   EXPECT_TRUE(std::isnan(d.trigger));
 }
 
 TEST(AutoTuner, ClampsInitialKnobsAndRejectsBadConfig) {
-  core::AutoTuner tuner(small_config(), 1.5, 1000);
-  EXPECT_NEAR(tuner.quorum(), 1.0, 1e-12);
-  EXPECT_EQ(tuner.staleness_bound(), 16u);
-  core::AutoTuneConfig bad = small_config();
-  bad.patience = 0;
-  EXPECT_THROW(core::AutoTuner(bad, 0.6, 4), PreconditionError);
+  core::AutoTuner high(1.5, 1000);
+  EXPECT_NEAR(high.quorum(), 1.0, 1e-12);
+  EXPECT_EQ(high.staleness_bound(), 64u);
+  core::AutoTuner low(0.1, 0);
+  EXPECT_NEAR(low.quorum(), 0.5, 1e-12);
+  EXPECT_EQ(low.staleness_bound(), 2u);
 }
 
 TEST(LatencyModel, CompletionSecondsIsDeterministicAndJitterBounded) {
@@ -423,9 +406,8 @@ TEST(LatencyModel, CompletionSecondsIsDeterministicAndJitterBounded) {
 }
 
 TEST(AdaptiveDeadlinesTest, EwmaTracksObservationsAndSlackApplies) {
-  core::AdaptiveDeadlines deadlines(2, /*adaptive=*/true,
-                                    /*fixed_deadline_s=*/0.0);
-  // No observations yet and no fixed fallback: no deadline.
+  core::AdaptiveDeadlines deadlines(2, /*adaptive=*/true);
+  // No observations yet: no deadline.
   EXPECT_TRUE(std::isinf(deadlines.deadline(0)));
   deadlines.observe(0, 1.0);
   EXPECT_DOUBLE_EQ(deadlines.ewma(0), 1.0);
@@ -435,14 +417,11 @@ TEST(AdaptiveDeadlinesTest, EwmaTracksObservationsAndSlackApplies) {
   EXPECT_DOUBLE_EQ(deadlines.deadline(0), 2.6);
   // Device 1 is untouched.
   EXPECT_TRUE(std::isinf(deadlines.deadline(1)));
-}
 
-TEST(AdaptiveDeadlinesTest, FixedFallbackWhenNotAdaptive) {
-  core::AdaptiveDeadlines deadlines(1, /*adaptive=*/false,
-                                    /*fixed_deadline_s=*/4.0);
-  EXPECT_DOUBLE_EQ(deadlines.deadline(0), 4.0);
-  deadlines.observe(0, 100.0);  // observations must not move a fixed deadline
-  EXPECT_DOUBLE_EQ(deadlines.deadline(0), 4.0);
+  // Non-adaptive deadlines stay infinite after observations.
+  core::AdaptiveDeadlines fixed(1, /*adaptive=*/false);
+  fixed.observe(0, 100.0);
+  EXPECT_TRUE(std::isinf(fixed.deadline(0)));
 }
 
 }  // namespace

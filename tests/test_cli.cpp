@@ -92,11 +92,11 @@ TEST(Cli, PlosRunHelpNamesEveryFlagOnce) {
       "--fault-drop",      "--fault-offline",     "--fault-straggler",
       "--fault-corrupt",   "--round-deadline",    "--async",
       "--quorum",          "--staleness-bound",   "--adaptive-deadline",
-      "--auto-tune",       "--flight-out",        "--no-hotpath-cache",
-      "--logistic",        "--save-model",        "--log-level",
-      "--trace-out",       "--metrics-out",       "--metrics-format",
-      "--manifest-out",    "--journal-out",       "--journal-every",
-      "--profile-out",     "--watchdog",          "--watchdog-stall-rounds",
+      "--auto-tune",       "--flight-out",        "--logistic",
+      "--save-model",      "--log-level",         "--trace-out",
+      "--metrics-out",     "--metrics-format",    "--manifest-out",
+      "--journal-out",     "--journal-every",     "--profile-out",
+      "--watchdog",        "--watchdog-stall-rounds",
       "--help",
   };
   const Outcome help = run(plos_run("--help"));

@@ -126,15 +126,6 @@ TEST(DistributedPlos, NetworkDeviceCountMismatchThrows) {
                PreconditionError);
 }
 
-TEST(DistributedPlos, RunsWithoutBootstrap) {
-  auto dataset = make_population(3, 0.2, 2, 0.4, 7);
-  auto options = fast_options();
-  options.svm_bootstrap = false;
-  const auto result = train_distributed_plos(dataset, options);
-  const auto report = evaluate(dataset, predict_all(dataset, result.model));
-  EXPECT_GT(report.overall, 0.6);
-}
-
 TEST(DistributedPlos, RunsWithNoLabelsAtAll) {
   auto dataset = make_population(3, 0.0, 0, 0.0, 8, 15);
   const auto result = train_distributed_plos(dataset, fast_options());

@@ -128,6 +128,21 @@ TEST(CappedSimplexQp, ValidatesGroupPartition) {
   EXPECT_THROW(solve_capped_simplex_qp(p), PreconditionError);
 }
 
+// A NaN anywhere in the input used to hang the solve: the NaN gradient
+// reached the projection's ulp-shaving loop, which never exits on NaN.
+TEST(CappedSimplexQp, NanLinearTermThrows) {
+  CappedSimplexQpProblem p = tiny_problem();
+  p.linear = {1.0, std::nan("")};
+  EXPECT_THROW(solve_capped_simplex_qp(p), PreconditionError);
+}
+
+TEST(CappedSimplexQp, NanHessianEntryThrows) {
+  CappedSimplexQpProblem p = tiny_problem();
+  p.hessian(0, 1) = std::nan("");
+  p.hessian(1, 0) = std::nan("");
+  EXPECT_THROW(solve_capped_simplex_qp(p), PreconditionError);
+}
+
 TEST(CappedSimplexQp, WarmStartMatchesColdSolution) {
   const auto cold = solve_capped_simplex_qp(tiny_problem());
   QpOptions options;

@@ -14,8 +14,8 @@
 //       regression gate for CI: like diff, but with cross-build defaults
 //       (tolerance 1e-6; timing, build info, and the raw dataset content
 //       hash ignored). --ignore (repeatable) skips additional dot-path
-//       prefixes — e.g. options.hotpath_cache when gating a cache-disabled
-//       run against the default golden. Exits 1 on violation, 2 on
+//       prefixes — e.g. options.async when gating a quorum-1.0 async run
+//       against a synchronous golden. Exits 1 on violation, 2 on
 //       usage/IO errors.
 //
 //   plos_inspect bench-report BENCH.json

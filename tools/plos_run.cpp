@@ -11,7 +11,6 @@
 // Run `plos_run --help` for the full flag list.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <numbers>
 #include <string>
@@ -197,10 +196,6 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
        "evictions, quorum cuts; '-' = stdout; explore with 'plos_inspect "
        "timeline')",
        cli::text(c.flight_out), needs_async},
-      {"--no-hotpath-cache", nullptr,
-       "disable the Gram/Lipschitz memoization (PLOS_NO_HOTPATH_CACHE=1 does "
-       "the same); results are bitwise identical, only slower",
-       cli::store(plos.hotpath_cache, false)},
       {"--logistic", nullptr, "use the logistic-loss PLOS variant",
        cli::store(c.logistic, true)},
       {"--save-model", "PATH", "checkpoint the trained PLOS model",
@@ -360,13 +355,6 @@ int main(int argc, char** argv) {
       break;
   }
   core::DistributedPlosOptions& plos = c.quorum.base;
-  // Environment escape hatch so CI equivalence jobs can flip whole test
-  // matrices without threading a flag through every invocation. "0" and
-  // empty keep the cache on; anything else disables it.
-  if (const char* env = std::getenv("PLOS_NO_HOTPATH_CACHE");
-      env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-    plos.hotpath_cache = false;
-  }
   c.fault.seed = c.seed;
 
   if (!c.log_level.empty()) {
@@ -565,7 +553,6 @@ int main(int argc, char** argv) {
       core::CentralizedPlosOptions options;
       options.params = plos.params;
       options.num_threads = plos.num_threads;
-      options.hotpath_cache = plos.hotpath_cache;
       options.journal = plos.journal;
       options.watchdog = plos.watchdog;
       const auto result = core::train_centralized_plos(dataset, options);
@@ -658,7 +645,6 @@ int main(int argc, char** argv) {
     if (c.dataset == "synth") {
       manifest.options["rotation"] = render_double(c.rotation);
     }
-    manifest.options["hotpath_cache"] = plos.hotpath_cache ? "1" : "0";
     // Async keys ride under the "async" prefix so a degenerate-equivalence
     // diff can exclude them wholesale (--ignore options.async); synchronous
     // manifests gain no new keys at all.
