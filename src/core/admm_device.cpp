@@ -49,17 +49,14 @@ std::vector<std::uint8_t> admm_update_payload(std::span<const double> w,
 }
 
 AdmmDevice::AdmmDevice(const data::UserData& user, std::size_t num_users,
-                       const DistributedPlosOptions& options,
-                       qp::WarmStore* warm, std::size_t slot)
+                       const DistributedPlosOptions& options)
     : ctx_(PlosUserContext::from_user(user)),
       options_(&options),
       num_users_(static_cast<double>(num_users)),
       kappa_(static_cast<double>(num_users) / (2.0 * options.params.lambda) +
              1.0 / options.rho),
       v_over_g_(static_cast<double>(num_users) /
-                (2.0 * options.params.lambda)),
-      warm_(warm),
-      slot_(slot) {}
+                (2.0 * options.params.lambda)) {}
 
 linalg::Vector AdmmDevice::bootstrap_weights() const {
   if (ctx_.labeled.empty()) return {};
@@ -74,10 +71,17 @@ linalg::Vector AdmmDevice::bootstrap_weights() const {
 
 void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
                                   bool first_round, std::uint64_t seed) {
-  // Persist the round's converged duals keyed by interned plane id before
-  // resetting: planes the next round re-derives bitwise resume from them.
-  if (!plane_ids_.empty() && previous_gamma_.size() == plane_ids_.size()) {
-    warm_->store(slot_, plane_ids_, previous_gamma_);
+  // Keep the round's planes and converged duals before resetting: planes
+  // the next round re-derives bitwise resume from them. A round that built
+  // no working set leaves the older seeds in place.
+  if (!working_set_.empty() &&
+      previous_gamma_.size() == working_set_.size()) {
+    std::vector<linalg::Vector> planes;
+    planes.reserve(working_set_.size());
+    for (CuttingPlane& plane : working_set_) {
+      planes.push_back(std::move(plane.s));
+    }
+    seeds_.assign(std::move(planes), std::move(previous_gamma_));
   }
   if (first_round && ctx_.labeled.empty()) {
     signs_ = cluster_initial_signs(ctx_, current_weights,
@@ -88,7 +92,6 @@ void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
     signs_ = cccp_signs(ctx_, current_weights);
   }
   working_set_.clear();
-  plane_ids_.clear();
   hessian_ = linalg::Matrix();
   linear_.clear();
   lipschitz_ = 0.0;
@@ -138,7 +141,6 @@ AdmmDevice::LocalSolution AdmmDevice::solve(std::span<const double> w0,
 
 void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
   const std::size_t a = working_set_.size();
-  const std::uint32_t id = gram_.intern(plane.s);
   // Extend the prox-QP Hessian (already scaled by κ) by one border
   // row/column.
   linalg::Matrix h(a + 1, a + 1);
@@ -155,8 +157,7 @@ void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
   linear_.push_back(plane.offset - linalg::dot(plane.s, d));
   // The new dual variable resumes from the γ this plane converged to in
   // the previous CCCP round (0 if it was never in the working set).
-  previous_gamma_.push_back(warm_->seed(slot_, id));
-  plane_ids_.push_back(id);
+  previous_gamma_.push_back(seeds_.seed(plane.s));
   working_set_.push_back(std::move(plane));
   count_constraint_added();
 }

@@ -3,10 +3,10 @@
 //
 // One AdmmDevice owns one simulated device: its raw data, CCCP signs, the
 // cutting-plane working set of the current CCCP round, and the hot-path
-// state of DESIGN.md §13 (device-owned plane interner, trainer-owned
-// WarmStore slot, Lipschitz memo per working-set version). Under the thread pool's
-// static chunking each device is touched by exactly one worker per round,
-// so none of this needs locking.
+// state of DESIGN.md §13 (the previous round's planes and converged duals
+// as warm-start seeds, Lipschitz memo per working-set version). Under the
+// thread pool's static chunking each device is touched by exactly one
+// worker per round, so none of this needs locking.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 
 #include "core/cutting_plane.hpp"
 #include "core/distributed_plos.hpp"
-#include "core/gram_cache.hpp"
 #include "obs/journal.hpp"
 #include "obs/sketch.hpp"
 #include "qp/warm_store.hpp"
@@ -55,8 +54,7 @@ inline constexpr std::size_t kDeviceRoundStatusCount = 8;
 class AdmmDevice {
  public:
   AdmmDevice(const data::UserData& user, std::size_t num_users,
-             const DistributedPlosOptions& options, qp::WarmStore* warm,
-             std::size_t slot);
+             const DistributedPlosOptions& options);
 
   /// Local SVM on revealed labels for the bootstrap round; empty when the
   /// device has no labels.
@@ -96,14 +94,11 @@ class AdmmDevice {
   double v_over_g_;  ///< T/(2λ)
   std::vector<int> signs_;
   std::vector<CuttingPlane> working_set_;
-  std::vector<std::uint32_t> plane_ids_;  ///< interned id per working-set slot
   linalg::Matrix hessian_;   ///< κ ⟨s_i, s_j⟩ over the working set
   linalg::Vector linear_;    ///< b_i − ⟨s_i, d⟩ at the current prox center
   double lipschitz_ = 0.0;   ///< memoized λmax(hessian_); 0 = stale
   linalg::Vector previous_gamma_;
-  PlaneGramCache gram_;      ///< working-set plane ids; persists across rounds
-  qp::WarmStore* warm_;      ///< trainer-owned; this device's slot is slot_
-  std::size_t slot_;
+  qp::WarmSeeds seeds_;      ///< previous CCCP round's planes and duals
   int qp_solves_ = 0;
   int qp_iterations_ = 0;
 };

@@ -5,15 +5,12 @@
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
 #include "core/cutting_plane.hpp"
-#include "core/gram_cache.hpp"
 #include "linalg/kernels.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "qp/warm_store.hpp"
-#include "rng/engine.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 
@@ -21,26 +18,23 @@ namespace {
 
 // Dual QP state over the union of all users' working sets. Grows
 // incrementally: adding a constraint appends one variable, one Hessian
-// row/column, one linear coefficient, and one group member. Planes are
-// interned in the trainer-owned PlaneGramCache, and converged duals persist
-// per user, keyed by plane id, in the trainer-owned WarmStore at round
-// boundaries.
+// row/column, one linear coefficient, and one group member. New duals are
+// seeded from, and at round end each user's converged duals are written
+// back to, that user's trainer-owned qp::WarmSeeds.
 class DualState {
  public:
-  DualState(std::size_t num_users, double lambda, PlaneGramCache* gram,
-            qp::WarmStore* warm)
+  DualState(std::size_t num_users, double lambda,
+            std::vector<qp::WarmSeeds>* seeds)
       : lambda_over_t_(lambda / static_cast<double>(num_users)),
         cap_(static_cast<double>(num_users) / (2.0 * lambda)),
         groups_(num_users),
-        gram_(gram),
-        warm_(warm) {}
+        seeds_(seeds) {}
 
   std::size_t size() const { return planes_.size(); }
 
   void add_constraint(std::size_t user, CuttingPlane plane,
                       parallel::ThreadPool& pool) {
     const std::size_t a = planes_.size();
-    const std::uint32_t id = gram_->intern(plane.s);
     // Extend the Hessian by one row/column. Worker i owns row i and the
     // border pair (i, a)/(a, i), so every entry has exactly one writer.
     linalg::Matrix h(a + 1, a + 1);
@@ -64,25 +58,25 @@ class DualState {
     groups_[user].push_back(a);
     // New dual variables start from the γ this plane converged to the last
     // time it was in user's working set (0 if never) instead of flat zero.
-    previous_gamma_.push_back(warm_->seed(user, id));
-    ids_.push_back(id);
+    previous_gamma_.push_back((*seeds_)[user].seed(plane.s));
     planes_.push_back({user, std::move(plane)});
     count_constraint_added();
   }
 
-  /// Persists each user's current duals keyed by interned plane id, so the
-  /// next CCCP round's re-derived planes warm-start where they converged.
+  /// Replaces every user's seeds with their current planes and duals, even
+  /// when the working set is empty, so the next CCCP round's re-derived
+  /// planes warm-start where they converged.
   void persist_warm_starts() {
     for (std::size_t t = 0; t < groups_.size(); ++t) {
-      std::vector<std::uint32_t> ids;
-      std::vector<double> gammas;
-      ids.reserve(groups_[t].size());
+      std::vector<linalg::Vector> planes;
+      linalg::Vector gammas;
+      planes.reserve(groups_[t].size());
       gammas.reserve(groups_[t].size());
       for (std::size_t a : groups_[t]) {
-        ids.push_back(ids_[a]);
+        planes.push_back(planes_[a].plane.s);
         gammas.push_back(previous_gamma_[a]);
       }
-      warm_->store(t, ids, gammas);
+      (*seeds_)[t].assign(std::move(planes), std::move(gammas));
     }
   }
 
@@ -138,32 +132,9 @@ class DualState {
   linalg::Vector linear_;
   std::vector<std::vector<std::size_t>> groups_;
   std::vector<Entry> planes_;
-  std::vector<std::uint32_t> ids_;  ///< interned plane id per dual variable
   linalg::Vector previous_gamma_;
-  PlaneGramCache* gram_;
-  qp::WarmStore* warm_;
+  std::vector<qp::WarmSeeds>* seeds_;
 };
-
-linalg::Vector initial_global_weights(const data::MultiUserDataset& dataset,
-                                      const CentralizedPlosOptions& options) {
-  const std::size_t dim = dataset.dim();
-  std::vector<linalg::Vector> xs;
-  std::vector<int> ys;
-  for (const auto& user : dataset.users) {
-    for (std::size_t i : user.revealed_indices()) {
-      xs.push_back(user.samples[i]);
-      ys.push_back(user.true_labels[i]);
-    }
-  }
-  if (!xs.empty()) return svm::train_linear_svm(xs, ys).weights;
-  // No labels anywhere: PLOS degenerates to maximum-margin clustering and
-  // needs a symmetry-breaking start.
-  rng::Engine engine(options.seed);
-  linalg::Vector w = engine.gaussian_vector(dim);
-  const double n = linalg::norm(w);
-  if (n > 0.0) linalg::scale(w, 1.0 / n);
-  return w;
-}
 
 }  // namespace
 
@@ -216,7 +187,7 @@ CentralizedPlosResult train_centralized_plos(
   const Stopwatch watch;
   CentralizedPlosResult result;
   result.model = PersonalizedModel::zeros(num_users, dim);
-  result.model.global_weights = initial_global_weights(dataset, options);
+  result.model.global_weights = initial_global_weights(dataset, options.seed);
 
   std::vector<PlosUserContext> contexts;
   contexts.reserve(num_users);
@@ -224,11 +195,9 @@ CentralizedPlosResult train_centralized_plos(
     contexts.push_back(PlosUserContext::from_user(user));
   }
 
-  // Hot-path state that outlives the per-round DualState: the interner
-  // gives every plane ever derived a stable id, and the warm store carries
-  // converged duals across CCCP rounds under those ids (DESIGN.md §13).
-  PlaneGramCache gram;
-  qp::WarmStore warm_store(num_users);
+  // The only state that outlives the per-round DualState: each user's
+  // previous working set and its converged duals (DESIGN.md §13).
+  std::vector<qp::WarmSeeds> seeds(num_users);
 
   double previous_objective = std::numeric_limits<double>::infinity();
   PersonalizedModel previous_model = result.model;
@@ -266,7 +235,7 @@ CentralizedPlosResult train_centralized_plos(
     // genuinely optimizes the PLOS objective instead of merely certifying
     // the init — an SVM init that happens to satisfy all margins must not
     // short-circuit training.
-    DualState dual(num_users, options.params.lambda, &gram, &warm_store);
+    DualState dual(num_users, options.params.lambda, &seeds);
     for (auto& w : weights) w.assign(dim, 0.0);
     result.model = PersonalizedModel::zeros(num_users, dim);
 

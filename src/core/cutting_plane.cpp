@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "rng/engine.hpp"
+#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 
@@ -175,6 +176,28 @@ std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
       ctx, std::move(cluster_signs), user_weights, lambda_over_t, cl, cu);
   return cluster_score < weight_score ? std::move(refined_cluster_signs)
                                       : std::move(refined_weight_signs);
+}
+
+linalg::Vector random_unit_direction(std::size_t dim, std::uint64_t seed) {
+  rng::Engine engine(seed);
+  linalg::Vector w = engine.gaussian_vector(dim);
+  const double n = linalg::norm(w);
+  if (n > 0.0) linalg::scale(w, 1.0 / n);
+  return w;
+}
+
+linalg::Vector initial_global_weights(const data::MultiUserDataset& dataset,
+                                      std::uint64_t seed) {
+  std::vector<linalg::Vector> xs;
+  std::vector<int> ys;
+  for (const auto& user : dataset.users) {
+    for (std::size_t i : user.revealed_indices()) {
+      xs.push_back(user.samples[i]);
+      ys.push_back(user.true_labels[i]);
+    }
+  }
+  if (!xs.empty()) return svm::train_linear_svm(xs, ys).weights;
+  return random_unit_direction(dataset.dim(), seed);
 }
 
 CuttingPlane most_violated_constraint(const PlosUserContext& ctx,

@@ -77,6 +77,17 @@ std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
                                        double lambda_over_t, double cl,
                                        double cu, std::uint64_t seed);
 
+/// Unit-norm Gaussian direction drawn from a fresh engine seeded with
+/// `seed`: the symmetry-breaking start when nobody reveals a label, where
+/// PLOS degenerates to maximum-margin clustering.
+linalg::Vector random_unit_direction(std::size_t dim, std::uint64_t seed);
+
+/// Initial global weights of the centralized hinge and logistic trainers: a
+/// linear SVM pooled over every revealed label, or
+/// random_unit_direction(dataset.dim(), seed) when there are none.
+linalg::Vector initial_global_weights(const data::MultiUserDataset& dataset,
+                                      std::uint64_t seed);
+
 /// The most violated constraint (Eq. 14) for user `ctx` at weights `w`:
 /// selects labeled samples with y_i (w·x_i) < 1 and unlabeled samples with
 /// sign_i (w·x_i) < 1.

@@ -6,8 +6,6 @@
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
 #include "core/cutting_plane.hpp"
-#include "rng/engine.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 
@@ -91,26 +89,7 @@ LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
     contexts.push_back(PlosUserContext::from_user(user));
   }
 
-  // Initialization mirrors the hinge trainer: pooled SVM (or random unit
-  // direction when nobody labels anything).
-  {
-    std::vector<linalg::Vector> xs;
-    std::vector<int> ys;
-    for (const auto& user : dataset.users) {
-      for (std::size_t i : user.revealed_indices()) {
-        xs.push_back(user.samples[i]);
-        ys.push_back(user.true_labels[i]);
-      }
-    }
-    if (!xs.empty()) {
-      result.model.global_weights = svm::train_linear_svm(xs, ys).weights;
-    } else {
-      rng::Engine engine(options.seed);
-      result.model.global_weights = engine.gaussian_vector(dim);
-      const double n = linalg::norm(result.model.global_weights);
-      if (n > 0.0) linalg::scale(result.model.global_weights, 1.0 / n);
-    }
-  }
+  result.model.global_weights = initial_global_weights(dataset, options.seed);
 
   const double lambda_over_t =
       options.params.lambda / static_cast<double>(num_users);

@@ -16,8 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "qp/warm_store.hpp"
-#include "rng/engine.hpp"
 
 namespace plos::core {
 
@@ -90,13 +88,10 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     fault = &network->fault_model();
   }
 
-  // Converged per-plane duals, one slot per device, carried across CCCP
-  // rounds. Workers only ever touch their own device's slot.
-  qp::WarmStore warm_store(num_users);
   std::vector<AdmmDevice> devices;
   devices.reserve(num_users);
   for (std::size_t t = 0; t < num_users; ++t) {
-    devices.emplace_back(dataset.users[t], num_users, base, &warm_store, t);
+    devices.emplace_back(dataset.users[t], num_users, base);
   }
 
   // --- bootstrap round: average of local SVMs as the initial w0 ----------
@@ -155,10 +150,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   }
   if (linalg::norm(w0) == 0.0) {
     // Nobody provided labels: random symmetry-breaking direction.
-    rng::Engine engine(base.seed);
-    w0 = engine.gaussian_vector(dim);
-    const double n = linalg::norm(w0);
-    if (n > 0.0) linalg::scale(w0, 1.0 / n);
+    w0 = random_unit_direction(dim, base.seed);
   }
 
   std::vector<linalg::Vector> u(num_users, linalg::zeros(dim));

@@ -141,7 +141,7 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
   const double step = 1.0 / lips;
 
   // Every buffer the loop touches is sized here; the loop body itself does
-  // no heap allocation (DESIGN.md §13.5).
+  // no heap allocation (DESIGN.md §13.4).
   ProjectionScratch scratch(problem);
   linalg::Vector x(n, 0.0);
   if (!options.warm_start.empty()) {

@@ -1,76 +1,48 @@
 #include "qp/warm_store.hpp"
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
 
 namespace plos::qp {
 
-WarmStore::WarmStore(std::size_t num_slots)
-    : ids_(num_slots), gammas_(num_slots) {}
+namespace {
 
-void WarmStore::store(std::size_t slot,
-                      std::span<const std::uint32_t> plane_ids,
-                      std::span<const double> gammas) {
-  PLOS_CHECK(slot < ids_.size(), "WarmStore: slot out of range");
-  PLOS_CHECK(plane_ids.size() == gammas.size(),
-             "WarmStore: ids/gammas size mismatch");
-  std::vector<std::size_t> order(plane_ids.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  // Sort by id with input order as tiebreak so a duplicated id (a plane
-  // that re-entered the working set) resolves to its last-listed γ.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return plane_ids[a] != plane_ids[b] ? plane_ids[a] < plane_ids[b] : a < b;
-  });
-  auto& ids = ids_[slot];
-  auto& values = gammas_[slot];
-  ids.clear();
-  values.clear();
-  ids.reserve(order.size());
-  values.reserve(order.size());
-  for (std::size_t k : order) {
-    if (!ids.empty() && ids.back() == plane_ids[k]) {
-      values.back() = gammas[k];
-    } else {
-      ids.push_back(plane_ids[k]);
-      values.push_back(gammas[k]);
+bool bitwise_equal(const linalg::Vector& a, const linalg::Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
     }
   }
+  return true;
 }
 
-double WarmStore::seed(std::size_t slot, std::uint32_t plane_id) const {
-  PLOS_CHECK(slot < ids_.size(), "WarmStore: slot out of range");
-  const auto& ids = ids_[slot];
-  const auto it = std::lower_bound(ids.begin(), ids.end(), plane_id);
+}  // namespace
+
+void WarmSeeds::assign(std::vector<linalg::Vector> planes,
+                       linalg::Vector gammas) {
+  PLOS_CHECK(planes.size() == gammas.size(),
+             "WarmSeeds: planes/gammas size mismatch");
+  planes_ = std::move(planes);
+  gammas_ = std::move(gammas);
+}
+
+double WarmSeeds::seed(const linalg::Vector& s) const {
   static obs::Counter& hits = obs::metrics().counter("qp.warm_store.hits");
   static obs::Counter& misses = obs::metrics().counter("qp.warm_store.misses");
-  if (it == ids.end() || *it != plane_id) {
-    misses.increment();
-    return 0.0;
+  for (std::size_t k = planes_.size(); k-- > 0;) {
+    if (bitwise_equal(planes_[k], s)) {
+      hits.increment();
+      return gammas_[k];
+    }
   }
-  hits.increment();
-  return gammas_[slot][static_cast<std::size_t>(it - ids.begin())];
-}
-
-linalg::Vector WarmStore::seed_vector(
-    std::size_t slot, std::span<const std::uint32_t> plane_ids) const {
-  linalg::Vector out(plane_ids.size());
-  for (std::size_t k = 0; k < plane_ids.size(); ++k) {
-    out[k] = seed(slot, plane_ids[k]);
-  }
-  return out;
-}
-
-void WarmStore::clear(std::size_t slot) {
-  PLOS_CHECK(slot < ids_.size(), "WarmStore: slot out of range");
-  ids_[slot].clear();
-  gammas_[slot].clear();
-}
-
-std::size_t WarmStore::slot_size(std::size_t slot) const {
-  PLOS_CHECK(slot < ids_.size(), "WarmStore: slot out of range");
-  return ids_[slot].size();
+  misses.increment();
+  return 0.0;
 }
 
 }  // namespace plos::qp

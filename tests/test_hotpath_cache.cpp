@@ -1,7 +1,7 @@
-// Hot-path state of the trainers (DESIGN.md §13): the content interner
-// behind qp::WarmStore plane ids, and proof that the cross-round warm
-// starts and the device Lipschitz memo actually engage in a default run.
-// Their bitwise neutrality is covered by the trainer goldens and by
+// Hot-path state of the trainers (DESIGN.md §13): the content-keyed seed
+// lookup of qp::WarmSeeds, and proof that the cross-round warm starts and
+// the device Lipschitz memo actually engage in a default run. Their bitwise
+// neutrality is covered by the trainer goldens and by
 // test_parallel_equivalence.
 #include <gtest/gtest.h>
 
@@ -10,58 +10,66 @@
 
 #include "core/centralized_plos.hpp"
 #include "core/distributed_plos.hpp"
-#include "core/gram_cache.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
+#include "qp/warm_store.hpp"
 #include "rng/engine.hpp"
 
 namespace plos::core {
 namespace {
 
-// ---- PlaneGramCache interning ---------------------------------------------
+// ---- WarmSeeds lookup -------------------------------------------------------
 
-TEST(PlaneInterning, IdsFollowBitwiseContent) {
+TEST(WarmSeeds, SeedFollowsBitwiseContent) {
   auto& registry = obs::metrics();
   registry.set_enabled(true);
   registry.reset_values();
 
-  PlaneGramCache gram;
   const linalg::Vector a{0.25, -1.5, 3.0};
-  // Equal doubles in a separate vector share the id.
+  const linalg::Vector plus_zero{0.0, 1.0};
+  // A plane listed twice (it re-entered the working set within a round):
+  // the last-listed γ wins.
+  const linalg::Vector twice{2.0, -2.0};
+
+  qp::WarmSeeds seeds;
+  // Before any assign the set is empty: every lookup is a cold zero.
+  const double empty_seed = seeds.seed(a);
+  seeds.assign({a, twice, plus_zero, twice}, {0.5, 0.125, 0.75, 0.375});
+
+  // Equal doubles in a separate vector hit.
   const linalg::Vector a_copy{0.25, -1.5, 3.0};
+  const double copy_seed = seeds.seed(a_copy);
+  const double twice_seed = seeds.seed(linalg::Vector{2.0, -2.0});
+  const double plus_seed = seeds.seed(linalg::Vector{0.0, 1.0});
   // One ulp away in a single coordinate is a different plane.
   linalg::Vector a_ulp = a;
   a_ulp[1] = std::nextafter(a_ulp[1], 0.0);
+  const double ulp_seed = seeds.seed(a_ulp);
   // +0.0 and -0.0 compare equal as doubles but are different bit patterns.
-  const linalg::Vector plus_zero{0.0, 1.0};
-  const linalg::Vector minus_zero{-0.0, 1.0};
-  // A prefix of a plane is a different plane.
-  const linalg::Vector a_prefix{0.25, -1.5};
+  const double minus_seed = seeds.seed(linalg::Vector{-0.0, 1.0});
+  // A prefix of a stored plane is a different plane.
+  const double prefix_seed = seeds.seed(linalg::Vector{0.25, -1.5});
+  // Assigning an empty working set forgets every stored plane.
+  seeds.assign({}, {});
+  const double cleared_seed = seeds.seed(a);
 
-  const std::uint32_t id_a = gram.intern(a);
-  EXPECT_EQ(gram.intern(a_copy), id_a);
-  const std::uint32_t id_ulp = gram.intern(a_ulp);
-  EXPECT_NE(id_ulp, id_a);
-  const std::uint32_t id_plus = gram.intern(plus_zero);
-  const std::uint32_t id_minus = gram.intern(minus_zero);
-  EXPECT_NE(id_plus, id_minus);
-  const std::uint32_t id_prefix = gram.intern(a_prefix);
-  EXPECT_NE(id_prefix, id_a);
-  EXPECT_NE(id_prefix, id_ulp);
-  // Re-interning returns the original ids.
-  EXPECT_EQ(gram.intern(a_ulp), id_ulp);
-  EXPECT_EQ(gram.intern(minus_zero), id_minus);
-
-  const double interned =
-      registry.counter("plos.gram_cache.planes_interned").value();
-  const double reused =
-      registry.counter("plos.gram_cache.planes_reused").value();
+  const double hits = registry.counter("qp.warm_store.hits").value();
+  const double misses = registry.counter("qp.warm_store.misses").value();
   registry.set_enabled(false);
 
-  // Five distinct planes (a, a_ulp, +0, -0, prefix); three repeats.
-  EXPECT_EQ(interned, 5.0);
-  EXPECT_EQ(reused, 3.0);
+  EXPECT_EQ(empty_seed, 0.0);
+  EXPECT_EQ(copy_seed, 0.5);
+  EXPECT_EQ(twice_seed, 0.375);
+  EXPECT_EQ(plus_seed, 0.75);
+  EXPECT_EQ(ulp_seed, 0.0);
+  EXPECT_EQ(minus_seed, 0.0);
+  EXPECT_EQ(prefix_seed, 0.0);
+  EXPECT_EQ(cleared_seed, 0.0);
+  // Three hits (copy, twice, +0.0); five misses (two empty sets, ulp,
+  // -0.0, prefix).
+  EXPECT_EQ(hits, 3.0);
+  EXPECT_EQ(misses, 5.0);
 }
 
 // ---- Warm starts and the Lipschitz memo engage ----------------------------
@@ -82,15 +90,13 @@ data::MultiUserDataset make_population() {
 }
 
 struct CounterSnapshot {
-  double planes_reused;
   double warm_store_hits;
   double lipschitz_reuses;
 };
 
 CounterSnapshot snapshot() {
   auto& registry = obs::metrics();
-  return {registry.counter("plos.gram_cache.planes_reused").value(),
-          registry.counter("qp.warm_store.hits").value(),
+  return {registry.counter("qp.warm_store.hits").value(),
           registry.counter("qp.capped_simplex.lipschitz_reuses").value()};
 }
 
@@ -108,7 +114,6 @@ TEST(CacheCounters, CentralizedRunRecordsReuse) {
 
   // Later CCCP rounds re-derive planes bitwise, and cross-round warm-start
   // seeding must land at least one hit.
-  EXPECT_GT(counters.planes_reused, 0.0);
   EXPECT_GT(counters.warm_store_hits, 0.0);
 }
 
@@ -125,7 +130,6 @@ TEST(CacheCounters, DistributedRunRecordsReuse) {
   const auto counters = snapshot();
   registry.set_enabled(false);
 
-  EXPECT_GT(counters.planes_reused, 0.0);
   EXPECT_GT(counters.warm_store_hits, 0.0);
   // Per-device prox-QPs re-solve against an unchanged Hessian once per ADMM
   // iteration — the memoized Lipschitz estimate must be reused there.

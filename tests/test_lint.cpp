@@ -888,10 +888,10 @@ TEST(ShippedConfig, ParsesAndCoversTheDeterminismCatalog) {
 
 // ---- cache-purity rule ---------------------------------------------------
 //
-// The hot-path cache sources (gram_cache, warm_store) must stay pure
-// functions of solver inputs: no timers, no wall clocks, no pointer-derived
-// keys, no hash-seeded containers (DESIGN.md §13). The shipped rule is
-// path-scoped to exactly those files.
+// The warm-start seed store (warm_store) must stay a pure function of
+// solver inputs: no timers, no wall clocks, no pointer-derived keys, no
+// hash-seeded containers (DESIGN.md §13). The shipped rule is path-scoped
+// to exactly that file and the sketch/flight sources below.
 
 std::size_t count_rule(const std::vector<Finding>& findings,
                        const std::string& rule) {
@@ -916,11 +916,11 @@ TEST(CachePurity, FlagsImpureStateInsideCacheSources) {
       "  auto key = reinterpret_cast<std::size_t>(nullptr);\n"
       "  return 0;\n"
       "}\n";
-  // Every impurity class fires, in both scoped cache files.
-  EXPECT_GE(count_rule(lint_source(*config, "src/core/gram_cache.cpp", impure),
+  // Every impurity class fires, in both warm-start source files.
+  EXPECT_GE(count_rule(lint_source(*config, "src/qp/warm_store.cpp", impure),
                        "cache-purity"),
             4u);
-  EXPECT_GE(count_rule(lint_source(*config, "src/qp/warm_store.cpp", impure),
+  EXPECT_GE(count_rule(lint_source(*config, "src/qp/warm_store.hpp", impure),
                        "cache-purity"),
             4u);
 }
