@@ -1,6 +1,7 @@
 // Ablation 4 — QP solver micro-benchmarks: capped-simplex projection and
 // FISTA solve time vs problem size, plus the warm-start payoff that the
-// cutting-plane loops rely on, and thread-count scaling of the end-to-end
+// cutting-plane loops rely on, the exact single-simplex solver on a
+// device-shaped dual, and thread-count scaling of the end-to-end
 // centralized trainer (serial-equivalent parallelism — only time moves).
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
+#include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
 
 namespace {
@@ -70,9 +72,6 @@ void BM_QpSolveWarmStarted(benchmark::State& state) {
   const auto cold = qp::solve_capped_simplex_qp(p);
   qp::QpOptions options;
   options.warm_start = cold.solution;
-  // The hot-path engine re-solves with both the previous solution and the
-  // memoized Lipschitz estimate; benchmark the same configuration.
-  options.lipschitz = qp::lipschitz_estimate(p.hessian);
   for (auto _ : state) {
     benchmark::DoNotOptimize(qp::solve_capped_simplex_qp(p, options));
   }
@@ -166,14 +165,11 @@ void emit_bench_json() {
     bench_case.counters["iterations"] = static_cast<double>(result.iterations);
     micro.cases["qp_solve_n256"] = bench_case;
 
-    // Warm re-solve in the exact hot-path configuration: previous solution
-    // as warm start plus the memoized Lipschitz estimate. The obs counters
-    // turn the cache claims into exact gated evidence — every timed solve
-    // must take the iteration-0 warm exit (warm_hit_rate == 1) and reuse
-    // the supplied Lipschitz constant (lipschitz_reuse_rate == 1).
+    // Warm re-solve from the previous solution. The obs counters turn the
+    // warm-start claim into exact gated evidence: every timed solve must
+    // take the iteration-0 warm exit (warm_hit_rate == 1).
     qp::QpOptions warm_options;
     warm_options.warm_start = result.solution;
-    warm_options.lipschitz = qp::lipschitz_estimate(problem.hessian);
     qp::QpResult warm_result;
     bench::BenchCase warm_case;
     registry.set_enabled(true);
@@ -185,8 +181,6 @@ void emit_bench_json() {
         registry.counter("qp.capped_simplex.solves").value();
     const double warm_hits =
         registry.counter("qp.capped_simplex.warm_hits").value();
-    const double lipschitz_reuses =
-        registry.counter("qp.capped_simplex.lipschitz_reuses").value();
     const double warm_matvecs = matvecs_per_solve();
     registry.set_enabled(false);
     warm_case.counters["matvecs"] = warm_matvecs;
@@ -195,9 +189,33 @@ void emit_bench_json() {
         static_cast<double>(warm_result.iterations);
     warm_case.counters["warm_hit_rate"] =
         warm_solves > 0.0 ? warm_hits / warm_solves : 0.0;
-    warm_case.counters["lipschitz_reuse_rate"] =
-        warm_solves > 0.0 ? lipschitz_reuses / warm_solves : 0.0;
     micro.cases["qp_solve_warm_n256"] = warm_case;
+  }
+  {
+    // Device-shaped dual (Eq. 22): 44 planes s_i in d = 3 with offset 1
+    // at a random prox center p, so H = κ·S Sᵀ has rank 3 and
+    // c_i = 1 − ⟨s_i, p⟩. The optimum holds rank + 1 = 4 planes.
+    const std::size_t n = 44;
+    const std::size_t dim = 3;
+    rng::Engine engine(n);
+    linalg::Matrix planes(n, dim);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) planes(i, j) = engine.gaussian();
+    }
+    linalg::Matrix hessian = planes.row_gram();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) hessian(i, j) *= 1.1;
+    }
+    const linalg::Vector center = engine.gaussian_vector(dim, 0.0, 1.0);
+    linalg::Vector linear = planes.matvec(center);
+    for (double& c : linear) c = 1.0 - c;
+    qp::QpResult result;
+    bench::BenchCase bench_case;
+    bench_case.stats = bench::run_timed(
+        [&] { result = qp::solve_simplex_qp(hessian, linear, 1.0); });
+    bench_case.counters["n"] = static_cast<double>(n);
+    bench_case.counters["pivots"] = static_cast<double>(result.iterations);
+    micro.cases["simplex_exact_n44"] = bench_case;
   }
   bench::write_bench_suite(micro);
 

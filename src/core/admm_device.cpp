@@ -8,6 +8,7 @@
 #include "linalg/kernels.hpp"
 #include "net/serialize.hpp"
 #include "obs/metrics.hpp"
+#include "qp/simplex_qp.hpp"
 #include "svm/linear_svm.hpp"
 
 namespace plos::core {
@@ -94,7 +95,6 @@ void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
   working_set_.clear();
   hessian_ = linalg::Matrix();
   linear_.clear();
-  lipschitz_ = 0.0;
   previous_gamma_.clear();
 }
 
@@ -153,7 +153,6 @@ void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
   }
   h(a, a) = kappa_ * linalg::kernels::blocked_dot(plane.s, plane.s);
   hessian_ = std::move(h);
-  lipschitz_ = 0.0;  // Hessian version changed
   linear_.push_back(plane.offset - linalg::dot(plane.s, d));
   // The new dual variable resumes from the γ this plane converged to in
   // the previous CCCP round (0 if it was never in the working set).
@@ -164,26 +163,11 @@ void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
 
 void AdmmDevice::solve_dual(const linalg::Vector& d, LocalSolution& sol) {
   const std::size_t n = working_set_.size();
-  qp::CappedSimplexQpProblem problem;
-  problem.hessian = hessian_;
-  problem.linear = linear_;
-  problem.groups.resize(1);
-  problem.groups[0].resize(n);
-  for (std::size_t i = 0; i < n; ++i) problem.groups[0][i] = i;
-  problem.caps = {1.0};
-
-  qp::QpOptions qp_options = options_->qp;
-  qp_options.warm_start = previous_gamma_;
-  qp_options.warm_start.resize(n, 0.0);
-  // Lipschitz memo per working-set version: re-solves of an unchanged
-  // Hessian (every late ADMM iteration) skip the power iteration.
-  // Bitwise-neutral — lipschitz_estimate is a pure function of H, and
-  // checked builds re-derive and compare (see QpOptions::lipschitz).
-  if (lipschitz_ == 0.0) lipschitz_ = qp::lipschitz_estimate(problem.hessian);
-  qp_options.lipschitz = lipschitz_;
-  const qp::QpResult result = qp::solve_capped_simplex_qp(problem, qp_options);
+  const qp::QpResult result =
+      qp::solve_simplex_qp(hessian_, linear_, /*cap=*/1.0, previous_gamma_);
   ++qp_solves_;
   qp_iterations_ += result.iterations;
+  if (!result.converged) ++qp_unconverged_;
   previous_gamma_ = result.solution;
 
   linalg::Vector g = linalg::zeros(d.size());

@@ -4,9 +4,9 @@
 // One AdmmDevice owns one simulated device: its raw data, CCCP signs, the
 // cutting-plane working set of the current CCCP round, and the hot-path
 // state of DESIGN.md §13 (the previous round's planes and converged duals
-// as warm-start seeds, Lipschitz memo per working-set version). Under the
-// thread pool's static chunking each device is touched by exactly one
-// worker per round, so none of this needs locking.
+// as warm-start seeds). Under the thread pool's static chunking each device
+// is touched by exactly one worker per round, so none of this needs
+// locking.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +77,11 @@ class AdmmDevice {
   /// Cumulative dual QP solves this device has performed.
   int qp_solves() const { return qp_solves_; }
 
-  /// Cumulative QP inner iterations across those solves.
+  /// Cumulative QP pivots across those solves.
   int qp_iterations() const { return qp_iterations_; }
+
+  /// Cumulative solves that returned QpResult::converged == false.
+  int qp_unconverged() const { return qp_unconverged_; }
 
   /// Cutting planes currently in the device's working set.
   std::size_t working_set_size() const { return working_set_.size(); }
@@ -96,11 +99,11 @@ class AdmmDevice {
   std::vector<CuttingPlane> working_set_;
   linalg::Matrix hessian_;   ///< κ ⟨s_i, s_j⟩ over the working set
   linalg::Vector linear_;    ///< b_i − ⟨s_i, d⟩ at the current prox center
-  double lipschitz_ = 0.0;   ///< memoized λmax(hessian_); 0 = stale
   linalg::Vector previous_gamma_;
   qp::WarmSeeds seeds_;      ///< previous CCCP round's planes and duals
   int qp_solves_ = 0;
   int qp_iterations_ = 0;
+  int qp_unconverged_ = 0;
 };
 
 /// Server-side freshness bookkeeping behind the journal's staleness

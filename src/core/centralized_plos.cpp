@@ -279,8 +279,9 @@ CentralizedPlosResult train_centralized_plos(
 
       {
         PLOS_SPAN("plos.dual_solve");
-        round_qp_iterations +=
-            dual.solve(result.model, options.qp).iterations;
+        const qp::QpResult solved = dual.solve(result.model, options.qp);
+        round_qp_iterations += solved.iterations;
+        if (!solved.converged) ++result.diagnostics.qp_unconverged;
       }
       ++result.diagnostics.qp_solves;
       pool.parallel_for(num_users, [&](std::size_t t) {

@@ -58,6 +58,7 @@ struct PlosDiagnostics {
   std::vector<double> objective_trace;  ///< objective after each CCCP round
   int cccp_iterations = 0;
   int qp_solves = 0;
+  int qp_unconverged = 0;  ///< of those, solves not converged
   std::size_t final_constraint_count = 0;
   double train_seconds = 0.0;
   /// Per-CCCP-round breakdown (one entry per *started* round, including a

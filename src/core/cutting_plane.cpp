@@ -7,7 +7,7 @@
 #include "common/stopwatch.hpp"
 #include "linalg/kernels.hpp"
 #include "obs/metrics.hpp"
-#include "qp/capped_simplex_qp.hpp"
+#include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
 #include "svm/linear_svm.hpp"
 
@@ -50,8 +50,8 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
   if (ctx.num_samples() == 0) return fit;
 
   std::vector<CuttingPlane> working_set;
-  linalg::Matrix dots;
-  linalg::Vector linear_base;  // b_i − ⟨s_i, w0⟩, fixed once a plane enters
+  linalg::Matrix hessian;      // κ ⟨s_i, s_j⟩ over the working set
+  linalg::Vector linear;       // b_i − ⟨s_i, w0⟩, fixed once a plane enters
   linalg::Vector gamma;
   linalg::Vector v = linalg::zeros(dim);
 
@@ -61,42 +61,28 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
         most_violated_constraint(ctx, signs, fit.weights, cl, cu);
     if (constraint_violation(plane, fit.weights, xi) <= epsilon) break;
 
-    // Extend the ⟨s_i, s_j⟩ matrix by the new plane's row and column.
+    // Extend the Hessian by the new plane's row and column.
     const std::size_t a = working_set.size();
     linalg::Matrix next(a + 1, a + 1);
     for (std::size_t i = 0; i < a; ++i) {
-      for (std::size_t j = 0; j < a; ++j) next(i, j) = dots(i, j);
-      const double d = linalg::kernels::blocked_dot(working_set[i].s, plane.s);
-      next(i, a) = d;
-      next(a, i) = d;
+      for (std::size_t j = 0; j < a; ++j) next(i, j) = hessian(i, j);
+      const double entry =
+          kappa * linalg::kernels::blocked_dot(working_set[i].s, plane.s);
+      next(i, a) = entry;
+      next(a, i) = entry;
     }
-    next(a, a) = linalg::kernels::blocked_dot(plane.s, plane.s);
-    dots = std::move(next);
+    next(a, a) = kappa * linalg::kernels::blocked_dot(plane.s, plane.s);
+    hessian = std::move(next);
     working_set.push_back(plane);
-    linear_base.push_back(plane.offset -
-                          linalg::dot(plane.s, global_weights));
+    linear.push_back(plane.offset - linalg::dot(plane.s, global_weights));
     count_constraint_added();
 
-    // Dual: max Σγ(b_c − s_c·w0) − ½ κ ||Σγs||², γ ≥ 0, Σγ ≤ 1.
+    // Dual: max Σγ(b_c − s_c·w0) − ½ κ ||Σγs||², γ ≥ 0, Σγ ≤ 1, from the
+    // previous γ padded with a zero for the new plane.
     const std::size_t n = working_set.size();
-    qp::CappedSimplexQpProblem problem;
-    problem.hessian = linalg::Matrix(n, n);
-    problem.linear.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        problem.hessian(i, j) = kappa * dots(i, j);
-      }
-      problem.linear[i] = linear_base[i];
-    }
-    problem.groups = {std::vector<std::size_t>(n)};
-    for (std::size_t i = 0; i < n; ++i) problem.groups[0][i] = i;
-    problem.caps = {1.0};
-    qp::QpOptions qp_options{1e-7, 3000, gamma};
-    qp_options.warm_start.resize(n, 0.0);
-    const qp::QpResult result = qp::solve_capped_simplex_qp(problem, qp_options);
-    gamma = result.solution;
-    // Dual feasibility of the working-set QP: γ ≥ 0, Σγ ≤ 1 (the QP solver
-    // re-verifies its own bounds; this guards the hand-off).
+    gamma.resize(n, 0.0);
+    gamma = qp::solve_simplex_qp(hessian, linear, /*cap=*/1.0, gamma).solution;
+    // The solver keeps γ in {γ ≥ 0, Σγ ≤ 1}; this guards the hand-off.
     PLOS_DCHECK(gamma.size() == n,
                 "fit_local_deviation: dual size " << gamma.size() << " != " << n);
 

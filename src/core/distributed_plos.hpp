@@ -5,7 +5,8 @@
 //
 //   device t:  receives (w0, u_t);  solves the local prox-regularized
 //              1-slack problem (Eq. 22) by cutting planes — its dual is a
-//              single-group capped-simplex QP with cap 1:
+//              single capped-simplex QP with cap 1, solved exactly by
+//              qp::solve_simplex_qp:
 //                 max_{γ≥0, Σγ≤1} Σ_c γ_c (b_c − s_c·d) − ½ κ ||Σ γ_c s_c||²
 //              where d = w0 − u_t and κ = T/(2λ) + 1/ρ, recovering
 //                 w_t = d + κ g,   v_t = (T/(2λ)) g,   g = Σ γ_c s_c;
@@ -47,8 +48,6 @@ struct DistributedPlosOptions {
   PlosHyperParams params;
   CuttingPlaneOptions cutting_plane;
   CccpOptions cccp;
-  /// See CentralizedPlosOptions::qp for the tolerance rationale.
-  qp::QpOptions qp{1e-7, 3000, {}};
   double rho = 1.0;        ///< ADMM step size (paper sets ρ = 1)
   /// εabs of the residual stopping rule (core/quorum_admm.cpp adds a fixed
   /// 1e-2 relative term).
@@ -82,6 +81,7 @@ struct DistributedPlosDiagnostics {
   int cccp_iterations = 0;
   int admm_iterations_total = 0;  ///< summed over CCCP rounds
   int qp_solves = 0;              ///< device dual QP solves, all devices
+  int qp_unconverged = 0;         ///< of those, solves not converged
   std::vector<double> objective_trace;        ///< per ADMM iteration
   std::vector<double> primal_residual_trace;  ///< ||r|| per ADMM iteration
   std::vector<double> dual_residual_trace;    ///< ||s|| per ADMM iteration

@@ -22,8 +22,9 @@ namespace plos::core {
 struct LatencyModelSpec {
   /// Fixed virtual seconds per local solve, before CPU scaling.
   double compute_base_s = 5e-4;
-  /// Additional virtual seconds per QP inner iteration of the solve, the
-  /// deterministic stand-in for "more cutting-plane work takes longer".
+  /// Additional virtual seconds per QP iteration (an active-set pivot on
+  /// devices) of the solve, the deterministic stand-in for "more
+  /// cutting-plane work takes longer".
   double compute_per_qp_iter_s = 2e-6;
   /// Multiplicative completion-time jitter: a round trip is scaled by
   /// 1 + jitter * (2u - 1), u a pure counter draw. In [0, 1).

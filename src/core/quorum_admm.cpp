@@ -803,6 +803,9 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     previous_cccp_objective = objective;
   }
   result.diagnostics.qp_solves = total_device_qp_solves();
+  for (const AdmmDevice& device : devices) {
+    result.diagnostics.qp_unconverged += device.qp_unconverged();
+  }
 
   result.model.global_weights = w0;
   for (std::size_t t = 0; t < num_users; ++t) {

@@ -107,8 +107,9 @@ class Histogram {
   const std::atomic<bool>* enabled_;
 };
 
-/// Sketch layout for iteration counts of the FISTA QP solvers: 1/8-octave
-/// buckets from 1 up to 8192, beyond every solver's iteration cap.
+/// Sketch layout for iteration counts of the QP solvers (FISTA iterations,
+/// active-set pivots): 1/8-octave buckets from 1 up to 8192, beyond every
+/// solver's iteration cap.
 QuantileSketch::Spec default_iteration_buckets();
 
 class Registry {

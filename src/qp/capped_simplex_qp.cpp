@@ -73,9 +73,11 @@ double objective_from(const CappedSimplexQpProblem& p,
   return 0.5 * linalg::dot(x, hx) - linalg::dot(p.linear, x);
 }
 
-// Power iteration behind lipschitz_estimate; adds its H·v products to
-// `matvecs`.
-double power_iteration(const linalg::Matrix& h, std::size_t& matvecs) {
+// Power-iteration overestimate of λmax(H), the gradient Lipschitz constant
+// FISTA steps against (a loose overestimate only slows convergence, so a
+// handful of iterations with a safety factor is enough). Adds its H·v
+// products to `matvecs`.
+double lipschitz_estimate(const linalg::Matrix& h, std::size_t& matvecs) {
   const std::size_t n = h.rows();
   linalg::Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
   linalg::Vector hv(n);
@@ -92,31 +94,7 @@ double power_iteration(const linalg::Matrix& h, std::size_t& matvecs) {
   return 1.1 * lambda + 1e-12;
 }
 
-// Step length for a given Lipschitz constant: estimate it unless the
-// caller supplied a cached value. Checked builds re-derive the estimate
-// and insist on exact equality — a stale cache would silently change
-// iterate trajectories, so the contract is bitwise, not approximate.
-double resolve_lipschitz(const linalg::Matrix& h, double supplied,
-                         obs::Counter& reuses, std::size_t& matvecs) {
-  if (supplied > 0.0) {
-    PLOS_DCHECK(supplied == lipschitz_estimate(h),
-                "QpOptions::lipschitz " << supplied
-                                        << " != fresh estimate — stale cache");
-    reuses.increment();
-    return supplied;
-  }
-  return power_iteration(h, matvecs);
-}
-
 }  // namespace
-
-// Largest eigenvalue of H via power iteration (Lipschitz constant of the
-// gradient). A loose overestimate only slows convergence, so a handful of
-// iterations with a safety factor is enough.
-double lipschitz_estimate(const linalg::Matrix& h) {
-  std::size_t matvecs = 0;
-  return power_iteration(h, matvecs);
-}
 
 QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
                                  const QpOptions& options) {
@@ -131,14 +109,10 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
     return result;
   }
 
-  static obs::Counter& lipschitz_reuses =
-      obs::metrics().counter("qp.capped_simplex.lipschitz_reuses");
   static obs::Counter& warm_hits =
       obs::metrics().counter("qp.capped_simplex.warm_hits");
   std::size_t matvecs = 0;  // every H·x of this solve, power iteration too
-  const double lips = resolve_lipschitz(problem.hessian, options.lipschitz,
-                                        lipschitz_reuses, matvecs);
-  const double step = 1.0 / lips;
+  const double step = 1.0 / lipschitz_estimate(problem.hessian, matvecs);
 
   // Every buffer the loop touches is sized here; the loop body itself does
   // no heap allocation (DESIGN.md §13.4).

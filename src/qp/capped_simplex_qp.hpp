@@ -1,10 +1,10 @@
 // Convex QP over a product of capped simplices, solved with FISTA
 // (accelerated projected gradient) plus adaptive restart.
 //
-// This is the dual shape of both PLOS cutting-plane QPs:
-//   * centralized dual (paper Eq. 16): one group per user t with cap T/(2λ);
-//   * distributed per-device dual (derived from Eq. 22): a single group with
-//     cap 1.
+// This is the dual shape of the centralized PLOS cutting-plane QP (paper
+// Eq. 16): one group per user t with cap T/(2λ). Single-group duals (the
+// distributed device QP of Eq. 22 and the local deviation fit) go to the
+// exact active-set solver in qp/simplex_qp.hpp instead.
 //
 //   minimize    f(γ) = ½ γᵀ H γ − cᵀ γ
 //   subject to  γ ≥ 0,  Σ_{k ∈ group g} γ_k ≤ cap_g  for every group g
@@ -38,19 +38,14 @@ struct QpOptions {
   /// unchanged after zero iterations (see QpResult::iterations), which is
   /// what makes warm-started re-solves bitwise-idempotent.
   linalg::Vector warm_start;
-  /// Precomputed gradient Lipschitz constant for `hessian` (the FISTA step
-  /// is 1/L). 0 = estimate internally with lipschitz_estimate(). Callers
-  /// that re-solve with an unchanged Hessian cache the estimate and pass it
-  /// here; because lipschitz_estimate is a pure function of H, supplying
-  /// the cached value is bitwise-neutral (checked builds re-derive it and
-  /// PLOS_DCHECK exact equality).
-  double lipschitz = 0.0;
 };
 
 struct QpResult {
   linalg::Vector solution;
   double objective = 0.0;  ///< f at the solution (minimization form)
-  int iterations = 0;      ///< 0 = the (projected) warm start already passed
+  /// FISTA iterations, or active-set pivots for solve_simplex_qp; 0 = the
+  /// (projected) warm start already passed.
+  int iterations = 0;
   bool converged = false;
 };
 
@@ -63,11 +58,5 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
 /// Near-zero means near-optimal; used by tests and solver diagnostics.
 double kkt_residual(const CappedSimplexQpProblem& problem,
                     std::span<const double> gamma);
-
-/// Power-iteration overestimate of λmax(H), the gradient Lipschitz constant
-/// the FISTA solvers step against. Deterministic pure function of H: both
-/// QP solvers call it when QpOptions::lipschitz is 0, and hot-path callers
-/// memoize it per Hessian version and pass it back via the option.
-double lipschitz_estimate(const linalg::Matrix& h);
 
 }  // namespace plos::qp

@@ -48,13 +48,16 @@ void project_capped_simplex(std::span<double> x, double cap,
 
   // The threshold step can leave the floating-point sum a few ulps ABOVE
   // cap, and a re-projection of such a point would re-enter this branch and
-  // drift every coordinate by an ulp. Shave the excess off the largest
-  // coordinate (first index on ties) until the same left-to-right sum the
-  // feasibility check above uses comes out <= cap. The post-condition makes
-  // the projection bitwise idempotent: a second application hits the early
+  // drift every coordinate by an ulp. The shave's post-condition makes the
+  // projection bitwise idempotent: a second application hits the early
   // return and touches nothing.
+  shave_to_cap(x, cap);
+}
+
+void shave_to_cap(std::span<double> x, double cap) {
   for (;;) {
     const double sum = linalg::kernels::serial_sum(x);
+    PLOS_CHECK(std::isfinite(sum), "shave_to_cap: non-finite sum " << sum);
     if (sum <= cap) break;
     std::size_t arg = 0;
     for (std::size_t i = 1; i < x.size(); ++i) {

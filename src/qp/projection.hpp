@@ -21,4 +21,10 @@ void project_capped_simplex(std::span<double> x, double cap);
 void project_capped_simplex(std::span<double> x, double cap,
                             linalg::Vector& scratch);
 
+/// Shaves the excess off the largest coordinate (first index on ties) until
+/// the left-to-right sum of x — the one the projection's feasibility check
+/// uses — is <= cap. For a non-negative x whose sum is a few ulps over cap
+/// this is the whole repair; every other coordinate keeps its bits.
+void shave_to_cap(std::span<double> x, double cap);
+
 }  // namespace plos::qp

@@ -13,8 +13,8 @@
 // "The same plane" means bitwise-identical doubles of equal length, so a
 // seed can never leak across genuinely different constraints (+0.0 and
 // -0.0, or planes one ulp apart, are different planes). Seeds only
-// initialize the FISTA iterate (which is projected before use); they never
-// alter the problem, so a bad seed can only cost iterations, never
+// initialize the solver's iterate (which is projected before use); they
+// never alter the problem, so a bad seed can only cost iterations, never
 // correctness. No wall-clock or pointer-derived state lives here:
 // everything is a pure function of the solver trajectory (cache-purity
 // lint rule).

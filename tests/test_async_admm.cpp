@@ -260,6 +260,10 @@ TEST(AsyncQuorum, PartialQuorumShortensVirtualTime) {
     options.quorum = quorum;
     options.staleness_bound = 1u << 20;  // isolate the quorum effect
     options.adaptive_deadline = false;
+    // Work-weighted compute: at ~1.5 pivots per device solve, 10 ms per
+    // pivot (x10 device CPU) puts a device's compute well above its ~50 ms
+    // link time, so a straggler's slowdown multiplies real solver work.
+    options.latency.compute_per_qp_iter_s = 1e-2;
     net::SimNetwork network(10, net::DeviceProfile{}, net::LinkProfile{});
     network.set_fault_model(net::FaultModel(spec));
     return train_async_quorum_plos(dataset, options, &network);

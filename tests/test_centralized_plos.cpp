@@ -94,6 +94,24 @@ TEST(CentralizedPlos, DiagnosticsPopulated) {
   EXPECT_EQ(per_round_qp_total, result.diagnostics.qp_solves);
 }
 
+TEST(CentralizedPlos, UnconvergedSolvesMatchTheCounter) {
+  // An iteration cap far below what the joint dual needs leaves some solves
+  // unconverged; the diagnostics must report exactly what the QP layer
+  // counted (the exact local-deviation solves converge, so they add none).
+  auto dataset = make_population(3, 0.5, 2, 0.3, 4);
+  auto options = fast_options();
+  options.qp.max_iterations = 5;
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  const auto result = train_centralized_plos(dataset, options);
+  const double counted =
+      registry.counter("qp.capped_simplex.unconverged").value();
+  registry.set_enabled(false);
+  EXPECT_GT(result.diagnostics.qp_unconverged, 0);
+  EXPECT_EQ(static_cast<double>(result.diagnostics.qp_unconverged), counted);
+}
+
 TEST(CentralizedPlos, TrainingEmitsMetricsSnapshot) {
   // Integration check for the observability layer: with the global registry
   // enabled, a training run must leave behind a non-empty snapshot whose

@@ -95,6 +95,13 @@ TEST(DistributedPlos, DiagnosticsPopulated) {
             result.diagnostics.primal_residual_trace.size());
 }
 
+TEST(DistributedPlos, EveryDeviceQpSolveConverges) {
+  auto dataset = make_population(4, 0.4, 2, 0.4, 3);
+  const auto result = train_distributed_plos(dataset, fast_options());
+  EXPECT_GT(result.diagnostics.qp_solves, 0);
+  EXPECT_EQ(result.diagnostics.qp_unconverged, 0);
+}
+
 TEST(DistributedPlos, NetworkAccountingPopulated) {
   auto dataset = make_population(4, 0.3, 2, 0.4, 5);
   net::SimNetwork network(4, net::DeviceProfile{}, net::LinkProfile{});

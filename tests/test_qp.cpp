@@ -1,6 +1,6 @@
-// Tests for the QP solver library: projections and the capped-simplex QP
-// (the PLOS dual shape), validated against brute-force grid search and KKT
-// conditions.
+// Tests for the QP solver library: projections, the capped-simplex QP (the
+// PLOS dual shape) and the exact single-simplex solver, validated against
+// known solutions, random feasible probes and KKT conditions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
+#include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
 
 namespace plos::qp {
@@ -200,10 +201,6 @@ TEST(CappedSimplexQp, MatvecCounterCountsEveryProduct) {
   one_step.max_iterations = 1;
   EXPECT_EQ(solve_counted(tiny_problem(), one_step).matvecs, 32.0);
 
-  // A supplied Lipschitz constant skips the power iteration.
-  one_step.lipschitz = lipschitz_estimate(tiny_problem().hessian);
-  EXPECT_EQ(solve_counted(tiny_problem(), one_step).matvecs, 2.0);
-
   // k iterations cost between one and two products each: the first reuses
   // the entry gradient, and so does any step after an adaptive restart.
   const auto full = solve_counted(tiny_problem(), QpOptions{});
@@ -279,6 +276,69 @@ TEST_P(CappedSimplexQpProperty, BeatsRandomFeasibleProbesAndSatisfiesKkt) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CappedSimplexQpProperty,
                          ::testing::Range<std::uint64_t>(0, 15));
+
+// ---- exact single-simplex solver -------------------------------------------
+
+TEST(SimplexQp, SolvesTinyKnownProblem) {
+  const auto p = tiny_problem();
+  const auto result = solve_simplex_qp(p.hessian, p.linear, 1.0);
+  ASSERT_TRUE(result.converged);
+  // Exact: the face optimum of H = I, c = (2, 1) is the vertex (1, 0).
+  EXPECT_EQ(result.solution[0], 1.0);
+  EXPECT_EQ(result.solution[1], 0.0);
+  EXPECT_EQ(result.objective, -1.5);
+}
+
+TEST(SimplexQp, InteriorOptimumLeavesTheCapSlack) {
+  // Unconstrained optimum H⁻¹c = (0.25, 0.125) has Σ = 0.375 < 1.
+  const Matrix h = Matrix::from_rows({{4.0, 0.0}, {0.0, 8.0}});
+  const Vector c{1.0, 1.0};
+  const auto result = solve_simplex_qp(h, c, 1.0);
+  ASSERT_TRUE(result.converged);
+  EXPECT_NEAR(result.solution[0], 0.25, 1e-15);
+  EXPECT_NEAR(result.solution[1], 0.125, 1e-15);
+}
+
+TEST(SimplexQp, RejectsBadShapes) {
+  const Matrix h = Matrix::identity(2);
+  EXPECT_THROW(solve_simplex_qp(h, Vector{1.0}, 1.0), PreconditionError);
+  EXPECT_THROW(solve_simplex_qp(h, Vector{1.0, 1.0}, -1.0), PreconditionError);
+  EXPECT_THROW(solve_simplex_qp(h, Vector{1.0, 1.0}, 1.0, Vector{0.5}),
+               PreconditionError);
+}
+
+TEST(SimplexQp, NanLinearTermThrows) {
+  const Matrix h = Matrix::identity(2);
+  EXPECT_THROW(solve_simplex_qp(h, Vector{std::nan(""), 1.0}, 1.0),
+               PreconditionError);
+}
+
+TEST(SimplexQp, CountersTrackPivotsAndWarmHits) {
+  const auto p = tiny_problem();
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  const auto cold = solve_simplex_qp(p.hessian, p.linear, 1.0);
+  const auto warm = solve_simplex_qp(p.hessian, p.linear, 1.0, cold.solution);
+  const double solves = registry.counter("qp.capped_simplex.solves").value();
+  const double warm_hits =
+      registry.counter("qp.capped_simplex.warm_hits").value();
+  const double unconverged =
+      registry.counter("qp.capped_simplex.unconverged").value();
+  const double pivots =
+      registry
+          .histogram("qp.capped_simplex.iterations",
+                     obs::default_iteration_buckets())
+          .sum();
+  registry.set_enabled(false);
+
+  EXPECT_GT(cold.iterations, 0);
+  EXPECT_EQ(warm.iterations, 0);
+  EXPECT_EQ(solves, 2.0);
+  EXPECT_EQ(warm_hits, 1.0);
+  EXPECT_EQ(unconverged, 0.0);
+  EXPECT_EQ(pivots, static_cast<double>(cold.iterations));
+}
 
 }  // namespace
 }  // namespace plos::qp

@@ -1,8 +1,8 @@
-// Property-test harness for the FISTA capped-simplex QP solver (DESIGN.md
-// §13).
+// Property-test harness for the QP solvers (DESIGN.md §13).
 //
 // Across ~200 seeded random instances the suite checks the three
-// properties the hot-path engine leans on:
+// properties the hot-path engine leans on for the FISTA capped-simplex
+// solver:
 //   1. correctness — the returned point satisfies the KKT conditions of its
 //      problem to 1e-8 (feasibility + unit-step projected-gradient norm);
 //   2. warm-start idempotence — re-solving with the cold solution as warm
@@ -14,6 +14,12 @@
 // It also pins the capped-simplex solver, bit for bit, to a test-local copy
 // of its straightforward form (three H·x products and fresh vectors every
 // iteration), and checks that the real loop performs no heap allocation.
+//
+// The exact single-simplex solver (DESIGN.md §13.5) gets the same
+// treatment on device-shaped duals, including rank-deficient H and
+// duplicated or near-collinear planes: KKT to 1e-10, never worse than a
+// converged FISTA solve, within its pivot cap, and zero-pivot bitwise
+// idempotence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +36,7 @@
 #include "linalg/vector.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
+#include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
 
 // Global allocation counter for the no-heap-traffic check below. Only the
@@ -139,22 +146,6 @@ TEST(QpProperty, CappedSimplexKktAndWarmIdempotence) {
   }
 }
 
-TEST(QpProperty, CappedSimplexCachedLipschitzIsBitwiseNeutral) {
-  for (int seed = 0; seed < kInstancesPerSolver; ++seed) {
-    const auto problem = random_capped_simplex(seed);
-    const auto plain = solve_capped_simplex_qp(problem, tight_options());
-
-    // Passing the memoized Lipschitz estimate back through the option must
-    // reproduce the internal estimate's run bit for bit — this is the
-    // contract the Device-side Lipschitz cache relies on.
-    QpOptions cached = tight_options();
-    cached.lipschitz = lipschitz_estimate(problem.hessian);
-    const auto memoized = solve_capped_simplex_qp(problem, cached);
-    EXPECT_EQ(plain.iterations, memoized.iterations) << "seed " << seed;
-    expect_bitwise_equal(plain.solution, memoized.solution, seed);
-  }
-}
-
 // --- Reference solver --------------------------------------------------
 // The capped-simplex FISTA loop in its plain form: f and ∇f each pay their
 // own H·x, every intermediate is a fresh vector, and iterates rotate by
@@ -207,9 +198,7 @@ ReferenceResult reference_solve(const CappedSimplexQpProblem& p,
   ReferenceResult out;
   QpResult& result = out.result;
   const std::size_t n = p.linear.size();
-  const double lips = options.lipschitz > 0.0 ? options.lipschitz
-                                              : reference_lipschitz(p.hessian);
-  const double step = 1.0 / lips;
+  const double step = 1.0 / reference_lipschitz(p.hessian);
 
   Vector x(n, 0.0);
   if (!options.warm_start.empty()) x = options.warm_start;
@@ -320,8 +309,6 @@ TEST(QpProperty, CappedSimplexMatchesReferenceLoopBitwise) {
     if (warm) {
       options.warm_start =
           engine.gaussian_vector(problem.linear.size(), 0.2, 0.5);
-      // Half the warm solves also take the memoized-Lipschitz path.
-      if (seed % 2 == 0) options.lipschitz = lipschitz_estimate(problem.hessian);
       ++seen.warm;
     }
     if (capped) options.max_iterations = 1 + seed % 7;
@@ -369,6 +356,130 @@ TEST(QpProperty, CappedSimplexLoopDoesNotAllocate) {
     EXPECT_EQ(allocations_for(2), one) << "seed " << seed;
     EXPECT_EQ(allocations_for(300), one) << "seed " << seed;
   }
+}
+
+// --- Exact single-simplex solver ------------------------------------------
+
+enum class Shape {
+  kFullRank,       // more dimensions than planes: H positive definite
+  kLowRank,        // rank(H) <= 3 < n
+  kDuplicated,     // half the planes are exact copies of the other half
+  kNearCollinear,  // copies perturbed by 1e-9
+  kZeroCap,        // the feasible set is the point 0
+  kSingle,         // n = 1
+  kCount,
+};
+
+struct SimplexInstance {
+  Shape shape = Shape::kFullRank;
+  Matrix hessian;
+  Vector linear;
+  double cap = 1.0;
+  Vector warm_start;  // empty = cold
+};
+
+// Device-shaped duals (Eq. 22): H = κ·S Sᵀ over n planes s_i in d
+// dimensions, n up to 50; every third instance also gets a random warm
+// start, which the solver projects before use.
+SimplexInstance random_simplex_instance(int seed) {
+  rng::Engine engine(static_cast<std::uint64_t>(seed) * 6007 + 3);
+  SimplexInstance instance;
+  instance.shape = static_cast<Shape>(seed % static_cast<int>(Shape::kCount));
+  std::size_t n = 2 + static_cast<std::size_t>(seed % 49);
+  std::size_t dim = 1 + static_cast<std::size_t>(seed % 3);
+  switch (instance.shape) {
+    case Shape::kFullRank:
+      dim = n + 2;
+      break;
+    case Shape::kDuplicated:
+    case Shape::kNearCollinear:
+      dim = 3 + static_cast<std::size_t>(seed % 6);
+      break;
+    case Shape::kSingle:
+      n = 1;
+      break;
+    default:
+      break;
+  }
+  Matrix planes(n, dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) planes(i, j) = engine.gaussian();
+  }
+  if (instance.shape == Shape::kDuplicated ||
+      instance.shape == Shape::kNearCollinear) {
+    const double noise = instance.shape == Shape::kDuplicated ? 0.0 : 1e-9;
+    for (std::size_t i = n / 2; i < n; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        planes(i, j) = planes(i - n / 2, j) + noise * engine.gaussian();
+      }
+    }
+  }
+  const double kappa = engine.uniform(0.5, 2.0);
+  instance.hessian = planes.row_gram();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) instance.hessian(i, j) *= kappa;
+  }
+  instance.linear = engine.gaussian_vector(n, 0.5, 1.0);
+  instance.cap =
+      instance.shape == Shape::kZeroCap ? 0.0 : engine.uniform(0.25, 2.0);
+  if (seed % 3 == 1) instance.warm_start = engine.gaussian_vector(n, 0.2, 0.5);
+  return instance;
+}
+
+CappedSimplexQpProblem as_problem(const SimplexInstance& instance) {
+  const std::size_t n = instance.linear.size();
+  CappedSimplexQpProblem problem;
+  problem.hessian = instance.hessian;
+  problem.linear = instance.linear;
+  problem.groups.assign(1, std::vector<std::size_t>(n));
+  for (std::size_t i = 0; i < n; ++i) problem.groups[0][i] = i;
+  problem.caps = {instance.cap};
+  return problem;
+}
+
+TEST(QpProperty, SimplexExactKktOptimalityAndIdempotence) {
+  constexpr double kExactKktBound = 1e-10;
+  std::vector<int> shapes(static_cast<std::size_t>(Shape::kCount), 0);
+  int warm = 0;
+  int compared = 0;
+  for (int seed = 0; seed < kInstancesPerSolver; ++seed) {
+    const SimplexInstance instance = random_simplex_instance(seed);
+    const CappedSimplexQpProblem problem = as_problem(instance);
+    ++shapes[static_cast<std::size_t>(instance.shape)];
+    if (!instance.warm_start.empty()) ++warm;
+
+    const auto exact = solve_simplex_qp(instance.hessian, instance.linear,
+                                        instance.cap, instance.warm_start);
+    ASSERT_TRUE(exact.converged) << "seed " << seed;
+    EXPECT_LE(exact.iterations, kSimplexQpMaxPivots) << "seed " << seed;
+    EXPECT_LE(kkt_residual(problem, exact.solution), kExactKktBound)
+        << "seed " << seed;
+
+    // Never worse than FISTA wherever FISTA converged.
+    QpOptions fista_options;
+    fista_options.tolerance = 1e-11;
+    fista_options.max_iterations = 5000;
+    const auto fista = solve_capped_simplex_qp(problem, fista_options);
+    if (fista.converged) {
+      ++compared;
+      EXPECT_LE(exact.objective,
+                fista.objective + 1e-9 * (1.0 + std::abs(fista.objective)))
+          << "seed " << seed;
+    }
+
+    // Re-solving from its own result is a zero-pivot, bitwise no-op.
+    const auto again = solve_simplex_qp(instance.hessian, instance.linear,
+                                        instance.cap, exact.solution);
+    ASSERT_TRUE(again.converged) << "seed " << seed;
+    EXPECT_EQ(again.iterations, 0) << "seed " << seed;
+    expect_bitwise_equal(exact.solution, again.solution, seed);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(exact.objective),
+              std::bit_cast<std::uint64_t>(again.objective))
+        << "seed " << seed;
+  }
+  for (const int count : shapes) EXPECT_GT(count, 0);
+  EXPECT_GT(warm, 0);
+  EXPECT_GT(compared, kInstancesPerSolver / 4);
 }
 
 TEST(QpProperty, ProjectionsAreBitwiseIdempotent) {

@@ -511,7 +511,11 @@ int main(int argc, char** argv) {
           static_cast<double>(diagnostics.cccp_iterations);
       results["admm_iterations"] =
           static_cast<double>(diagnostics.admm_iterations_total);
+      std::printf("device QP: %d solves, %d unconverged\n",
+                  diagnostics.qp_solves, diagnostics.qp_unconverged);
       results["qp_solves"] = static_cast<double>(diagnostics.qp_solves);
+      results["qp_unconverged"] =
+          static_cast<double>(diagnostics.qp_unconverged);
       if (!diagnostics.objective_trace.empty()) {
         results["final_objective"] = diagnostics.objective_trace.back();
       }
@@ -568,7 +572,12 @@ int main(int argc, char** argv) {
       rounds_completed = result.diagnostics.cccp_iterations;
       results["cccp_rounds"] =
           static_cast<double>(result.diagnostics.cccp_iterations);
+      std::printf("dual QP: %d solves, %d unconverged\n",
+                  result.diagnostics.qp_solves,
+                  result.diagnostics.qp_unconverged);
       results["qp_solves"] = static_cast<double>(result.diagnostics.qp_solves);
+      results["qp_unconverged"] =
+          static_cast<double>(result.diagnostics.qp_unconverged);
       results["constraints"] =
           static_cast<double>(result.diagnostics.final_constraint_count);
       if (!result.diagnostics.objective_trace.empty()) {
