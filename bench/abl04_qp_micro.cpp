@@ -1,15 +1,12 @@
-// Ablation 4 — QP solver micro-benchmarks: capped-simplex projection and
-// FISTA solve time vs problem size, plus the warm-start payoff that the
-// cutting-plane loops rely on, the exact single-simplex solver on a
-// device-shaped dual, and thread-count scaling of the end-to-end
-// centralized trainer (serial-equivalent parallelism — only time moves).
+// Ablation 4 — QP solver micro-benchmarks: capped-simplex projection time
+// vs problem size, the exact single-simplex solver on a device-shaped dual,
+// and thread-count scaling of the end-to-end centralized trainer
+// (serial-equivalent parallelism — only time moves).
 #include <benchmark/benchmark.h>
 
 #include "bench_support.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
-#include "obs/metrics.hpp"
-#include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
 #include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
@@ -17,23 +14,6 @@
 namespace {
 
 using namespace plos;
-
-qp::CappedSimplexQpProblem random_problem(std::size_t n, std::size_t groups,
-                                          std::uint64_t seed) {
-  rng::Engine engine(seed);
-  linalg::Matrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = engine.gaussian();
-  }
-  qp::CappedSimplexQpProblem p;
-  p.hessian = b.matmul(b.transposed());
-  for (std::size_t i = 0; i < n; ++i) p.hessian(i, i) += 1.0;
-  p.linear = engine.gaussian_vector(n);
-  p.groups.assign(groups, {});
-  for (std::size_t i = 0; i < n; ++i) p.groups[i % groups].push_back(i);
-  p.caps.assign(groups, 0.5);
-  return p;
-}
 
 void BM_Projection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -52,41 +32,11 @@ BENCHMARK(BM_Projection)
     ->Arg(8192)
     ->Apply(bench::bench_time_config);
 
-void BM_QpSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto p = random_problem(n, std::max<std::size_t>(1, n / 16), n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qp::solve_capped_simplex_qp(p));
-  }
-}
-BENCHMARK(BM_QpSolve)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond)
-    ->Apply(bench::bench_time_config);
-
-void BM_QpSolveWarmStarted(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto p = random_problem(n, std::max<std::size_t>(1, n / 16), n);
-  const auto cold = qp::solve_capped_simplex_qp(p);
-  qp::QpOptions options;
-  options.warm_start = cold.solution;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qp::solve_capped_simplex_qp(p, options));
-  }
-}
-BENCHMARK(BM_QpSolveWarmStarted)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond)
-    ->Apply(bench::bench_time_config);
-
 // Thread scaling of one full centralized CCCP run on a 20-user population.
-// The per-user separation oracle and Hessian row assembly dominate, so
-// wall-clock should drop roughly linearly until the core count is reached
-// (on a multi-core host; with a single core the times simply match).
+// Only the per-user separation oracle and CCCP sign fitting run on the
+// pool; the block-sweep dual solve is serial, so wall-clock drops only by
+// the parallel share (on a multi-core host; with a single core the times
+// simply match).
 void BM_CentralizedCccpThreads(benchmark::State& state) {
   data::SyntheticSpec spec;
   spec.num_users = 20;
@@ -135,61 +85,6 @@ void emit_bench_json() {
     bench_case.counters["n"] = static_cast<double>(n);
     bench_case.counters["nonzeros"] = static_cast<double>(nonzeros);
     micro.cases["projection_n8192"] = bench_case;
-  }
-  {
-    const std::size_t n = 256;
-    const auto problem = random_problem(n, n / 16, n);
-    // `matvecs` is H·x products per solve (power iteration included): the
-    // exact work counter behind the solve's wall time.
-    auto& registry = obs::metrics();
-    const auto matvecs_per_solve = [&registry] {
-      const double solves =
-          registry.counter("qp.capped_simplex.solves").value();
-      return solves > 0.0
-                 ? registry.counter("qp.capped_simplex.matvecs").value() /
-                       solves
-                 : 0.0;
-    };
-    qp::QpResult result;
-    bench::BenchCase bench_case;
-    bench_case.stats = bench::run_timed(
-        [&] { result = qp::solve_capped_simplex_qp(problem); });
-    // Timed with the registry off; one extra solve with it on reads the
-    // counter.
-    registry.set_enabled(true);
-    registry.reset_values();
-    qp::solve_capped_simplex_qp(problem);
-    bench_case.counters["matvecs"] = matvecs_per_solve();
-    registry.set_enabled(false);
-    bench_case.counters["n"] = static_cast<double>(n);
-    bench_case.counters["iterations"] = static_cast<double>(result.iterations);
-    micro.cases["qp_solve_n256"] = bench_case;
-
-    // Warm re-solve from the previous solution. The obs counters turn the
-    // warm-start claim into exact gated evidence: every timed solve must
-    // take the iteration-0 warm exit (warm_hit_rate == 1).
-    qp::QpOptions warm_options;
-    warm_options.warm_start = result.solution;
-    qp::QpResult warm_result;
-    bench::BenchCase warm_case;
-    registry.set_enabled(true);
-    registry.reset_values();
-    warm_case.stats = bench::run_timed([&] {
-      warm_result = qp::solve_capped_simplex_qp(problem, warm_options);
-    });
-    const double warm_solves =
-        registry.counter("qp.capped_simplex.solves").value();
-    const double warm_hits =
-        registry.counter("qp.capped_simplex.warm_hits").value();
-    const double warm_matvecs = matvecs_per_solve();
-    registry.set_enabled(false);
-    warm_case.counters["matvecs"] = warm_matvecs;
-    warm_case.counters["n"] = static_cast<double>(n);
-    warm_case.counters["iterations"] =
-        static_cast<double>(warm_result.iterations);
-    warm_case.counters["warm_hit_rate"] =
-        warm_solves > 0.0 ? warm_hits / warm_solves : 0.0;
-    micro.cases["qp_solve_warm_n256"] = warm_case;
   }
   {
     // Device-shaped dual (Eq. 22): 44 planes s_i in d = 3 with offset 1

@@ -5,61 +5,44 @@
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
 #include "core/cutting_plane.hpp"
-#include "linalg/kernels.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "qp/simplex_qp.hpp"
 #include "qp/warm_store.hpp"
 
 namespace plos::core {
 
 namespace {
 
-// Dual QP state over the union of all users' working sets. Grows
-// incrementally: adding a constraint appends one variable, one Hessian
-// row/column, one linear coefficient, and one group member. New duals are
-// seeded from, and at round end each user's converged duals are written
-// back to, that user's trainer-owned qp::WarmSeeds.
+// The joint dual (Eq. 16) as one qp::SimplexBlock per user: the user's
+// planes, offsets, block Gram and duals. Adding a constraint appends one
+// plane to its user's block. New duals are seeded from, and at round end
+// each user's converged duals are written back to, that user's
+// trainer-owned qp::WarmSeeds.
 class DualState {
  public:
   DualState(std::size_t num_users, double lambda,
             std::vector<qp::WarmSeeds>* seeds)
       : lambda_over_t_(lambda / static_cast<double>(num_users)),
         cap_(static_cast<double>(num_users) / (2.0 * lambda)),
-        groups_(num_users),
+        blocks_(num_users),
         seeds_(seeds) {}
 
-  std::size_t size() const { return planes_.size(); }
+  std::size_t size() const { return size_; }
 
-  void add_constraint(std::size_t user, CuttingPlane plane,
-                      parallel::ThreadPool& pool) {
-    const std::size_t a = planes_.size();
-    // Extend the Hessian by one row/column. Worker i owns row i and the
-    // border pair (i, a)/(a, i), so every entry has exactly one writer.
-    linalg::Matrix h(a + 1, a + 1);
-    pool.parallel_for(a, [&](std::size_t i) {
-      for (std::size_t j = 0; j < a; ++j) h(i, j) = hessian_(i, j);
-      const double entry =
-          (lambda_over_t_ + (planes_[i].user == user ? 1.0 : 0.0)) *
-          linalg::kernels::blocked_dot(planes_[i].plane.s, plane.s);
-      h(i, a) = entry;
-      h(a, i) = entry;
-    });
-    h(a, a) = (lambda_over_t_ + 1.0) *
-              linalg::kernels::blocked_dot(plane.s, plane.s);
-    // The bordered Hessian stays positive semidefinite only if the new
-    // diagonal entry (a Gram self-product) is finite and non-negative.
-    PLOS_DCHECK(std::isfinite(h(a, a)) && h(a, a) >= 0.0,
-                "DualState: bad Hessian border diagonal " << h(a, a));
-    hessian_ = std::move(h);
+  const qp::SimplexBlock& block(std::size_t user) const {
+    return blocks_[user];
+  }
 
-    linear_.push_back(plane.offset);
-    groups_[user].push_back(a);
-    // New dual variables start from the γ this plane converged to the last
-    // time it was in user's working set (0 if never) instead of flat zero.
-    previous_gamma_.push_back((*seeds_)[user].seed(plane.s));
-    planes_.push_back({user, std::move(plane)});
+  void add_constraint(std::size_t user, CuttingPlane plane) {
+    // The new dual starts from the γ this plane converged to the last time
+    // it was in user's working set (0 if never) instead of flat zero.
+    const double gamma0 = (*seeds_)[user].seed(plane.s);
+    blocks_[user].append(std::move(plane.s), plane.offset, gamma0,
+                         lambda_over_t_);
+    ++size_;
     count_constraint_added();
   }
 
@@ -67,72 +50,30 @@ class DualState {
   /// when the working set is empty, so the next CCCP round's re-derived
   /// planes warm-start where they converged.
   void persist_warm_starts() {
-    for (std::size_t t = 0; t < groups_.size(); ++t) {
-      std::vector<linalg::Vector> planes;
-      linalg::Vector gammas;
-      planes.reserve(groups_[t].size());
-      gammas.reserve(groups_[t].size());
-      for (std::size_t a : groups_[t]) {
-        planes.push_back(planes_[a].plane.s);
-        gammas.push_back(previous_gamma_[a]);
-      }
-      (*seeds_)[t].assign(std::move(planes), std::move(gammas));
+    for (std::size_t t = 0; t < blocks_.size(); ++t) {
+      (*seeds_)[t].assign(blocks_[t].planes, blocks_[t].gamma);
     }
   }
 
-  /// Solves the dual and recovers (w0, v_t) into `model`.
-  qp::QpResult solve(PersonalizedModel& model, const qp::QpOptions& base) {
-    qp::CappedSimplexQpProblem problem;
-    problem.hessian = hessian_;
-    problem.linear = linear_;
-    for (const auto& g : groups_) {
-      if (g.empty()) continue;  // users without constraints impose nothing
-      problem.groups.push_back(g);
-      problem.caps.push_back(cap_);
+  /// Solves the dual and recovers (w0, v_t) into `model`:
+  /// v_t = z_t = Σ_{a∈t} γ_a s_a and w0 = (λ/T) Σ_t z_t.
+  qp::BlockSweepResult solve(PersonalizedModel& model) {
+    const qp::BlockSweepResult result =
+        qp::solve_block_sweeps(blocks_, lambda_over_t_, cap_);
+    model.global_weights = linalg::zeros(model.global_weights.size());
+    for (std::size_t t = 0; t < blocks_.size(); ++t) {
+      model.user_deviations[t] = blocks_[t].z;
+      linalg::axpy(1.0, blocks_[t].z, model.global_weights);
     }
-
-    qp::QpOptions options = base;
-    options.warm_start = previous_gamma_;
-    options.warm_start.resize(size(), 0.0);
-    qp::QpResult result = qp::solve_capped_simplex_qp(problem, options);
-    previous_gamma_ = result.solution;
-
-    // Primal recovery: w0 = (λ/T) Σ γ s, v_t = Σ_{k∈t} γ s.
-    const std::size_t dim = model.global_weights.size();
-    model.global_weights = linalg::zeros(dim);
-    for (auto& v : model.user_deviations) v = linalg::zeros(dim);
-    for (std::size_t a = 0; a < planes_.size(); ++a) {
-      const double gamma = result.solution[a];
-      if (gamma == 0.0) continue;
-      linalg::axpy(gamma * lambda_over_t_, planes_[a].plane.s,
-                   model.global_weights);
-      linalg::axpy(gamma, planes_[a].plane.s,
-                   model.user_deviations[planes_[a].user]);
-    }
+    linalg::scale(model.global_weights, lambda_over_t_);
     return result;
   }
 
-  const std::vector<CuttingPlane>* user_planes(std::size_t user,
-                                               std::vector<CuttingPlane>&
-                                                   scratch) const {
-    scratch.clear();
-    for (std::size_t a : groups_[user]) scratch.push_back(planes_[a].plane);
-    return &scratch;
-  }
-
  private:
-  struct Entry {
-    std::size_t user;
-    CuttingPlane plane;
-  };
-
   double lambda_over_t_;
   double cap_;
-  linalg::Matrix hessian_;
-  linalg::Vector linear_;
-  std::vector<std::vector<std::size_t>> groups_;
-  std::vector<Entry> planes_;
-  linalg::Vector previous_gamma_;
+  std::vector<qp::SimplexBlock> blocks_;
+  std::size_t size_ = 0;
   std::vector<qp::WarmSeeds>* seeds_;
 };
 
@@ -259,9 +200,9 @@ CentralizedPlosResult train_centralized_plos(
           CuttingPlane plane =
               most_violated_constraint(contexts[t], signs[t], weights[t],
                                        options.params.cl, options.params.cu);
-          std::vector<CuttingPlane> scratch;
-          const double xi = optimal_slack(*dual.user_planes(t, scratch),
-                                          weights[t]);
+          const qp::SimplexBlock& block = dual.block(t);
+          const double xi =
+              optimal_slack(block.planes, block.linear, weights[t]);
           if (constraint_violation(plane, weights[t], xi) >
               options.cutting_plane.epsilon) {
             separated[t] = std::move(plane);
@@ -272,15 +213,15 @@ CentralizedPlosResult train_centralized_plos(
       bool added = false;
       for (std::size_t t = 0; t < num_users; ++t) {
         if (!violated[t]) continue;
-        dual.add_constraint(t, std::move(separated[t]), pool);
+        dual.add_constraint(t, std::move(separated[t]));
         added = true;
       }
       if (!added) break;
 
       {
         PLOS_SPAN("plos.dual_solve");
-        const qp::QpResult solved = dual.solve(result.model, options.qp);
-        round_qp_iterations += solved.iterations;
+        const qp::BlockSweepResult solved = dual.solve(result.model);
+        round_qp_iterations += solved.pivots;
         if (!solved.converged) ++result.diagnostics.qp_unconverged;
       }
       ++result.diagnostics.qp_solves;

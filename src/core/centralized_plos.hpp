@@ -7,9 +7,12 @@
 //   * the structured dual QP (Eq. 16) over all users' working sets, with
 //     per-user capped-simplex constraints Σ_k γ_kt ≤ T/(2λ).
 //
-// The feature map Φ (Eq. 7) is never materialized: every dual Hessian entry
-// is (λ/T + [t = t']) ⟨s, s'⟩ with d-dimensional constraint vectors s, and
-// the primal is recovered as w0 = (λ/T) Σ γ s,  v_t = Σ_{k∈t} γ s.
+// The feature map Φ (Eq. 7) is never materialized. The dual Hessian is
+// (λ/T)·S Sᵀ + blockdiag_t(S_t S_tᵀ) over the d-dimensional constraint
+// vectors s, and only its per-user diagonal blocks (λ/T + 1)·S_t S_tᵀ are
+// stored: qp::solve_block_sweeps solves one user's block exactly at a time
+// against the others held fixed, until a whole sweep changes nothing. The
+// primal is recovered as v_t = z_t = Σ_{k∈t} γ s and w0 = (λ/T) Σ_t z_t.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +30,6 @@ struct CentralizedPlosOptions {
   PlosHyperParams params;
   CuttingPlaneOptions cutting_plane;
   CccpOptions cccp;
-  /// Inner dual-QP accuracy only needs to stay comfortably below the
-  /// cutting-plane epsilon, hence the looser-than-default tolerance.
-  qp::QpOptions qp{1e-7, 3000, {}};
   /// Initialization is fixed: w0 starts from a pooled linear SVM (C = 1) on
   /// all revealed labels, or from a random unit direction when nobody
   /// provides labels (PLOS then is pure maximum-margin clustering). The
@@ -39,8 +39,8 @@ struct CentralizedPlosOptions {
   /// unlabeled loss is meant to exploit, and this keeps the linearization
   /// from inheriting w0's systematic per-user errors.
   std::uint64_t seed = 99;  ///< cluster-init / no-label fallback randomness
-  /// Worker threads for per-user separation, CCCP sign fitting, and dual
-  /// Hessian row assembly. 0 = all hardware threads, 1 = legacy serial.
+  /// Worker threads for per-user separation and CCCP sign fitting (the dual
+  /// solve is serial). 0 = all hardware threads, 1 = legacy serial.
   /// Results are bitwise identical for every value (see DESIGN.md §8).
   int num_threads = 1;
   /// Telemetry sinks, both optional and borrowed (caller owns, must

@@ -261,4 +261,17 @@ double optimal_slack(const std::vector<CuttingPlane>& working_set,
   return xi;
 }
 
+double optimal_slack(std::span<const linalg::Vector> planes,
+                     std::span<const double> offsets,
+                     std::span<const double> user_weights) {
+  PLOS_CHECK(planes.size() == offsets.size(),
+             "optimal_slack: planes/offsets size mismatch");
+  double xi = 0.0;
+  for (std::size_t a = 0; a < planes.size(); ++a) {
+    xi = std::max(xi, offsets[a] - linalg::dot(planes[a], user_weights));
+  }
+  PLOS_DCHECK(xi >= 0.0, "optimal_slack: negative or NaN slack " << xi);
+  return xi;
+}
+
 }  // namespace plos::core

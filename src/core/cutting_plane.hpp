@@ -111,4 +111,10 @@ void count_constraint_added();
 double optimal_slack(const std::vector<CuttingPlane>& working_set,
                      std::span<const double> user_weights);
 
+/// The same over a working set held as planes s_c and offsets b_c side by
+/// side (a centralized dual block, qp::SimplexBlock).
+double optimal_slack(std::span<const linalg::Vector> planes,
+                     std::span<const double> offsets,
+                     std::span<const double> user_weights);
+
 }  // namespace plos::core

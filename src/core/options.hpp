@@ -1,10 +1,6 @@
 // Hyper-parameters and solver knobs shared by the PLOS trainers.
 #pragma once
 
-#include <cstdint>
-
-#include "qp/capped_simplex_qp.hpp"
-
 namespace plos::core {
 
 /// The paper's three predefined parameters (§IV-A).

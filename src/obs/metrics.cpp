@@ -66,7 +66,7 @@ QuantileSketch Histogram::sketch() const {
 }
 
 QuantileSketch::Spec default_iteration_buckets() {
-  return {/*min_value=*/1.0, /*max_value=*/8192.0, /*sub_buckets=*/8};
+  return {/*min_value=*/1.0, /*max_value=*/1048576.0, /*sub_buckets=*/8};
 }
 
 Counter& Registry::counter(std::string_view name) {

@@ -107,9 +107,10 @@ class Histogram {
   const std::atomic<bool>* enabled_;
 };
 
-/// Sketch layout for iteration counts of the QP solvers (FISTA iterations,
-/// active-set pivots): 1/8-octave buckets from 1 up to 8192, beyond every
-/// solver's iteration cap.
+/// Sketch layout for work counts of the QP solvers (active-set pivots per
+/// device solve, pivots and sweeps per centralized dual solve): 1/8-octave
+/// buckets from 1 up to 2^20, past the ~2.5e5 pivots of a 160-user body
+/// dual.
 QuantileSketch::Spec default_iteration_buckets();
 
 class Registry {

@@ -17,7 +17,7 @@ void project_capped_simplex(std::span<double> x, double cap);
 
 /// Same projection, bit for bit, with a caller-owned sort buffer: once
 /// `scratch` has capacity for x.size() values the call does not allocate,
-/// which is what lets the FISTA loop project every iterate heap-free.
+/// which is what keeps the block sweeps of qp/simplex_qp.hpp heap-free.
 void project_capped_simplex(std::span<double> x, double cap,
                             linalg::Vector& scratch);
 

@@ -1,9 +1,12 @@
 #include "qp/simplex_qp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -28,6 +31,14 @@ constexpr double kCapRounding = 1e-12;
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+// Buffers of one active-set solve. A solve sizes them for its own n, which
+// touches the heap only while n exceeds every earlier n, so block sweeps
+// that reuse one workspace allocate only in their first sweep.
+struct Workspace {
+  linalg::Vector x, hx, g, p, l, lt, r, y, u, sort;
+  std::vector<std::size_t> free;
+};
+
 // The solver works on n + 1 coordinates: γ and a slack σ = cap − Σγ with a
 // zero row in H and zero cost, so the feasible set is the simplex
 // {x ≥ 0, Σx = cap}. Everything the pivot rule reads (support, gradient,
@@ -37,21 +48,32 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 class ActiveSet {
  public:
   ActiveSet(const linalg::Matrix& h, std::span<const double> c, double cap,
-            std::span<const double> warm_start)
+            std::span<const double> warm_start, Workspace& ws)
       : h_(h),
         c_(c),
         cap_(cap),
         n_(c.size()),
-        x_(n_ + 1, 0.0),
-        hx_(n_),
-        g_(n_ + 1, 0.0),
-        p_(n_ + 1, 0.0),
-        l_(n_, n_),
-        lt_(n_, n_),
-        r_(n_),
-        y_(n_),
-        u_(n_),
-        sort_scratch_(n_) {
+        x_(ws.x),
+        hx_(ws.hx),
+        g_(ws.g),
+        p_(ws.p),
+        l_(ws.l),
+        lt_(ws.lt),
+        r_(ws.r),
+        y_(ws.y),
+        u_(ws.u),
+        sort_scratch_(ws.sort),
+        free_(ws.free) {
+    x_.assign(n_ + 1, 0.0);
+    hx_.assign(n_, 0.0);
+    g_.assign(n_ + 1, 0.0);
+    p_.assign(n_ + 1, 0.0);
+    l_.assign(n_ * n_, 0.0);
+    lt_.assign(n_ * n_, 0.0);
+    r_.assign(n_, 0.0);
+    y_.assign(n_, 0.0);
+    u_.assign(n_, 0.0);
+    sort_scratch_.reserve(n_);
     double max_diag = 0.0;
     double max_c = 0.0;
     for (std::size_t i = 0; i < n_; ++i) {
@@ -155,6 +177,20 @@ class ActiveSet {
     return linalg::Vector(x.begin(), x.end());
   }
 
+  // Writes γ into `out` (which holds n values) and reports whether any of
+  // them changed by a single bit.
+  bool store(std::span<double> out) const {
+    bool changed = false;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (std::bit_cast<std::uint64_t>(out[i]) !=
+          std::bit_cast<std::uint64_t>(x_[i])) {
+        out[i] = x_[i];
+        changed = true;
+      }
+    }
+    return changed;
+  }
+
   double objective() const {
     const std::span<const double> x = std::span<const double>(x_).first(n_);
     return 0.5 * linalg::kernels::blocked_dot(x, hx_) -
@@ -207,24 +243,30 @@ class ActiveSet {
            hessian(a, free_[l]) + hessian(a, a);
   }
 
+  // Row k of an n x n row-major factor buffer.
+  std::span<double> row(linalg::Vector& factor, std::size_t k) const {
+    return std::span<double>(factor).subspan(k * n_, n_);
+  }
+
   // Cholesky L Lᵀ of the m x m reduced Hessian, row by row, into l_ (and
   // its transpose into lt_, so both substitutions read contiguous rows).
   // Returns the first column whose pivot falls to the dependence
   // threshold, or kNone.
   std::size_t factor(std::size_t m) {
     for (std::size_t k = 0; k < m; ++k) {
-      const std::span<double> row_k = l_.row(k);
+      const std::span<double> row_k = row(l_, k);
       for (std::size_t j = 0; j < k; ++j) {
-        const double dot = linalg::kernels::blocked_dot(
-            row_k.first(j), l_.row(j).first(j));
-        row_k[j] = (reduced(k, j) - dot) / l_(j, j);
-        lt_(j, k) = row_k[j];
+        const std::span<double> row_j = row(l_, j);
+        const double dot =
+            linalg::kernels::blocked_dot(row_k.first(j), row_j.first(j));
+        row_k[j] = (reduced(k, j) - dot) / row_j[j];
+        row(lt_, j)[k] = row_k[j];
       }
       const double pivot =
           reduced(k, k) - linalg::kernels::blocked_squared_norm(row_k.first(k));
       if (!(pivot > dependent_pivot_)) return k;
       row_k[k] = std::sqrt(pivot);
-      lt_(k, k) = row_k[k];
+      row(lt_, k)[k] = row_k[k];
     }
     return kNone;
   }
@@ -233,19 +275,21 @@ class ActiveSet {
   void back_substitute(std::size_t m, std::span<const double> b) {
     for (std::size_t k = m; k-- > 0;) {
       const std::size_t tail = m - k - 1;
+      const std::span<double> row_k = row(lt_, k);
       const double dot = linalg::kernels::blocked_dot(
-          lt_.row(k).subspan(k + 1, tail),
+          row_k.subspan(k + 1, tail),
           std::span<const double>(u_).subspan(k + 1, tail));
-      u_[k] = (b[k] - dot) / lt_(k, k);
+      u_[k] = (b[k] - dot) / row_k[k];
     }
   }
 
   // Newton step on the face: u = (Zᵀ H Z)⁻¹ (−Zᵀ g).
   void newton_direction(std::size_t m) {
     for (std::size_t k = 0; k < m; ++k) {
+      const std::span<double> row_k = row(l_, k);
       const double dot = linalg::kernels::blocked_dot(
-          l_.row(k).first(k), std::span<const double>(y_).first(k));
-      y_[k] = (r_[k] - dot) / l_(k, k);
+          row_k.first(k), std::span<const double>(y_).first(k));
+      y_[k] = (r_[k] - dot) / row_k[k];
     }
     back_substitute(m, y_);
   }
@@ -255,7 +299,7 @@ class ActiveSet {
   // and m_d the column above the diagonal, has M u ≈ 0. Row d of the
   // partial factor already holds L_d⁻¹ m_d.
   void null_direction(std::size_t d) {
-    back_substitute(d, l_.row(d).first(d));
+    back_substitute(d, row(l_, d).first(d));
     for (std::size_t k = 0; k < d; ++k) u_[k] = -u_[k];
     u_[d] = 1.0;
   }
@@ -266,19 +310,83 @@ class ActiveSet {
   std::size_t n_;
   double dependent_pivot_ = 0.0;
   double tolerance_ = 0.0;
-  linalg::Vector x_;   ///< γ, then the slack
-  linalg::Vector hx_;  ///< H·γ
-  linalg::Vector g_;   ///< ∇f, then the slack's 0
-  linalg::Vector p_;   ///< step direction over the n + 1 coordinates
   std::size_t anchor_ = 0;
-  std::vector<std::size_t> free_;  ///< face basis columns, in factor order
-  linalg::Matrix l_;
-  linalg::Matrix lt_;
-  linalg::Vector r_;  ///< −Zᵀ g
-  linalg::Vector y_;
-  linalg::Vector u_;  ///< face-coordinate direction
-  linalg::Vector sort_scratch_;
+  // Views of the caller's Workspace.
+  linalg::Vector& x_;   ///< γ, then the slack
+  linalg::Vector& hx_;  ///< H·γ
+  linalg::Vector& g_;   ///< ∇f, then the slack's 0
+  linalg::Vector& p_;   ///< step direction over the n + 1 coordinates
+  linalg::Vector& l_;   ///< Cholesky factor L, row-major n x n
+  linalg::Vector& lt_;  ///< Lᵀ, row-major n x n
+  linalg::Vector& r_;   ///< −Zᵀ g
+  linalg::Vector& y_;
+  linalg::Vector& u_;  ///< face-coordinate direction
+  linalg::Vector& sort_scratch_;
+  std::vector<std::size_t>& free_;  ///< face basis columns, in factor order
 };
+
+struct Outcome {
+  int pivots = 0;
+  bool converged = false;
+};
+
+// The active-set iteration, uninstrumented: pivots until the optimality
+// test passes or the pivot budget is spent.
+Outcome run(ActiveSet& set) {
+  Outcome outcome;
+  for (;;) {
+    const ActiveSet::Verdict verdict = set.examine();
+    if (verdict.optimal) {
+      outcome.converged = true;
+      return outcome;
+    }
+    if (outcome.pivots == kSimplexQpMaxPivots) return outcome;
+    set.pivot(verdict.entering);
+    ++outcome.pivots;
+  }
+}
+
+// One solve's worth of the qp.capped_simplex.* instruments, shared by both
+// entry points so per-layer attribution does not depend on which ran.
+// Instrument handles are resolved once; the registry is a process-lifetime
+// singleton, so the cached references never dangle across reset_values().
+void record_solve(double seconds_spent, int pivots, bool converged,
+                  bool warm_hit) {
+  static obs::Counter& solves =
+      obs::metrics().counter("qp.capped_simplex.solves");
+  static obs::Counter& seconds =
+      obs::metrics().counter("qp.capped_simplex.seconds");
+  static obs::Histogram& iterations = obs::metrics().histogram(
+      "qp.capped_simplex.iterations", obs::default_iteration_buckets());
+  static obs::Counter& unconverged =
+      obs::metrics().counter("qp.capped_simplex.unconverged");
+  static obs::Counter& warm_hits =
+      obs::metrics().counter("qp.capped_simplex.warm_hits");
+  solves.increment();
+  seconds.add(seconds_spent);
+  iterations.record(static_cast<double>(pivots));
+  if (!converged) unconverged.increment();
+  if (warm_hit) warm_hits.increment();
+}
+
+// z = S_tᵀ γ_t over the block's planes, into a buffer of `dim` values.
+void combine_planes(const SimplexBlock& block, linalg::Vector& z,
+                   std::size_t dim) {
+  z.assign(dim, 0.0);
+  for (std::size_t a = 0; a < block.planes.size(); ++a) {
+    if (block.gamma[a] != 0.0) {
+      linalg::kernels::blocked_axpy(block.gamma[a], block.planes[a], z);
+    }
+  }
+}
+
+// total = Σ_t z_t, added in block order.
+void sum_blocks(std::span<const SimplexBlock> blocks, linalg::Vector& total) {
+  std::fill(total.begin(), total.end(), 0.0);
+  for (const SimplexBlock& block : blocks) {
+    linalg::kernels::blocked_axpy(1.0, block.z, total);
+  }
+}
 
 }  // namespace
 
@@ -298,39 +406,122 @@ QpResult solve_simplex_qp(const linalg::Matrix& h, std::span<const double> c,
     result.converged = true;
     return result;
   }
-  ActiveSet set(h, c, cap, warm_start);
-  for (;;) {
-    const ActiveSet::Verdict verdict = set.examine();
-    if (verdict.optimal) {
-      result.converged = true;
-      break;
-    }
-    if (result.iterations == kSimplexQpMaxPivots) break;
-    set.pivot(verdict.entering);
-    ++result.iterations;
-  }
+  Workspace ws;
+  ActiveSet set(h, c, cap, warm_start, ws);
+  const Outcome outcome = run(set);
+  result.iterations = outcome.pivots;
+  result.converged = outcome.converged;
   result.solution = set.solution();
   result.objective = PLOS_CHECK_FINITE(set.objective());
+  record_solve(watch.elapsed_seconds(), result.iterations, result.converged,
+               result.converged && result.iterations == 0 &&
+                   !warm_start.empty());
+  return result;
+}
 
-  // The same instruments as the FISTA path, so per-layer attribution does
-  // not depend on which solver ran; iterations count pivots here.
-  static obs::Counter& solves =
-      obs::metrics().counter("qp.capped_simplex.solves");
-  static obs::Counter& seconds =
-      obs::metrics().counter("qp.capped_simplex.seconds");
-  static obs::Histogram& iterations = obs::metrics().histogram(
-      "qp.capped_simplex.iterations", obs::default_iteration_buckets());
-  static obs::Counter& unconverged =
-      obs::metrics().counter("qp.capped_simplex.unconverged");
-  static obs::Counter& warm_hits =
-      obs::metrics().counter("qp.capped_simplex.warm_hits");
-  solves.increment();
-  seconds.add(watch.elapsed_seconds());
-  iterations.record(static_cast<double>(result.iterations));
-  if (!result.converged) unconverged.increment();
-  if (result.converged && result.iterations == 0 && !warm_start.empty()) {
-    warm_hits.increment();
+void SimplexBlock::append(linalg::Vector s, double c, double gamma0,
+                          double coupling) {
+  const std::size_t a = planes.size();
+  const double scale = coupling + 1.0;
+  const double diagonal = scale * linalg::kernels::blocked_dot(s, s);
+  PLOS_CHECK(std::isfinite(c) && std::isfinite(diagonal),
+             "SimplexBlock: non-finite plane or linear term");
+  // The bordered Gram stays positive semidefinite only if the new diagonal
+  // entry (a scaled self-product) is non-negative.
+  PLOS_DCHECK(diagonal >= 0.0,
+              "SimplexBlock: bad Gram border diagonal " << diagonal);
+  linalg::Matrix next(a + 1, a + 1);
+  for (std::size_t i = 0; i < a; ++i) {
+    for (std::size_t j = 0; j < a; ++j) next(i, j) = gram(i, j);
+    const double entry = scale * linalg::kernels::blocked_dot(planes[i], s);
+    next(i, a) = entry;
+    next(a, i) = entry;
   }
+  next(a, a) = diagonal;
+  gram = std::move(next);
+  planes.push_back(std::move(s));
+  linear.push_back(c);
+  gamma.push_back(gamma0);
+}
+
+BlockSweepResult solve_block_sweeps(std::span<SimplexBlock> blocks,
+                                    double coupling, double cap) {
+  PLOS_SPAN("qp.capped_simplex_solve");
+  const Stopwatch watch;
+  PLOS_CHECK(coupling >= 0.0, "BlockSweeps: negative coupling");
+  PLOS_CHECK(cap >= 0.0, "BlockSweeps: negative cap");
+  std::size_t dim = 0;
+  bool have_dim = false;
+  for (const SimplexBlock& block : blocks) {
+    const std::size_t n = block.planes.size();
+    PLOS_CHECK(block.linear.size() == n && block.gram.rows() == n &&
+                   block.gram.cols() == n,
+               "BlockSweeps: block shape mismatch");
+    PLOS_CHECK(block.gamma.size() == n, "BlockSweeps: warm start size mismatch");
+    for (const linalg::Vector& s : block.planes) {
+      if (!have_dim) dim = s.size();
+      have_dim = true;
+      PLOS_CHECK(s.size() == dim, "BlockSweeps: plane dimension mismatch");
+    }
+  }
+
+  // Buffers outlive the sweeps, so only the first sweep allocates.
+  Workspace ws;
+  linalg::Vector linear;
+  linalg::Vector total(dim);
+  linalg::Vector u(dim);
+  linalg::Vector fresh(dim);
+  for (SimplexBlock& block : blocks) combine_planes(block, block.z, dim);
+
+  BlockSweepResult result;
+  while (!result.converged && result.sweeps < kMaxBlockSweeps) {
+    // Summed afresh every sweep, so the sweep that certifies convergence
+    // reads the same u as a re-solve's first sweep.
+    sum_blocks(blocks, total);
+    int pivots = 0;
+    bool moved = false;
+    for (SimplexBlock& block : blocks) {
+      const std::size_t n = block.planes.size();
+      if (n == 0) continue;
+      for (std::size_t j = 0; j < dim; ++j) {
+        u[j] = coupling * (total[j] - block.z[j]);
+      }
+      linear.resize(n);
+      for (std::size_t a = 0; a < n; ++a) {
+        linear[a] = block.linear[a] -
+                    linalg::kernels::blocked_dot(block.planes[a], u);
+      }
+      ActiveSet set(block.gram, linear, cap, block.gamma, ws);
+      // A block that spends its pivot budget has pivoted, so the sweep
+      // cannot pass as converged.
+      pivots += run(set).pivots;
+      if (set.store(block.gamma)) {
+        moved = true;
+        combine_planes(block, fresh, dim);
+        for (std::size_t j = 0; j < dim; ++j) total[j] += fresh[j] - block.z[j];
+        std::swap(block.z, fresh);
+      }
+    }
+    result.pivots += pivots;
+    ++result.sweeps;
+    result.converged = pivots == 0 && !moved;
+  }
+
+  // f(γ) = ½ (κ‖Σ_t z_t‖² + Σ_t ‖z_t‖²) − Σ_t c_tᵀ γ_t.
+  sum_blocks(blocks, total);
+  double quadratic = coupling * linalg::kernels::blocked_squared_norm(total);
+  double linear_term = 0.0;
+  for (const SimplexBlock& block : blocks) {
+    quadratic += linalg::kernels::blocked_squared_norm(block.z);
+    linear_term += linalg::kernels::blocked_dot(block.linear, block.gamma);
+  }
+  result.objective = PLOS_CHECK_FINITE(0.5 * quadratic - linear_term);
+
+  static obs::Histogram& sweeps = obs::metrics().histogram(
+      "qp.capped_simplex.sweeps", obs::default_iteration_buckets());
+  sweeps.record(static_cast<double>(result.sweeps));
+  record_solve(watch.elapsed_seconds(), result.pivots, result.converged,
+               result.converged && result.sweeps == 1);
   return result;
 }
 

@@ -7,16 +7,29 @@
 // distributed per-device problem (paper Eq. 22, cap 1) and of the local
 // deviation fit behind the first-round CCCP signs. Those duals are tiny
 // (a handful to a few dozen planes) and their H = κ·S Sᵀ is low-rank with
-// near-collinear planes, which is where FISTA crawls; a few pivots of an
-// active-set method solve them to rounding (DESIGN.md §13.5).
+// near-collinear planes; a few pivots of an active-set method solve them to
+// rounding (DESIGN.md §13.5).
+//
+// The same solver runs the centralized dual (paper Eq. 16), a product of
+// capped simplices, one block per user, as Gauss–Seidel sweeps that solve
+// one block exactly at a time (solve_block_sweeps, DESIGN.md §13.4).
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
-#include "qp/capped_simplex_qp.hpp"  // QpResult
+#include "linalg/vector.hpp"
 
 namespace plos::qp {
+
+struct QpResult {
+  linalg::Vector solution;
+  double objective = 0.0;  ///< f at the solution (minimization form)
+  /// Active-set pivots; 0 = the (projected) warm start already passed.
+  int iterations = 0;
+  bool converged = false;
+};
 
 /// Pivot budget of solve_simplex_qp. A solve that spends it returns its
 /// current feasible iterate with converged == false.
@@ -29,5 +42,48 @@ inline constexpr int kSimplexQpMaxPivots = 500;
 QpResult solve_simplex_qp(const linalg::Matrix& h, std::span<const double> c,
                           double cap,
                           std::span<const double> warm_start = {});
+
+/// One block t of the coupled dual solved by solve_block_sweeps: the planes
+/// s_a (the rows of S_t), their linear terms c_t, the block Gram and γ_t.
+struct SimplexBlock {
+  std::vector<linalg::Vector> planes;
+  linalg::Vector linear;  ///< c_t, one entry per plane
+  linalg::Matrix gram;    ///< (κ + 1)·S_t S_tᵀ
+  linalg::Vector gamma;   ///< γ_t: the warm start going in, the solution out
+  linalg::Vector z;       ///< S_tᵀ γ_t, written by solve_block_sweeps
+
+  /// Appends plane `s` with linear term `c` and starting dual `gamma0`,
+  /// bordering the Gram by one row and column. Rejects a non-finite plane
+  /// or linear term.
+  void append(linalg::Vector s, double c, double gamma0, double coupling);
+};
+
+/// Sweep budget of solve_block_sweeps. The measured worst case is about
+/// 1.7k sweeps (DESIGN.md §13.4); a solve that spends the budget returns
+/// its current feasible iterate with converged == false.
+inline constexpr int kMaxBlockSweeps = 5000;
+
+struct BlockSweepResult {
+  double objective = 0.0;  ///< f at the returned γ
+  int sweeps = 0;
+  int pivots = 0;  ///< active-set pivots over every block solve
+  bool converged = false;
+};
+
+/// Solves the product-of-capped-simplices QP
+///
+///   minimize    f(γ) = ½ γᵀ H γ − cᵀ γ,  H = κ·S Sᵀ + blockdiag_t(S_t S_tᵀ)
+///   subject to  γ ≥ 0,  Σ_{a ∈ t} γ_a ≤ cap  for every block t
+///
+/// with κ = `coupling`, in place on `blocks`. Each sweep visits the blocks
+/// in order and solves block t exactly against the others held fixed:
+/// min over γ_t of ½ γ_tᵀ G_t γ_t − (c_t − S_t·u)ᵀ γ_t with
+/// u = κ·Σ_{t' ≠ t} z_t'. The dual has converged when a whole sweep makes
+/// no pivot and changes no γ by a single bit, so re-solving a converged
+/// dual takes one such sweep and returns it unchanged. Every z_t (zeros
+/// for an empty block) holds S_tᵀγ_t on return, which is the primal
+/// recovery: v_t = z_t and w0 = κ·Σ_t z_t.
+BlockSweepResult solve_block_sweeps(std::span<SimplexBlock> blocks,
+                                    double coupling, double cap);
 
 }  // namespace plos::qp

@@ -94,21 +94,19 @@ TEST(CentralizedPlos, DiagnosticsPopulated) {
   EXPECT_EQ(per_round_qp_total, result.diagnostics.qp_solves);
 }
 
-TEST(CentralizedPlos, UnconvergedSolvesMatchTheCounter) {
-  // An iteration cap far below what the joint dual needs leaves some solves
-  // unconverged; the diagnostics must report exactly what the QP layer
-  // counted (the exact local-deviation solves converge, so they add none).
-  auto dataset = make_population(3, 0.5, 2, 0.3, 4);
-  auto options = fast_options();
-  options.qp.max_iterations = 5;
+TEST(CentralizedPlos, EveryDualSolveConverges) {
+  // The block sweeps solve every joint dual to its exact stop rule, and the
+  // diagnostics report exactly what the QP layer counted.
+  auto dataset = make_population(6, 0.8, 3, 0.3, 4);
   auto& registry = obs::metrics();
   registry.set_enabled(true);
   registry.reset_values();
-  const auto result = train_centralized_plos(dataset, options);
+  const auto result = train_centralized_plos(dataset, fast_options());
   const double counted =
       registry.counter("qp.capped_simplex.unconverged").value();
   registry.set_enabled(false);
-  EXPECT_GT(result.diagnostics.qp_unconverged, 0);
+  EXPECT_GT(result.diagnostics.qp_solves, 0);
+  EXPECT_EQ(result.diagnostics.qp_unconverged, 0);
   EXPECT_EQ(static_cast<double>(result.diagnostics.qp_unconverged), counted);
 }
 
@@ -217,7 +215,7 @@ TEST(PlosObjective, UserCountMismatchThrows) {
 }
 
 TEST(CentralizedPlos, MultiThreadedTrainingMatchesSerialBitwise) {
-  // Per-user separation, sign fitting, and Hessian row assembly run on a
+  // Per-user separation and sign fitting run on a
   // pool when num_threads > 1; the result must equal the serial run down
   // to the last bit (the full contract lives in test_parallel_equivalence,
   // this is the in-binary smoke check TSan exercises).

@@ -21,7 +21,7 @@
 #include "linalg/matrix.hpp"
 #include "net/serialize.hpp"
 #include "obs/journal.hpp"
-#include "qp/capped_simplex_qp.hpp"
+#include "qp/simplex_qp.hpp"
 
 namespace plos {
 namespace {
@@ -150,30 +150,25 @@ TEST(Contracts, RegisteredHandlerObservesViolationThenThrowStillHappens) {
 
 // ---- contract sites: QP --------------------------------------------------
 
+// One block with planes e1, e2 under coupling 0: block Gram H = I.
+std::vector<qp::SimplexBlock> identity_block(double linear) {
+  std::vector<qp::SimplexBlock> blocks(1);
+  blocks[0].append({1.0, 0.0}, linear, 0.0, 0.0);
+  blocks[0].append({0.0, 1.0}, linear, 0.0, 0.0);
+  return blocks;
+}
+
 TEST(ContractSites, CappedSimplexQpRejectsWarmStartSizeMismatch) {
-  qp::CappedSimplexQpProblem problem;
-  problem.hessian = linalg::Matrix(2, 2);
-  problem.hessian(0, 0) = problem.hessian(1, 1) = 1.0;
-  problem.linear = linalg::Vector(2, 1.0);
-  problem.groups = {{0, 1}};
-  problem.caps = {1.0};
-  qp::QpOptions options;
-  options.warm_start = linalg::Vector(3, 0.0);  // wrong size
-  EXPECT_THROW(qp::solve_capped_simplex_qp(problem, options),
-               PreconditionError);
+  auto blocks = identity_block(1.0);
+  blocks[0].gamma = linalg::Vector(3, 0.0);  // wrong size
+  EXPECT_THROW(qp::solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
 }
 
 TEST(ContractSites, CappedSimplexQpNonFiniteObjectiveTripsFinitenessGate) {
   // Every iterate stays finite inside the huge cap, but the objective
   // 0.5·x'Hx − l'x overflows to inf − inf = NaN.
-  qp::CappedSimplexQpProblem problem;
-  problem.hessian = linalg::Matrix(2, 2);
-  problem.hessian(0, 0) = problem.hessian(1, 1) = 1.0;
-  problem.linear = linalg::Vector(2, 1e200);
-  problem.groups = {{0, 1}};
-  problem.caps = {1e200};
-  EXPECT_THROW(qp::solve_capped_simplex_qp(problem, qp::QpOptions{}),
-               PreconditionError);
+  auto blocks = identity_block(1e200);
+  EXPECT_THROW(qp::solve_block_sweeps(blocks, 0.0, 1e200), PreconditionError);
 }
 
 // ---- contract sites: linalg ----------------------------------------------

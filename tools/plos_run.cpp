@@ -258,9 +258,10 @@ void register_standard_instruments() {
   obs::metrics().counter("plos.cutting_plane.constraints_added");
   obs::metrics().counter("qp.capped_simplex.solves");
   obs::metrics().counter("qp.capped_simplex.seconds");
-  obs::metrics().counter("qp.capped_simplex.matvecs");
   obs::metrics().counter("qp.capped_simplex.unconverged");
   obs::metrics().histogram("qp.capped_simplex.iterations",
+                           obs::default_iteration_buckets());
+  obs::metrics().histogram("qp.capped_simplex.sweeps",
                            obs::default_iteration_buckets());
   obs::metrics().gauge("plos.admm.participation_rate");
   obs::metrics().counter("simnet.bytes_to_device");
