@@ -65,10 +65,7 @@ void print_figure() {
     }
     net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
                             net::LinkProfile{});
-    const net::FaultSpec fault_spec = make_fault_spec(drop);
-    if (fault_spec.any_faults()) {
-      network.set_fault_model(net::FaultModel(fault_spec));
-    }
+    network.set_fault_model(net::FaultModel(make_fault_spec(drop)));
     const auto result =
         core::train_distributed_plos(dataset, make_options(), &network);
     const auto report =

@@ -33,7 +33,7 @@ inline AsyncQuorumResult train_async_quorum_plos(
   PLOS_CHECK(network != nullptr,
              "train_async_quorum_plos: a SimNetwork is required (completion "
              "times are built from its link model)");
-  return core::train_quorum_admm(dataset, options, network);
+  return core::train_quorum_admm(dataset, options, *network);
 }
 
 }  // namespace plos::async

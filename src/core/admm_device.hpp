@@ -23,10 +23,9 @@
 namespace plos::core {
 
 // Wire formats. Sizes are what the simulator charges, so they are real
-// serializations, not estimates. Fault-free paths transmit the bare
-// payload (sizes — and goldens pinning them — unchanged from the pre-fault
-// code); the fault path wraps payloads in CRC32 frames via
-// net::frame_message before handing them to SimNetwork::transmit_*.
+// serializations, not estimates. The engine hands these payloads to
+// SimNetwork::transmit_*, which adds the CRC32 frame header only when a
+// fault model is enabled.
 std::vector<std::uint8_t> admm_broadcast_payload(std::span<const double> w0,
                                                  std::span<const double> u);
 std::vector<std::uint8_t> admm_update_payload(std::span<const double> w,

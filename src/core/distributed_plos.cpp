@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/quorum_admm.hpp"
@@ -19,7 +20,14 @@ DistributedPlosResult train_distributed_plos(
   schedule.quorum = 1.0;
   schedule.staleness_bound = std::numeric_limits<std::uint64_t>::max();
   schedule.adaptive_deadline = false;
-  QuorumAdmmResult result = train_quorum_admm(dataset, schedule, network);
+  // Without a caller's network, simulate a default phone fleet and discard
+  // its ledgers: the cut waits for every device, so the model is the same.
+  std::optional<net::SimNetwork> fleet;
+  if (network == nullptr) {
+    network = &fleet.emplace(dataset.num_users(), net::DeviceProfile{},
+                             net::LinkProfile{});
+  }
+  QuorumAdmmResult result = train_quorum_admm(dataset, schedule, *network);
   return {std::move(result.model), std::move(result.diagnostics)};
 }
 

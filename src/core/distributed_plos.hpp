@@ -20,9 +20,12 @@
 // synchronous schedule: every round waits for all devices and no server
 // block is ever evicted.
 //
-// When a net::SimNetwork is supplied, every exchanged message is serialized
-// to wire format and charged byte-exactly, and measured solver time is
-// charged to simulated device/server CPUs (Figures 11-13).
+// Every exchanged message is serialized to wire format and sent through a
+// net::SimNetwork, which charges it byte-exactly; measured solver time is
+// charged to simulated device/server CPUs (Figures 11-13). Without a
+// caller-supplied network the trainer runs on a default phone fleet whose
+// ledgers are discarded — the synchronous cut waits for every device, so
+// the model does not depend on the fleet.
 //
 // Fault tolerance (DESIGN.md §9): when the supplied network carries an
 // enabled net::FaultModel, rounds degrade to partial participation instead
@@ -111,8 +114,9 @@ struct DistributedPlosResult {
   DistributedPlosDiagnostics diagnostics;
 };
 
-/// Trains distributed PLOS. `network` may be null (no accounting); when
-/// set, it must have one device per user.
+/// Trains distributed PLOS. `network` may be null (a default phone fleet is
+/// simulated and discarded; the model is the same); when set, it must have
+/// one device per user and receives every ledger charge.
 DistributedPlosResult train_distributed_plos(
     const data::MultiUserDataset& dataset,
     const DistributedPlosOptions& options = {},

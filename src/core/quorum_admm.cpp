@@ -42,7 +42,7 @@ struct PendingUpload {
 
 QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
                                    const QuorumAdmmOptions& options,
-                                   net::SimNetwork* network) {
+                                   net::SimNetwork& network) {
   dataset.check_invariants();
   const std::size_t num_users = dataset.num_users();
   const std::size_t dim = dataset.dim();
@@ -51,10 +51,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   PLOS_CHECK(dim > 0, "train_quorum_admm: empty dataset");
   PLOS_CHECK(base.params.lambda > 0.0 && base.rho > 0.0,
              "train_quorum_admm: lambda and rho must be positive");
-  if (network != nullptr) {
-    PLOS_CHECK(network->num_devices() == num_users,
-               "train_quorum_admm: network/device count mismatch");
-  }
+  PLOS_CHECK(network.num_devices() == num_users,
+             "train_quorum_admm: network/device count mismatch");
   PLOS_CHECK(options.quorum > 0.0 && options.quorum <= 1.0,
              "train_quorum_admm: quorum outside (0, 1]");
 
@@ -78,15 +76,13 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   QuorumAdmmResult result;
   result.model = PersonalizedModel::zeros(num_users, dim);
 
-  // Fault injection rides on the network: an attached, enabled FaultModel
-  // switches message exchange to CRC32-framed transmit_* with retries and
-  // drives churn, stragglers, and the round deadline. All fault draws are
-  // pure functions of (seed, round, device, ...), so workers can evaluate
-  // them concurrently without breaking the determinism contract.
-  const net::FaultModel* fault = nullptr;
-  if (network != nullptr && network->fault_model().enabled()) {
-    fault = &network->fault_model();
-  }
+  // Fault injection rides on the network: its FaultModel drives churn,
+  // stragglers, and the round deadline here, and framing and retries inside
+  // transmit_*. A disabled model never fires and scales time by exactly
+  // 1.0. All fault draws are pure functions of (seed, round, device, ...),
+  // so workers can evaluate them concurrently without breaking the
+  // determinism contract.
+  const net::FaultModel& fault = network.fault_model();
 
   std::vector<AdmmDevice> devices;
   devices.reserve(num_users);
@@ -105,32 +101,22 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     pool.parallel_for(num_users, [&](std::size_t t) {
       Stopwatch device_watch;
       locals[t] = devices[t].bootstrap_weights();
-      if (network != nullptr) {
-        network->account_device_compute(t, device_watch.elapsed_seconds());
-      }
+      network.account_device_compute(t, device_watch.elapsed_seconds());
     });
     std::size_t contributors = 0;
-    const std::uint64_t bootstrap_round =
-        network != nullptr ? network->current_round() : 0;
+    const std::uint64_t bootstrap_round = network.current_round();
     for (std::size_t t = 0; t < num_users; ++t) {
       if (locals[t].empty()) continue;
-      if (fault != nullptr && fault->offline(bootstrap_round, t)) {
+      if (fault.offline(bootstrap_round, t)) {
         ++result.diagnostics.devices_offline_total;
         continue;
       }
-      if (network != nullptr) {
-        net::Serializer s;
-        s.write_u32(/*message type*/ 0);
-        s.write_vector(locals[t]);
-        if (fault != nullptr) {
-          const auto frame = net::frame_message(s.buffer());
-          if (!network->transmit_to_server(t, frame).delivered) {
-            ++result.diagnostics.uplink_failures_total;
-            continue;  // bootstrap upload lost: average over the others
-          }
-        } else {
-          network->send_to_server(t, s.size_bytes());
-        }
+      net::Serializer s;
+      s.write_u32(/*message type*/ 0);
+      s.write_vector(locals[t]);
+      if (!network.transmit_to_server(t, s.buffer()).delivered) {
+        ++result.diagnostics.uplink_failures_total;
+        continue;  // bootstrap upload lost: average over the others
       }
       linalg::axpy(1.0, locals[t], w0);
       ++contributors;
@@ -146,7 +132,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     if (contributors > 0) {
       linalg::scale(w0, 1.0 / static_cast<double>(contributors));
     }
-    if (network != nullptr) network->end_round();
+    network.end_round();
   }
   if (linalg::norm(w0) == 0.0) {
     // Nobody provided labels: random symmetry-breaking direction.
@@ -183,12 +169,9 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   // link-latency sketch is journaled as per-step quantiles of the delta
   // between consecutive snapshots (DESIGN.md §15).
   const bool telemetry = base.journal != nullptr || base.watchdog != nullptr;
-  net::SimNetwork::TrafficSnapshot previous_traffic;
-  obs::QuantileSketch previous_latency;
-  if (network != nullptr) {
-    previous_traffic = network->traffic_snapshot();
-    previous_latency = network->latency_sketch();
-  }
+  net::SimNetwork::TrafficSnapshot previous_traffic =
+      network.traffic_snapshot();
+  obs::QuantileSketch previous_latency = network.latency_sketch();
   bool watchdog_aborted = false;
 
   // Observability loop closure: the controller walks the quorum and the
@@ -201,7 +184,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   std::uint64_t staleness_bound_now =
       tuning ? tuner.staleness_bound() : options.staleness_bound;
   obs::FlightRecorder* const flight = options.flight;
-  if (flight != nullptr && network != nullptr) network->set_attempt_log(true);
+  if (flight != nullptr) network.set_attempt_log(true);
 
   // Scheduling state. The staleness ledger behind the journal's staleness
   // fields ticks once per ADMM iteration, spanning CCCP rounds.
@@ -223,9 +206,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     pool.parallel_for(num_users, [&](std::size_t t) {
       Stopwatch device_watch;
       devices[t].begin_cccp_round(w[t], cccp == 0, base.seed + t);
-      if (network != nullptr) {
-        network->account_device_compute(t, device_watch.elapsed_seconds());
-      }
+      network.account_device_compute(t, device_watch.elapsed_seconds());
     });
     // In-flight uploads were solved against the previous round's CCCP
     // linearization; folding them across the boundary would mix cutting
@@ -244,8 +225,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
           (telemetry || tuning) ? total_device_qp_iterations() : 0;
       const linalg::Vector w0_old = w0;
       std::vector<linalg::Vector> u_old = u;
-      const std::uint64_t round =
-          network != nullptr ? network->current_round() : 0;
+      const std::uint64_t round = network.current_round();
       std::vector<char> status(num_users, kParticipated);
       std::vector<char> fresh(num_users, 0);
       std::vector<double> late_weight(num_users, 0.0);
@@ -346,33 +326,22 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
           uplink_attempts(flight != nullptr ? num_users : 0);
       pool.parallel_for(num_users, [&](std::size_t t) {
         if (pending[t].active) return;  // busy
-        if (fault != nullptr && fault->offline(round, t)) {
+        if (fault.offline(round, t)) {
           status[t] = kOffline;
           return;
         }
-        double link_seconds = 0.0;
-        if (fault != nullptr) {
-          const auto frame =
-              net::frame_message(admm_broadcast_payload(w0, u[t]));
-          const auto outcome = network->transmit_to_device(t, frame);
-          if (!outcome.delivered) {
-            status[t] = kDownlinkFailed;
-            return;  // device never received (w0, u_t) this round
-          }
-          link_seconds += outcome.seconds;
-        } else if (network != nullptr) {
-          const auto payload = admm_broadcast_payload(w0, u[t]);
-          network->send_to_device(t, payload.size());
-          link_seconds += network->transfer_seconds_for(t, payload.size());
+        const auto downlink =
+            network.transmit_to_device(t, admm_broadcast_payload(w0, u[t]));
+        if (!downlink.delivered) {
+          status[t] = kDownlinkFailed;
+          return;  // device never received (w0, u_t) this round
         }
         PLOS_SPAN("plos.device_solve", "device", static_cast<double>(t));
         Stopwatch device_watch;
         const int qp_iterations_before = devices[t].qp_iterations();
         auto sol = devices[t].solve(w0, u[t]);
-        if (network != nullptr) {
-          network->account_device_compute(t, device_watch.elapsed_seconds());
-        }
-        if (fault != nullptr && fault->misses_deadline(round, t)) {
+        network.account_device_compute(t, device_watch.elapsed_seconds());
+        if (fault.misses_deadline(round, t)) {
           // Straggler past the fault schedule's round deadline: the compute
           // happened (and was charged) but the server stopped waiting, so
           // the upload is never sent.
@@ -381,35 +350,19 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
         }
         const int qp_iteration_delta =
             devices[t].qp_iterations() - qp_iterations_before;
-        bool upload_delivered = true;
-        if (fault != nullptr) {
-          const auto frame = net::frame_message(
-              admm_update_payload(sol.w, sol.v, sol.xi));
-          const auto outcome = network->transmit_to_server(t, frame);
-          upload_delivered = outcome.delivered;
-          link_seconds += outcome.seconds;
-          if (!upload_delivered) status[t] = kUplinkFailed;
-          if (flight != nullptr) uplink_attempts[t] = outcome.attempt_log;
-        } else if (network != nullptr) {
-          const auto payload = admm_update_payload(sol.w, sol.v, sol.xi);
-          network->send_to_server(t, payload.size());
-          const double upload_seconds =
-              network->transfer_seconds_for(t, payload.size());
-          link_seconds += upload_seconds;
-          if (flight != nullptr) {
-            uplink_attempts[t].push_back({0, upload_seconds});
-          }
+        auto uplink = network.transmit_to_server(
+            t, admm_update_payload(sol.w, sol.v, sol.xi));
+        if (!uplink.delivered) status[t] = kUplinkFailed;
+        if (flight != nullptr) {
+          uplink_attempts[t] = std::move(uplink.attempt_log);
         }
-        const double cpu_slowdown =
-            network != nullptr ? network->device_profile(t).cpu_slowdown : 1.0;
-        const double multiplier =
-            fault != nullptr ? fault->time_multiplier(round, t) : 1.0;
-        completion[t] = completion_seconds(options.latency, link_seconds,
-                                           qp_iteration_delta, cpu_slowdown,
-                                           multiplier, round, t);
+        completion[t] = completion_seconds(
+            options.latency, downlink.seconds + uplink.seconds,
+            qp_iteration_delta, network.device_profile(t).cpu_slowdown,
+            fault.time_multiplier(round, t), round, t);
         solutions[t] = std::move(sol);
         dispatched[t] = 1;
-        delivered[t] = upload_delivered ? 1 : 0;
+        delivered[t] = uplink.delivered ? 1 : 0;
       });
 
       // -- event-ordered round cut ----------------------------------------
@@ -650,10 +603,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
           base.rho * std::sqrt(2.0 * static_cast<double>(num_users)) *
           std::sqrt(linalg::squared_distance(w0, w0_old));
       const double primal_residual = std::sqrt(primal_sq);
-      if (network != nullptr) {
-        network->account_server_compute(server_watch.elapsed_seconds());
-        network->end_round();
-      }
+      network.account_server_compute(server_watch.elapsed_seconds());
+      network.end_round();
       if (flight != nullptr) {
         obs::FlightEvent event;
         event.round = aggregation_step;
@@ -716,27 +667,25 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
           causes.add(static_cast<std::size_t>(status[t]));
         }
         record.cause_counts = causes.counts();
-        if (network != nullptr) {
-          const auto traffic = network->traffic_snapshot();
-          record.bytes_to_devices =
-              traffic.bytes_to_devices - previous_traffic.bytes_to_devices;
-          record.bytes_to_server =
-              traffic.bytes_to_server - previous_traffic.bytes_to_server;
-          record.messages_dropped =
-              traffic.messages_dropped - previous_traffic.messages_dropped;
-          record.retries = traffic.retries - previous_traffic.retries;
-          previous_traffic = traffic;
-          const obs::QuantileSketch latency = network->latency_sketch();
-          const obs::QuantileSketch step_latency =
-              latency.diff(previous_latency);
-          record.lat_count = step_latency.count();
-          if (!step_latency.empty()) {
-            record.lat_p50 = step_latency.quantile(0.50);
-            record.lat_p90 = step_latency.quantile(0.90);
-            record.lat_p99 = step_latency.quantile(0.99);
-          }
-          previous_latency = latency;
+        const auto traffic = network.traffic_snapshot();
+        record.bytes_to_devices =
+            traffic.bytes_to_devices - previous_traffic.bytes_to_devices;
+        record.bytes_to_server =
+            traffic.bytes_to_server - previous_traffic.bytes_to_server;
+        record.messages_dropped =
+            traffic.messages_dropped - previous_traffic.messages_dropped;
+        record.retries = traffic.retries - previous_traffic.retries;
+        previous_traffic = traffic;
+        const obs::QuantileSketch latency = network.latency_sketch();
+        const obs::QuantileSketch step_latency =
+            latency.diff(previous_latency);
+        record.lat_count = step_latency.count();
+        if (!step_latency.empty()) {
+          record.lat_p50 = step_latency.quantile(0.50);
+          record.lat_p90 = step_latency.quantile(0.90);
+          record.lat_p99 = step_latency.quantile(0.99);
         }
+        previous_latency = latency;
         if (tuning) {
           // Journal the knobs in force for THIS step, then let the
           // controller read the very record it will be journaled in — the
@@ -814,14 +763,12 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     result.model.user_deviations[t] = linalg::sub(w[t], w0);
   }
   result.diagnostics.train_seconds = total_watch.elapsed_seconds();
-  if (network != nullptr) {
-    result.diagnostics.fault_counters = network->fault_counters();
-  }
+  result.diagnostics.fault_counters = network.fault_counters();
   result.async.virtual_seconds = virtual_seconds;
   result.async.final_quorum = quorum_now;
   result.async.final_staleness_bound = staleness_bound_now;
 
-  if (fault != nullptr) {
+  if (fault.enabled()) {
     const auto& d = result.diagnostics;
     double mean_participation = linalg::sum(d.participation_trace);
     if (!d.participation_trace.empty()) {

@@ -124,11 +124,12 @@ struct QuorumAdmmResult {
   QuorumAdmmDiagnostics async;
 };
 
-/// Trains distributed PLOS under the given schedule. `network` may be null
-/// (no accounting: completion times then see no link time and a unit CPU);
-/// when set, it must have one device per user.
+/// Trains distributed PLOS under the given schedule. Every exchange goes
+/// through `network`'s transmit_* (which decides framing and retries from
+/// its fault model), and completion times are built from the link seconds
+/// and device profiles it reports. It must have one device per user.
 QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
                                    const QuorumAdmmOptions& options,
-                                   net::SimNetwork* network);
+                                   net::SimNetwork& network);
 
 }  // namespace plos::core

@@ -1,10 +1,7 @@
 #include "lint/include_graph.hpp"
 
-#include <algorithm>
-#include <filesystem>
 #include <regex>
 
-#include "lint/lexer.hpp"
 #include "obs/json.hpp"
 
 namespace plos::lint {
@@ -12,10 +9,6 @@ namespace plos::lint {
 namespace {
 
 namespace json = plos::obs::json;
-
-bool has_prefix(const std::string& path, const std::string& prefix) {
-  return path.rfind(prefix, 0) == 0;
-}
 
 }  // namespace
 
@@ -38,42 +31,6 @@ std::vector<Include> parse_includes(std::string_view scrubbed) {
     ++line;
   }
   return includes;
-}
-
-const std::string* resolve_include(const IncludeFileSet& project,
-                                   const std::string& from,
-                                   const std::string& target,
-                                   std::string* resolved) {
-  const std::string from_dir =
-      std::filesystem::path(from).parent_path().generic_string();
-  for (const std::string& candidate :
-       {std::string("src/") + target,
-        from_dir.empty() ? target : from_dir + "/" + target, target}) {
-    auto it = project.find(candidate);
-    if (it != project.end()) {
-      *resolved = candidate;
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-bool include_reaches(const IncludeFileSet& project, const std::string& from,
-                     const std::string& target, const std::string& forbidden,
-                     std::set<std::string>& visited) {
-  if (has_prefix(target, forbidden)) return true;
-  std::string resolved;
-  const std::string* contents =
-      resolve_include(project, from, target, &resolved);
-  if (contents == nullptr || !visited.insert(resolved).second) return false;
-  const std::string code = strip_comments_and_strings(*contents);
-  for (const Include& inc : parse_includes(code)) {
-    if (inc.angle) continue;  // system headers never re-enter the project
-    if (include_reaches(project, resolved, inc.target, forbidden, visited)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool LayerGraph::allows(const std::string& from, const std::string& to) const {

@@ -219,26 +219,6 @@ void apply_using_namespace(const Rule& rule, const std::string& path,
   }
 }
 
-void apply_forbidden_include(const Rule& rule, const std::string& path,
-                             const std::vector<Include>& includes,
-                             const FileSet* project,
-                             std::vector<Finding>& findings) {
-  for (const Include& inc : includes) {
-    if (inc.angle) continue;
-    bool hit = has_prefix(inc.target, rule.forbidden);
-    if (!hit && rule.transitive && project != nullptr) {
-      std::set<std::string> visited;
-      hit = include_reaches(*project, path, inc.target, rule.forbidden,
-                            visited);
-    }
-    if (hit) {
-      findings.push_back(Finding{
-          rule.name, path, inc.line,
-          rule.message + " (via \"" + inc.target + "\")"});
-    }
-  }
-}
-
 // ---- config parsing ------------------------------------------------------
 
 std::vector<std::string> string_array(const json::Value& obj,
@@ -258,7 +238,6 @@ std::optional<RuleKind> kind_from_string(const std::string& kind) {
   if (kind == "pragma-once") return RuleKind::kPragmaOnce;
   if (kind == "include-order") return RuleKind::kIncludeOrder;
   if (kind == "using-namespace-header") return RuleKind::kUsingNamespaceHeader;
-  if (kind == "forbidden-include") return RuleKind::kForbiddenInclude;
   if (kind == "race-surface") return RuleKind::kRaceSurface;
   if (kind == "accumulation-order") return RuleKind::kAccumulationOrder;
   if (kind == "layering") return RuleKind::kLayering;
@@ -314,12 +293,6 @@ std::optional<Config> parse_config(std::string_view json_text,
     if (const json::Value* v = entry.find("enabled"); v && v->is_bool()) {
       rule.enabled = v->as_bool();
     }
-    if (const json::Value* v = entry.find("forbidden"); v && v->is_string()) {
-      rule.forbidden = v->as_string();
-    }
-    if (const json::Value* v = entry.find("transitive"); v && v->is_bool()) {
-      rule.transitive = v->as_bool();
-    }
     rule.patterns = string_array(entry, "patterns");
     rule.paths = string_array(entry, "paths");
     rule.allow_paths = string_array(entry, "allow_paths");
@@ -329,8 +302,7 @@ std::optional<Config> parse_config(std::string_view json_text,
 }
 
 std::vector<Finding> lint_source(const Config& config, const std::string& path,
-                                 std::string_view source,
-                                 const FileSet* project) {
+                                 std::string_view source) {
   const std::string code = strip_comments_and_strings(source);
   const std::vector<std::string_view> code_lines = split_lines(code);
   const std::vector<Include> includes = parse_includes(code);
@@ -362,9 +334,6 @@ std::vector<Finding> lint_source(const Config& config, const std::string& path,
         break;
       case RuleKind::kUsingNamespaceHeader:
         apply_using_namespace(rule, path, code_lines, findings);
-        break;
-      case RuleKind::kForbiddenInclude:
-        apply_forbidden_include(rule, path, includes, project, findings);
         break;
       case RuleKind::kRaceSurface:
         apply_race_surface(rule, path, token_stream(), findings);
@@ -398,8 +367,7 @@ std::vector<Finding> lint_files(const Config& config, const FileSet& files,
 
   std::vector<std::vector<Finding>> per_file(entries.size());
   const auto scan_one = [&](std::size_t i) {
-    per_file[i] =
-        lint_source(config, entries[i]->first, entries[i]->second, &files);
+    per_file[i] = lint_source(config, entries[i]->first, entries[i]->second);
   };
   if (threads > 1 && entries.size() > 1) {
     parallel::ThreadPool pool(threads);
@@ -678,9 +646,9 @@ bool converged(double f) { return f == 1.5; }
 #include <cstdlib>
 double mag(double x) { return abs(x); }
 )"},
-    // The layering DAG generalizes the hand-written privacy edge, so when
-    // a layers file is loaded this fixture trips both families.
-    {"raw-data-in-net", "src/net/bad_privacy.cpp", "privacy-raw-data,layering",
+    // The federated privacy boundary is a layering edge: net may reach only
+    // common and obs, so a raw-data include is an undeclared dependency.
+    {"raw-data-in-net", "src/net/bad_privacy.cpp", "layering",
      R"(#include "net/bad_privacy.hpp"
 
 #include "data/dataset.hpp"

@@ -52,7 +52,7 @@ class Deserializer {
 //
 // The fault-injection path flips real bits in transit (see net/fault.hpp),
 // so corrupted uploads must be *detected*, not assumed away. Messages sent
-// over a faulty link are wrapped in a fixed 16-byte frame header
+// over a faulty link travel in a fixed 16-byte frame header
 //
 //   u32 magic 'PLF\x01' | u32 version | u32 payload length | u32 CRC32
 //
@@ -62,10 +62,12 @@ class Deserializer {
 // single-bit and burst-<=32-bit errors, which covers the simulator's
 // single-bit-flip corruption model exactly.
 //
-// Versioning: fault-free runs transmit *unframed* payloads (frame version 1
-// is only negotiated when a FaultModel is attached), so the byte ledgers —
-// and the checked-in goldens that pin them — are unchanged for fault-free
-// configurations.
+// Versioning: SimNetwork decides framing. It charges frame version 1
+// (kFrameHeaderBytes + payload) per attempt only when an enabled
+// FaultModel is attached, and builds the frame only when a corruption
+// draw needs real bytes to flip. Fault-free runs transmit *unframed*
+// payloads, so the byte ledgers — and the checked-in goldens that pin
+// them — are unchanged for fault-free configurations.
 
 inline constexpr std::uint32_t kFrameMagic = 0x01464C50u;  // "PLF\x01" LE
 inline constexpr std::uint32_t kFrameVersion = 1;

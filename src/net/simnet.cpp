@@ -93,13 +93,6 @@ double SimNetwork::transfer_seconds(std::size_t device,
   return link.latency_s + kb * 8.0 / link.bandwidth_kbps;
 }
 
-double SimNetwork::transfer_seconds_for(std::size_t device,
-                                        std::size_t bytes) const {
-  PLOS_CHECK(device < devices_.size(), "SimNetwork: device out of range");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return transfer_seconds(device, bytes);
-}
-
 void SimNetwork::charge_message(std::size_t device, Direction direction,
                                 std::size_t bytes, double multiplier) {
   const double kb = static_cast<double>(bytes) / 1024.0;
@@ -149,14 +142,18 @@ void SimNetwork::send_to_server(std::size_t device, std::size_t bytes) {
 
 SimNetwork::TransmitOutcome SimNetwork::transmit(
     std::size_t device, Direction direction,
-    std::span<const std::uint8_t> frame) {
+    std::span<const std::uint8_t> payload) {
   PLOS_CHECK(device < devices_.size(), "SimNetwork: device out of range");
   PLOS_SPAN("net.transmit");
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t round = rounds_;
   const double multiplier = fault_.time_multiplier(round, device);
-  const std::size_t bytes = frame.size();
+  // A faulty link carries CRC32 frames (net/serialize.hpp): every attempt
+  // costs the header too. A fault-free link carries the bare payload.
+  const std::size_t bytes =
+      fault_.enabled() ? kFrameHeaderBytes + payload.size() : payload.size();
   const double kb = static_cast<double>(bytes) / 1024.0;
+  const double window = transfer_seconds(device, bytes) * multiplier;
   const int max_attempts =
       fault_.enabled() ? fault_.spec().max_retries + 1 : 1;
 
@@ -198,40 +195,38 @@ SimNetwork::TransmitOutcome SimNetwork::transmit(
             kb * device_profiles_[device].tx_energy_j_per_kb);
         ++fault_counters_.uplink_dropped;
       }
-      round_device_seconds_[device] +=
-          transfer_seconds(device, bytes) * multiplier;
-      outcome.seconds += transfer_seconds(device, bytes) * multiplier;
-      attempt_seconds += transfer_seconds(device, bytes) * multiplier;
+      round_device_seconds_[device] += window;
+      outcome.seconds += window;
+      attempt_seconds += window;
       simnet_instruments().messages_dropped.increment();
       log_attempt(/*result=*/1, attempt_seconds);
       continue;
     }
 
     charge_message(device, direction, bytes, multiplier);
-    outcome.seconds += transfer_seconds(device, bytes) * multiplier;
-    attempt_seconds += transfer_seconds(device, bytes) * multiplier;
+    outcome.seconds += window;
+    attempt_seconds += window;
 
     if (fault_.corrupt(round, device, direction, attempt)) {
-      // Flip the schedule-chosen bit in a copy and run the real CRC check:
-      // the corruption path exercises the actual frame validation, not a
-      // modeled stand-in.
-      std::vector<std::uint8_t> damaged(frame.begin(), frame.end());
+      // Frame the payload, flip the schedule-chosen bit and run the real
+      // CRC check: the corruption path exercises the actual frame
+      // validation, not a modeled stand-in. The frame is built only here,
+      // so undamaged attempts never copy the payload.
+      std::vector<std::uint8_t> damaged = frame_message(payload);
       const std::size_t bit = fault_.corrupt_bit(round, device, direction,
                                                  attempt, damaged.size() * 8);
       damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      if (!unframe_message(damaged).has_value()) {
-        if (direction == Direction::kDownlink) {
-          ++fault_counters_.downlink_corrupted;
-        } else {
-          ++fault_counters_.uplink_corrupted;
-        }
-        simnet_instruments().messages_corrupted.increment();
-        log_attempt(/*result=*/2, attempt_seconds);
-        continue;  // receiver rejects the frame; sender retries
+      // CRC32 catches every single-bit flip of a well-formed frame.
+      PLOS_CHECK(!unframe_message(damaged).has_value(),
+                 "SimNetwork: corrupted frame passed its CRC check");
+      if (direction == Direction::kDownlink) {
+        ++fault_counters_.downlink_corrupted;
+      } else {
+        ++fault_counters_.uplink_corrupted;
       }
-      // CRC32 catches every single-bit flip on a well-formed frame, so
-      // reaching here means the caller sent unframed bytes; treat as
-      // delivered (nothing to validate against).
+      simnet_instruments().messages_corrupted.increment();
+      log_attempt(/*result=*/2, attempt_seconds);
+      continue;  // receiver rejects the frame; sender retries
     }
 
     outcome.delivered = true;
@@ -246,13 +241,13 @@ SimNetwork::TransmitOutcome SimNetwork::transmit(
 }
 
 SimNetwork::TransmitOutcome SimNetwork::transmit_to_device(
-    std::size_t device, std::span<const std::uint8_t> frame) {
-  return transmit(device, Direction::kDownlink, frame);
+    std::size_t device, std::span<const std::uint8_t> payload) {
+  return transmit(device, Direction::kDownlink, payload);
 }
 
 SimNetwork::TransmitOutcome SimNetwork::transmit_to_server(
-    std::size_t device, std::span<const std::uint8_t> frame) {
-  return transmit(device, Direction::kUplink, frame);
+    std::size_t device, std::span<const std::uint8_t> payload) {
+  return transmit(device, Direction::kUplink, payload);
 }
 
 FaultCounters SimNetwork::fault_counters() const {

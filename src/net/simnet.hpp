@@ -6,8 +6,8 @@
 // per-device time stays flat, and per-user message volume independent of
 // population size. The simulator provides:
 //
-//   * byte-exact accounting of every message (callers pass real serialized
-//     buffers sizes);
+//   * byte-exact accounting of every message (callers pass the real
+//     serialized payload; the network decides what goes on the wire);
 //   * a latency + bandwidth link model per device;
 //   * a CPU-speed factor per device (phone vs server) applied to *measured*
 //     compute times of the real local solver;
@@ -22,14 +22,16 @@
 //     makes the totals independent of the interleaving of concurrent
 //     accounting calls; per-device fields are only ever touched by the one
 //     worker simulating that device within a round;
-//   * fault injection (optional, see net/fault.hpp): an attached FaultModel
-//     makes transmit_to_device/transmit_to_server run a bounded
-//     retry/backoff loop over CRC32-checked frames — every attempt is
-//     charged to the ledgers, drops and CRC rejections are counted, and
-//     straggling devices have their compute/link time scaled. All fault
-//     decisions are counter-based (keyed on the round counter), so ledgers
-//     and outcomes stay bitwise-deterministic at any thread count. Without
-//     a fault model the accounting is bit-for-bit the pre-fault behavior.
+//   * one exchange call, transmit_to_device/transmit_to_server, that
+//     decides framing itself: with an enabled FaultModel (net/fault.hpp)
+//     every attempt carries a CRC32 frame (kFrameHeaderBytes + payload)
+//     through a bounded retry/backoff loop — every attempt is charged to
+//     the ledgers, drops and CRC rejections are counted, and straggling
+//     devices have their compute/link time scaled. All fault decisions are
+//     counter-based (keyed on the round counter), so ledgers and outcomes
+//     stay bitwise-deterministic at any thread count. Without faults a
+//     transmit is one delivered attempt of the bare payload, charged
+//     exactly like send_to_device/send_to_server.
 #pragma once
 
 #include <cstddef>
@@ -151,7 +153,7 @@ class SimNetwork {
     /// Deterministic virtual seconds the exchange occupied on the device's
     /// clock: per-attempt transfer windows plus (jittered) retry backoff,
     /// exactly what the round ledger was charged. Pure function of
-    /// (frame size, round, device, direction) through the fault schedule,
+    /// (payload size, round, device, direction) through the fault schedule,
     /// so the async engine can build event times from it.
     double seconds = 0.0;
     /// One entry per attempt when attempt logging is on (bounded by the
@@ -165,22 +167,23 @@ class SimNetwork {
   /// ledgers or outcome seconds.
   void set_attempt_log(bool enabled) { attempt_log_ = enabled; }
 
-  /// Fault-aware server -> device transmission of a CRC32 frame: retries up
-  /// to the fault spec's max_retries on drop or CRC rejection, charging
+  /// Server -> device transmission of a serialized `payload`. With an
+  /// enabled fault model the payload travels as a CRC32 frame
+  /// (kFrameHeaderBytes + payload.size() bytes per attempt) and is retried
+  /// up to the fault spec's max_retries on drop or CRC rejection, charging
   /// every attempt (sender bytes always; receiver bytes/energy only for
   /// attempts that arrive) plus retry backoff to the device's round time.
-  /// Corruption flips a schedule-chosen bit in a copy of the frame and runs
-  /// the real unframe/CRC check. With no fault model attached this is a
-  /// plain send_to_device of frame.size() bytes.
+  /// Corruption frames the payload, flips a schedule-chosen bit and runs
+  /// the real unframe/CRC check. Without faults this is one delivered
+  /// attempt of payload.size() bytes, charged like send_to_device.
   TransmitOutcome transmit_to_device(std::size_t device,
-                                     std::span<const std::uint8_t> frame);
+                                     std::span<const std::uint8_t> payload);
 
-  /// Fault-aware device -> server transmission; mirror of
-  /// transmit_to_device.
+  /// Device -> server transmission; mirror of transmit_to_device.
   TransmitOutcome transmit_to_server(std::size_t device,
-                                     std::span<const std::uint8_t> frame);
+                                     std::span<const std::uint8_t> payload);
 
-  // -- accounting entry points (called by the distributed trainer) --------
+  // -- accounting entry points ---------------------------------------------
 
   /// Server -> device message of `bytes` bytes in the current round.
   void send_to_device(std::size_t device, std::size_t bytes);
@@ -200,11 +203,6 @@ class SimNetwork {
   /// When a fault model with a round deadline is attached, the device term
   /// is capped at the deadline (the server stops waiting for stragglers).
   void end_round();
-
-  /// Deterministic one-way link time for `bytes` over the device's link:
-  /// latency + serialization delay. Public so the async engine's virtual
-  /// completion-time model charges exactly what the ledger charges.
-  double transfer_seconds_for(std::size_t device, std::size_t bytes) const;
 
   /// Fleet-wide device hardware profile (CPU slowdown, energy model).
   /// The constructor's fleet-wide profile (per-device overrides excluded).
@@ -228,7 +226,7 @@ class SimNetwork {
 
   /// Shared body of transmit_to_device / transmit_to_server.
   TransmitOutcome transmit(std::size_t device, Direction direction,
-                           std::span<const std::uint8_t> frame);
+                           std::span<const std::uint8_t> payload);
 
   /// Charges one on-air message to the ledgers (both ends). Caller holds
   /// mutex_; `multiplier` is the straggler time scale for this round.

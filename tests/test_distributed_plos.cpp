@@ -12,6 +12,7 @@
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
 #include "net/simnet.hpp"
+#include "obs/journal.hpp"
 #include "rng/engine.hpp"
 
 namespace plos::core {
@@ -124,6 +125,35 @@ TEST(DistributedPlos, NetworkAccountingPopulated) {
       static_cast<double>(m.bytes_sent) /
       static_cast<double>(m.messages_sent);
   EXPECT_LT(bytes_per_message, 200.0);
+}
+
+TEST(DistributedPlos, DefaultFleetMatchesExplicitNetwork) {
+  // Without a network the trainer simulates a default phone fleet and
+  // discards it: model and journal (traffic deltas included) are exactly
+  // those of a run on an explicit default SimNetwork.
+  auto dataset = make_population(4, 0.3, 2, 0.4, 12, 15);
+  obs::Journal implicit_journal;
+  auto implicit_options = fast_options();
+  implicit_options.journal = &implicit_journal;
+  const auto implicit = train_distributed_plos(dataset, implicit_options);
+
+  obs::Journal explicit_journal;
+  auto explicit_options = fast_options();
+  explicit_options.journal = &explicit_journal;
+  net::SimNetwork network(4, net::DeviceProfile{}, net::LinkProfile{});
+  const auto with_network =
+      train_distributed_plos(dataset, explicit_options, &network);
+
+  EXPECT_TRUE(linalg::approx_equal(implicit.model.global_weights,
+                                   with_network.model.global_weights, 0.0));
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_TRUE(linalg::approx_equal(implicit.model.user_deviations[t],
+                                     with_network.model.user_deviations[t],
+                                     0.0));
+  }
+  ASSERT_GT(implicit_journal.size(), 0u);
+  EXPECT_EQ(implicit_journal.to_jsonl(), explicit_journal.to_jsonl());
+  EXPECT_GT(network.mean_bytes_per_device(), 0.0);
 }
 
 TEST(DistributedPlos, NetworkDeviceCountMismatchThrows) {

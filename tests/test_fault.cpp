@@ -162,9 +162,8 @@ std::unique_ptr<SimNetwork> make_network(std::size_t devices,
   return net;
 }
 
-std::vector<std::uint8_t> test_frame(std::size_t payload_bytes = 64) {
-  const std::vector<std::uint8_t> payload(payload_bytes, 0xAB);
-  return frame_message(payload);
+std::vector<std::uint8_t> test_payload(std::size_t payload_bytes = 64) {
+  return std::vector<std::uint8_t>(payload_bytes, 0xAB);
 }
 
 TEST(SimNetworkFaults, AlwaysDropExhaustsRetriesAndFails) {
@@ -172,8 +171,9 @@ TEST(SimNetworkFaults, AlwaysDropExhaustsRetriesAndFails) {
   spec.drop_probability = 1.0;
   spec.max_retries = 2;
   const auto net = make_network(2, spec);
-  const auto frame = test_frame();
-  const auto outcome = net->transmit_to_server(0, frame);
+  const auto payload = test_payload();
+  const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
+  const auto outcome = net->transmit_to_server(0, payload);
   EXPECT_FALSE(outcome.delivered);
   EXPECT_EQ(outcome.attempts, 3);  // 1 try + 2 retries
   const auto counters = net->fault_counters();
@@ -181,7 +181,7 @@ TEST(SimNetworkFaults, AlwaysDropExhaustsRetriesAndFails) {
   EXPECT_EQ(counters.retries, 2u);
   EXPECT_EQ(counters.failed_messages, 1u);
   // Sender paid for every attempt; the server never decoded a byte.
-  EXPECT_EQ(net->device_metrics(0).bytes_sent, 3 * frame.size());
+  EXPECT_EQ(net->device_metrics(0).bytes_sent, 3 * frame_bytes);
   EXPECT_EQ(net->server_metrics().bytes_received, 0u);
 }
 
@@ -190,31 +190,60 @@ TEST(SimNetworkFaults, AlwaysCorruptIsDetectedByCrcAndFails) {
   spec.corrupt_probability = 1.0;
   spec.max_retries = 1;
   const auto net = make_network(1, spec);
-  const auto frame = test_frame();
-  const auto outcome = net->transmit_to_device(0, frame);
+  const auto payload = test_payload();
+  const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
+  const auto outcome = net->transmit_to_device(0, payload);
   EXPECT_FALSE(outcome.delivered);
   EXPECT_EQ(outcome.attempts, 2);
   const auto counters = net->fault_counters();
   EXPECT_EQ(counters.downlink_corrupted, 2u);
   EXPECT_EQ(counters.failed_messages, 1u);
   // Corrupt frames traveled the whole way: both ends are charged.
-  EXPECT_EQ(net->device_metrics(0).bytes_received, 2 * frame.size());
-  EXPECT_EQ(net->server_metrics().bytes_sent, 2 * frame.size());
+  EXPECT_EQ(net->device_metrics(0).bytes_received, 2 * frame_bytes);
+  EXPECT_EQ(net->server_metrics().bytes_sent, 2 * frame_bytes);
 }
 
 TEST(SimNetworkFaults, FaultFreeTransmitMatchesPlainSend) {
   SimNetwork faulty(2, DeviceProfile{}, LinkProfile{});  // no fault model
   SimNetwork plain(2, DeviceProfile{}, LinkProfile{});
-  const auto frame = test_frame();
-  const auto outcome = faulty.transmit_to_server(1, frame);
+  const auto payload = test_payload();
+  const auto outcome = faulty.transmit_to_server(1, payload);
   EXPECT_TRUE(outcome.delivered);
   EXPECT_EQ(outcome.attempts, 1);
-  plain.send_to_server(1, frame.size());
+  plain.send_to_server(1, payload.size());
   EXPECT_EQ(faulty.device_metrics(1).bytes_sent,
             plain.device_metrics(1).bytes_sent);
   EXPECT_EQ(faulty.server_metrics().bytes_received,
             plain.server_metrics().bytes_received);
   EXPECT_EQ(faulty.fault_counters().failed_messages, 0u);
+  // The link time is the one the ledger charged to the round.
+  plain.end_round();
+  EXPECT_EQ(outcome.seconds, plain.total_simulated_seconds());
+}
+
+TEST(SimNetworkFaults, EnabledModelFramesPayload) {
+  // Framing follows the fault model, not whether a fault fires: an enabled
+  // model whose only fault is churn (which transmit never consults) still
+  // puts a CRC32 frame on the wire; a disabled one sends the bare payload.
+  FaultSpec spec;
+  spec.offline_probability = 0.5;
+  const auto framed = make_network(1, spec);
+  ASSERT_TRUE(framed->fault_model().enabled());
+  SimNetwork bare(1, DeviceProfile{}, LinkProfile{});
+  const auto payload = test_payload(100);
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_TRUE(framed->transmit_to_server(0, payload).delivered);
+    EXPECT_TRUE(framed->transmit_to_device(0, payload).delivered);
+    EXPECT_TRUE(bare.transmit_to_server(0, payload).delivered);
+    EXPECT_TRUE(bare.transmit_to_device(0, payload).delivered);
+  }
+  EXPECT_EQ(framed->server_metrics().bytes_received,
+            3 * (payload.size() + kFrameHeaderBytes));
+  EXPECT_EQ(framed->server_metrics().bytes_sent,
+            3 * (payload.size() + kFrameHeaderBytes));
+  EXPECT_EQ(bare.server_metrics().bytes_received, 3 * payload.size());
+  EXPECT_EQ(bare.server_metrics().bytes_sent, 3 * payload.size());
+  EXPECT_EQ(framed->fault_counters().retries, 0u);
 }
 
 TEST(SimNetworkFaults, TransmitOutcomesKeyOnRoundCounter) {
@@ -226,11 +255,11 @@ TEST(SimNetworkFaults, TransmitOutcomesKeyOnRoundCounter) {
   // every outcome; their drop pattern varies over rounds.
   const auto a = make_network(1, spec);
   const auto b = make_network(1, spec);
-  const auto frame = test_frame();
+  const auto payload = test_payload();
   int delivered = 0;
   for (int round = 0; round < 40; ++round) {
-    const auto oa = a->transmit_to_server(0, frame);
-    const auto ob = b->transmit_to_server(0, frame);
+    const auto oa = a->transmit_to_server(0, payload);
+    const auto ob = b->transmit_to_server(0, payload);
     EXPECT_EQ(oa.delivered, ob.delivered);
     delivered += oa.delivered ? 1 : 0;
     a->end_round();
@@ -390,6 +419,7 @@ struct FaultyRun {
   std::size_t server_bytes_sent = 0;
   std::size_t server_bytes_received = 0;
   std::size_t uplink_messages = 0;
+  std::size_t downlink_messages = 0;
   net::FaultCounters counters;
 };
 
@@ -406,6 +436,7 @@ FaultyRun run_faulty(const data::MultiUserDataset& dataset,
     run.device_bytes_received.push_back(
         network.device_metrics(t).bytes_received);
     run.uplink_messages += network.device_metrics(t).messages_sent;
+    run.downlink_messages += network.device_metrics(t).messages_received;
   }
   run.server_bytes_sent = network.server_metrics().bytes_sent;
   run.server_bytes_received = network.server_metrics().bytes_received;
@@ -558,6 +589,36 @@ TEST(FaultTolerantDistributedPlos, CorruptionIsRecoveredByRetries) {
   const auto report =
       evaluate(dataset, predict_all(dataset, run.result.model));
   EXPECT_GT(report.overall, 0.75);
+}
+
+TEST(FaultTolerantDistributedPlos, EveryCorruptedAttemptIsCounted) {
+  // Corruption is the only fault, so every attempt that reached its
+  // receiver was either delivered or CRC-rejected: the on-air message
+  // ledgers minus the deliveries the trainer saw must equal the corruption
+  // counters exactly, in both directions.
+  const auto dataset = make_population(51, 6);
+  net::FaultSpec spec;
+  spec.corrupt_probability = 0.3;
+  spec.max_retries = 1;
+  spec.seed = 52;
+  const auto run = run_faulty(dataset, spec, 2);
+  const auto& diag = run.result.diagnostics;
+  EXPECT_GT(run.counters.downlink_corrupted, 0u);
+  EXPECT_GT(run.counters.uplink_corrupted, 0u);
+  EXPECT_GT(diag.downlink_failures_total + diag.uplink_failures_total, 0u);
+  EXPECT_EQ(run.counters.failed_messages,
+            diag.downlink_failures_total + diag.uplink_failures_total);
+  // Each of the 6 devices is sent (w0, u_t) once per ADMM iteration.
+  const std::size_t downlinks =
+      6 * static_cast<std::size_t>(diag.admm_iterations_total);
+  EXPECT_EQ(run.downlink_messages, run.counters.downlink_corrupted +
+                                       downlinks -
+                                       diag.downlink_failures_total);
+  // Uploads: one per bootstrap label provider (3 of 6) plus one per
+  // received broadcast.
+  const std::size_t uplinks = 3 + downlinks - diag.downlink_failures_total;
+  EXPECT_EQ(run.uplink_messages, run.counters.uplink_corrupted + uplinks -
+                                     diag.uplink_failures_total);
 }
 
 // ---- random participation as churn ---------------------------------------

@@ -1,6 +1,6 @@
 // plos_lint engine tests (DESIGN.md §11): scrubber state machine, config
 // parsing, each rule kind on hermetic in-memory sources, suppression
-// comments, the transitive include-graph privacy rule, the embedded
+// comments, the privacy boundary as a layering edge, the embedded
 // self-test fixtures, CLI exit codes, and — the acceptance gate — a scan
 // of the real repository tree, which must come back clean.
 #include "lint/lint.hpp"
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,15 +57,6 @@ Config engine_config() {
   using_ns.kind = RuleKind::kUsingNamespaceHeader;
   using_ns.message = "using namespace in header";
   config.rules.push_back(using_ns);
-
-  Rule privacy;
-  privacy.name = "privacy-raw-data";
-  privacy.kind = RuleKind::kForbiddenInclude;
-  privacy.message = "net layer must not see raw data";
-  privacy.forbidden = "data/";
-  privacy.transitive = true;
-  privacy.paths = {"src/net/"};
-  config.rules.push_back(privacy);
 
   return config;
 }
@@ -187,8 +179,7 @@ TEST(ParseConfig, ParsesRootsExtensionsAndRuleFields) {
     "rules": [
       {"name": "r1", "kind": "banned-pattern", "message": "m",
        "patterns": ["abc"], "paths": ["src/"], "allow_paths": ["src/x/"]},
-      {"name": "r2", "kind": "forbidden-include", "forbidden": "data/",
-       "transitive": true, "enabled": false}
+      {"name": "r2", "kind": "layering", "enabled": false}
     ]
   })";
   const auto config = parse_config(json);
@@ -198,9 +189,7 @@ TEST(ParseConfig, ParsesRootsExtensionsAndRuleFields) {
   ASSERT_EQ(config->rules.size(), 2u);
   EXPECT_EQ(config->rules[0].kind, RuleKind::kBannedPattern);
   EXPECT_EQ(config->rules[0].patterns, std::vector<std::string>{"abc"});
-  EXPECT_EQ(config->rules[1].kind, RuleKind::kForbiddenInclude);
-  EXPECT_EQ(config->rules[1].forbidden, "data/");
-  EXPECT_TRUE(config->rules[1].transitive);
+  EXPECT_EQ(config->rules[1].kind, RuleKind::kLayering);
   EXPECT_FALSE(config->rules[1].enabled);
 }
 
@@ -405,32 +394,73 @@ TEST(Suppressions, WrongRuleNameDoesNotSuppress) {
   EXPECT_EQ(lint_source(config, "src/core/a.cpp", source).size(), 1u);
 }
 
-// ---- include-graph privacy rule ------------------------------------------
+// ---- privacy boundary ----------------------------------------------------
+//
+// Raw rows never reach the network layer. The checked-in layering DAG
+// gives net no path to data, so any data include under src/net is an
+// undeclared edge, and an indirect one trips at its first hop.
+
+Config shipped_layering_config() {
+  Config config;
+  config.roots = {"src"};
+  config.extensions = {".cpp", ".hpp"};
+  Rule layering;
+  layering.name = "layering";
+  layering.kind = RuleKind::kLayering;
+  layering.message = "undeclared module dependency";
+  config.rules.push_back(layering);
+  std::string error;
+  const auto layers = parse_layers(
+      read_file(std::string(PLOS_REPO_DIR) + "/tools/lint_layers.json"),
+      &error);
+  EXPECT_TRUE(layers.has_value()) << error;
+  if (layers) config.layers = *layers;
+  config.layers_loaded = true;
+  return config;
+}
+
+TEST(PrivacyRule, ShippedDagKeepsDataOutOfNetClosure) {
+  const LayerGraph layers = shipped_layering_config().layers;
+  std::set<std::string> reach;
+  std::vector<std::string> frontier = {"net"};
+  while (!frontier.empty()) {
+    const std::string module = frontier.back();
+    frontier.pop_back();
+    if (!reach.insert(module).second) continue;
+    ASSERT_TRUE(layers.has_module(module)) << module;
+    for (const std::string& dep : layers.allowed.at(module)) {
+      frontier.push_back(dep);
+    }
+  }
+  EXPECT_EQ(reach.count("data"), 0u);
+  EXPECT_EQ(reach.count("*"), 0u) << "net must not sit in the top layer";
+}
 
 TEST(PrivacyRule, FlagsDirectDataInclude) {
-  const auto config = engine_config();
+  const auto config = shipped_layering_config();
   const auto findings = lint_source(config, "src/net/wire.cpp",
                                     "#include \"data/dataset.hpp\"\n");
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "privacy-raw-data");
+  EXPECT_EQ(findings[0].rule, "layering");
   EXPECT_NE(findings[0].message.find("data/dataset.hpp"), std::string::npos);
 }
 
 TEST(PrivacyRule, FollowsTransitiveIncludeChain) {
-  const auto config = engine_config();
+  const auto config = shipped_layering_config();
   FileSet project;
   project["src/net/wire.cpp"] = "#include \"sensing/window.hpp\"\n";
   project["src/sensing/window.hpp"] =
       "#pragma once\n#include \"data/dataset.hpp\"\n";
   project["src/data/dataset.hpp"] = "#pragma once\n";
   const auto findings = lint_files(config, project);
-  ASSERT_GE(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "privacy-raw-data");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "layering");
   EXPECT_EQ(findings[0].file, "src/net/wire.cpp");
+  EXPECT_NE(findings[0].message.find("net -> sensing"), std::string::npos);
 }
 
 TEST(PrivacyRule, CleanNetFileWithProjectIncludesPasses) {
-  const auto config = engine_config();
+  const auto config = shipped_layering_config();
   FileSet project;
   project["src/net/wire.cpp"] = "#include \"common/assert.hpp\"\n";
   project["src/common/assert.hpp"] = "#pragma once\n#include <string>\n";
@@ -438,7 +468,7 @@ TEST(PrivacyRule, CleanNetFileWithProjectIncludesPasses) {
 }
 
 TEST(PrivacyRule, DoesNotApplyOutsideNetLayer) {
-  const auto config = engine_config();
+  const auto config = shipped_layering_config();
   // The device-side solver legitimately sees the dataset.
   EXPECT_TRUE(lint_source(config, "src/core/distributed.cpp",
                           "#include \"data/dataset.hpp\"\n")
@@ -877,7 +907,7 @@ TEST(ShippedConfig, ParsesAndCoversTheDeterminismCatalog) {
   for (const char* required :
        {"determinism-rng", "determinism-clock", "determinism-unordered",
         "determinism-build-stamp", "numeric-no-float", "numeric-float-eq",
-        "numeric-c-abs", "privacy-raw-data", "io-iostream", "cache-purity",
+        "numeric-c-abs", "io-iostream", "cache-purity",
         "hygiene-pragma-once", "hygiene-include-order",
         "hygiene-using-namespace", "race-surface", "accumulation-order",
         "layering"}) {

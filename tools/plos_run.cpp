@@ -430,9 +430,7 @@ int main(int argc, char** argv) {
     } else if (c.distributed) {
       net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
                               net::LinkProfile{});
-      if (c.fault.any_faults()) {
-        network.set_fault_model(net::FaultModel(c.fault));
-      }
+      network.set_fault_model(net::FaultModel(c.fault));
       core::DistributedPlosDiagnostics diagnostics;
       if (c.async_mode) {
         obs::FlightRecorder flight_recorder;
