@@ -40,8 +40,7 @@ class DualState {
     // The new dual starts from the γ this plane converged to the last time
     // it was in user's working set (0 if never) instead of flat zero.
     const double gamma0 = (*seeds_)[user].seed(plane.s);
-    blocks_[user].append(std::move(plane.s), plane.offset, gamma0,
-                         lambda_over_t_);
+    blocks_[user].append(std::move(plane.s), plane.offset, gamma0);
     ++size_;
     count_constraint_added();
   }

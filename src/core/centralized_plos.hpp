@@ -9,10 +9,11 @@
 //
 // The feature map Φ (Eq. 7) is never materialized. The dual Hessian is
 // (λ/T)·S Sᵀ + blockdiag_t(S_t S_tᵀ) over the d-dimensional constraint
-// vectors s, and only its per-user diagonal blocks (λ/T + 1)·S_t S_tᵀ are
-// stored: qp::solve_block_sweeps solves one user's block exactly at a time
-// against the others held fixed, until a whole sweep changes nothing. The
-// primal is recovered as v_t = z_t = Σ_{k∈t} γ s and w0 = (λ/T) Σ_t z_t.
+// vectors s, and only the per-user Grams S_t S_tᵀ are stored:
+// qp::solve_block_sweeps solves one user's block exactly at a time, under
+// a damped Newton method on w0 and in sweeps against the others held
+// fixed, until a whole sweep changes nothing. The primal is recovered as
+// v_t = z_t = Σ_{k∈t} γ s and w0 = (λ/T) Σ_t z_t.
 #pragma once
 
 #include <cstdint>

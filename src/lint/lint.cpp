@@ -748,7 +748,7 @@ double first_crossing(const std::vector<double>& u, double cap) {
     {"layering-undeclared-edge", "src/linalg/bad_layering.cpp", "layering",
      R"(#include "linalg/bad_layering.hpp"
 
-#include "qp/capped_simplex_qp.hpp"
+#include "qp/simplex_qp.hpp"
 )"},
     {"layering-declared-edges", "src/qp/good_layering.cpp", "",
      R"(#include "qp/good_layering.hpp"

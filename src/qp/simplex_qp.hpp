@@ -11,8 +11,10 @@
 // rounding (DESIGN.md §13.5).
 //
 // The same solver runs the centralized dual (paper Eq. 16), a product of
-// capped simplices, one block per user, as Gauss–Seidel sweeps that solve
-// one block exactly at a time (solve_block_sweeps, DESIGN.md §13.4).
+// capped simplices, one block per user: a damped Newton method on the
+// global weights w0 whose every step solves each block exactly, finished
+// by Gauss–Seidel sweeps over the blocks (solve_block_sweeps, DESIGN.md
+// §13.4).
 #pragma once
 
 #include <span>
@@ -48,25 +50,33 @@ QpResult solve_simplex_qp(const linalg::Matrix& h, std::span<const double> c,
 struct SimplexBlock {
   std::vector<linalg::Vector> planes;
   linalg::Vector linear;  ///< c_t, one entry per plane
-  linalg::Matrix gram;    ///< (κ + 1)·S_t S_tᵀ
+  linalg::Matrix gram;    ///< S_t S_tᵀ
   linalg::Vector gamma;   ///< γ_t: the warm start going in, the solution out
   linalg::Vector z;       ///< S_tᵀ γ_t, written by solve_block_sweeps
 
   /// Appends plane `s` with linear term `c` and starting dual `gamma0`,
   /// bordering the Gram by one row and column. Rejects a non-finite plane
   /// or linear term.
-  void append(linalg::Vector s, double c, double gamma0, double coupling);
+  void append(linalg::Vector s, double c, double gamma0);
 };
 
-/// Sweep budget of solve_block_sweeps. The measured worst case is about
-/// 1.7k sweeps (DESIGN.md §13.4); a solve that spends the budget returns
-/// its current feasible iterate with converged == false.
+/// Sweep budget of solve_block_sweeps. Sweeps alone have needed up to
+/// about 1.7k; with the Newton phase the measured maximum is under a
+/// hundred (DESIGN.md §13.4). A solve that spends the budget returns its current
+/// feasible iterate with converged == false.
 inline constexpr int kMaxBlockSweeps = 5000;
+
+/// Accepted-step budget of the Newton phase of solve_block_sweeps.
+inline constexpr int kMaxNewtonIterations = 50;
 
 struct BlockSweepResult {
   double objective = 0.0;  ///< f at the returned γ
-  int sweeps = 0;
-  int pivots = 0;  ///< active-set pivots over every block solve
+  int sweeps = 0;          ///< every sweep, the first one included
+  /// Active-set pivots over every block solve, the Newton phase's included.
+  int pivots = 0;
+  int newton_iterations = 0;   ///< accepted Newton steps on w0
+  int newton_evaluations = 0;  ///< F(w0) evaluations (one block pass each)
+  int polish_sweeps = 0;       ///< sweeps after the Newton phase
   bool converged = false;
 };
 
@@ -77,12 +87,16 @@ struct BlockSweepResult {
 ///
 /// with κ = `coupling`, in place on `blocks`. Each sweep visits the blocks
 /// in order and solves block t exactly against the others held fixed:
-/// min over γ_t of ½ γ_tᵀ G_t γ_t − (c_t − S_t·u)ᵀ γ_t with
-/// u = κ·Σ_{t' ≠ t} z_t'. The dual has converged when a whole sweep makes
-/// no pivot and changes no γ by a single bit, so re-solving a converged
-/// dual takes one such sweep and returns it unchanged. Every z_t (zeros
-/// for an empty block) holds S_tᵀγ_t on return, which is the primal
-/// recovery: v_t = z_t and w0 = κ·Σ_t z_t.
+/// min over γ_t of ½ (κ + 1)·γ_tᵀ S_t S_tᵀ γ_t − (c_t − S_t·u)ᵀ γ_t with
+/// u = κ·Σ_{t' ≠ t} z_t'. When κ > 0 and sweeps do not pass, once they
+/// have cost as much as a Newton direction, up to kMaxNewtonIterations
+/// damped Newton steps on w0 (DESIGN.md §13.4) move every γ_t close to the
+/// optimum, and further sweeps finish the solve.
+/// The dual has converged when a whole sweep makes no pivot and changes no
+/// γ by a single bit, so re-solving a converged dual takes one such sweep
+/// and returns it unchanged. Every z_t (zeros for an empty block) holds
+/// S_tᵀγ_t on return, which is the primal recovery: v_t = z_t and
+/// w0 = κ·Σ_t z_t.
 BlockSweepResult solve_block_sweeps(std::span<SimplexBlock> blocks,
                                     double coupling, double cap);
 

@@ -153,8 +153,8 @@ TEST(Contracts, RegisteredHandlerObservesViolationThenThrowStillHappens) {
 // One block with planes e1, e2 under coupling 0: block Gram H = I.
 std::vector<qp::SimplexBlock> identity_block(double linear) {
   std::vector<qp::SimplexBlock> blocks(1);
-  blocks[0].append({1.0, 0.0}, linear, 0.0, 0.0);
-  blocks[0].append({0.0, 1.0}, linear, 0.0, 0.0);
+  blocks[0].append({1.0, 0.0}, linear, 0.0);
+  blocks[0].append({0.0, 1.0}, linear, 0.0);
   return blocks;
 }
 

@@ -697,7 +697,7 @@ TEST(AccumulationOrder, OnlyAppliesToHotPathModules) {
 TEST(Layering, UndeclaredEdgeFlagged) {
   const auto config = semantic_config();
   const auto findings = lint_source(config, "src/linalg/matrix.cpp",
-                                    "#include \"qp/capped_simplex_qp.hpp\"\n");
+                                    "#include \"qp/simplex_qp.hpp\"\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "layering");
   EXPECT_EQ(findings[0].line, 1);

@@ -9,7 +9,6 @@
 #include "block_dual_support.hpp"
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
-#include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
 #include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
@@ -19,9 +18,11 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
+using test_support::CappedSimplexQpProblem;
 using test_support::dense_objective;
 using test_support::dense_problem;
 using test_support::flat_gamma;
+using test_support::kkt_residual;
 using test_support::make_blocks;
 using test_support::PlaneSpec;
 
@@ -107,8 +108,7 @@ CappedSimplexQpProblem tiny_problem() {
 std::vector<SimplexBlock> tiny_blocks(double gamma0 = 0.0,
                                       Vector linear = {2.0, 1.0}) {
   return make_blocks({{{{1.0, 0.0}, linear[0], gamma0},
-                       {{0.0, 1.0}, linear[1], gamma0}}},
-                     /*coupling=*/0.0);
+                       {{0.0, 1.0}, linear[1], gamma0}}});
 }
 
 TEST(CappedSimplexQp, SolvesTinyKnownProblem) {
@@ -139,7 +139,7 @@ TEST(CappedSimplexQp, EmptyProblem) {
 
   // Blocks without planes impose nothing; their z is zero.
   std::vector<SimplexBlock> blocks(3);
-  blocks[1].append({1.0, 2.0}, 1.0, 0.0, 0.5);
+  blocks[1].append({1.0, 2.0}, 1.0, 0.0);
   ASSERT_TRUE(solve_block_sweeps(blocks, 0.5, 1.0).converged);
   EXPECT_EQ(blocks[0].z, Vector(2, 0.0));
   EXPECT_EQ(blocks[2].z, Vector(2, 0.0));
@@ -162,7 +162,7 @@ TEST(CappedSimplexQp, ValidatesGroupPartition) {
   blocks[0].linear.pop_back();
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
   blocks = tiny_blocks();
-  blocks.emplace_back().append({1.0, 2.0, 3.0}, 1.0, 0.0, 0.0);
+  blocks.emplace_back().append({1.0, 2.0, 3.0}, 1.0, 0.0);
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
   EXPECT_THROW(solve_block_sweeps(blocks, -1.0, 1.0), PreconditionError);
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, -1.0), PreconditionError);
@@ -173,17 +173,17 @@ TEST(CappedSimplexQp, ValidatesGroupPartition) {
 // Appending one is now rejected outright.
 TEST(CappedSimplexQp, NanLinearTermThrows) {
   SimplexBlock block;
-  EXPECT_THROW(block.append({1.0, 0.0}, std::nan(""), 0.0, 0.5),
+  EXPECT_THROW(block.append({1.0, 0.0}, std::nan(""), 0.0),
                PreconditionError);
   EXPECT_TRUE(block.planes.empty());
 }
 
 TEST(CappedSimplexQp, NanHessianEntryThrows) {
   SimplexBlock block;
-  block.append({1.0, 0.0}, 1.0, 0.0, 0.5);
-  EXPECT_THROW(block.append({std::nan(""), 1.0}, 1.0, 0.0, 0.5),
+  block.append({1.0, 0.0}, 1.0, 0.0);
+  EXPECT_THROW(block.append({std::nan(""), 1.0}, 1.0, 0.0),
                PreconditionError);
-  EXPECT_THROW(block.append({HUGE_VAL, 1.0}, 1.0, 0.0, 0.5),
+  EXPECT_THROW(block.append({HUGE_VAL, 1.0}, 1.0, 0.0),
                PreconditionError);
   EXPECT_EQ(block.planes.size(), 1u);
 }
@@ -198,12 +198,13 @@ TEST(CappedSimplexQp, WarmStartMatchesColdSolution) {
 
   // An infeasible warm start is projected without a pivot. Block 0 passes
   // its test against block 1's unprojected z, so the first sweep pivots
-  // nowhere; it moved γ, though, and only a second sweep finds block 0
-  // off its optimum.
-  auto coupled = make_blocks({{{{1.0}, 6.0, 0.5}}, {{{1.0}, 3.0, 5.0}}}, 1.0);
+  // nowhere; it moved γ, though, so it does not pass, and the solve goes
+  // on to its Newton phase and a second sweep.
+  auto coupled = make_blocks({{{{1.0}, 6.0, 0.5}}, {{{1.0}, 3.0, 5.0}}});
   const auto result = solve_block_sweeps(coupled, 1.0, 1.0);
   ASSERT_TRUE(result.converged);
-  EXPECT_GT(result.sweeps, 2);
+  EXPECT_GT(result.newton_evaluations, 0);
+  EXPECT_GE(result.sweeps, 2);
   EXPECT_LT(kkt_residual(dense_problem(coupled, 1.0, 1.0), flat_gamma(coupled)),
             1e-12);
 }
@@ -218,10 +219,11 @@ TEST(CappedSimplexQp, KktResidualSmallAtSolution) {
 
 // Two users whose single planes coincide, under coupling κ = 10⁴, with the
 // optimum γ = (1, 1)/(2κ + 1) inside both caps: each block solve leaves a
-// κ/(κ+1) share of the other block's error, so Gauss–Seidel needs ~10⁵
-// sweeps to settle — far past the budget.
+// κ/(κ+1) share of the other block's error, so Gauss–Seidel alone needs
+// ~10⁵ sweeps to settle — far past the budget. F(w0) is a single quadratic
+// piece around the optimum, so the Newton phase lands on it.
 std::vector<SimplexBlock> stiff_blocks() {
-  return make_blocks({{{{1.0}, 1.0, 0.0}}, {{{1.0}, 1.0, 0.0}}}, 1e4);
+  return make_blocks({{{{1.0}, 1.0, 0.0}}, {{{1.0}, 1.0, 0.0}}});
 }
 
 // Registry counter deltas across one solve (the registry is process-wide and
@@ -233,6 +235,9 @@ struct SolveCounters {
   double warm_hits = 0.0;
   double pivots = 0.0;
   double sweeps = 0.0;
+  double newton_iterations = 0.0;
+  double newton_evaluations = 0.0;
+  double polish_sweeps = 0.0;
 };
 
 SolveCounters solve_counted(std::vector<SimplexBlock>& blocks,
@@ -240,34 +245,34 @@ SolveCounters solve_counted(std::vector<SimplexBlock>& blocks,
   auto& registry = obs::metrics();
   registry.set_enabled(true);
   registry.reset_values();
+  const auto histogram_sum = [&registry](const char* name) {
+    return registry.histogram(name, obs::default_iteration_buckets()).sum();
+  };
   SolveCounters out;
   out.result = solve_block_sweeps(blocks, coupling, cap);
   out.solves = registry.counter("qp.capped_simplex.solves").value();
   out.unconverged = registry.counter("qp.capped_simplex.unconverged").value();
   out.warm_hits = registry.counter("qp.capped_simplex.warm_hits").value();
-  out.pivots = registry
-                   .histogram("qp.capped_simplex.iterations",
-                              obs::default_iteration_buckets())
-                   .sum();
-  out.sweeps = registry
-                   .histogram("qp.capped_simplex.sweeps",
-                              obs::default_iteration_buckets())
-                   .sum();
+  out.pivots = histogram_sum("qp.capped_simplex.iterations");
+  out.sweeps = histogram_sum("qp.capped_simplex.sweeps");
+  out.newton_iterations = histogram_sum("qp.capped_simplex.newton_iterations");
+  out.newton_evaluations =
+      histogram_sum("qp.capped_simplex.newton_evaluations");
+  out.polish_sweeps = histogram_sum("qp.capped_simplex.polish_sweeps");
   registry.set_enabled(false);
   return out;
 }
 
+// No dual is known that spends the sweep budget once the Newton phase
+// runs; the stiff dual, which spends it under sweeps alone, is counted
+// converged.
 TEST(CappedSimplexQp, UnconvergedCounterTracksCappedSolves) {
   auto stiff = stiff_blocks();
-  const auto cut_short = solve_counted(stiff, 1e4, 1.0);
-  ASSERT_FALSE(cut_short.result.converged);
-  EXPECT_EQ(cut_short.result.sweeps, kMaxBlockSweeps);
-  EXPECT_EQ(cut_short.unconverged, 1.0);
-  // Even cut short, γ stays feasible.
-  for (const auto& block : stiff) {
-    EXPECT_GE(block.gamma[0], 0.0);
-    EXPECT_LE(block.gamma[0], 1.0);
-  }
+  const auto settled = solve_counted(stiff, 1e4, 1.0);
+  ASSERT_TRUE(settled.result.converged);
+  EXPECT_LT(settled.result.sweeps, kMaxBlockSweeps);
+  EXPECT_EQ(settled.solves, 1.0);
+  EXPECT_EQ(settled.unconverged, 0.0);
 
   auto tiny = tiny_blocks();
   const auto finished = solve_counted(tiny, 0.0, 1.0);
@@ -275,18 +280,50 @@ TEST(CappedSimplexQp, UnconvergedCounterTracksCappedSolves) {
   EXPECT_EQ(finished.unconverged, 0.0);
 }
 
+TEST(CappedSimplexQp, NewtonSettlesStiffDual) {
+  // Sweeps alone spend the budget, and even cut short keep γ feasible.
+  auto swept = stiff_blocks();
+  const auto cut_short = test_support::solve_sweeps_only(swept, 1e4, 1.0);
+  ASSERT_FALSE(cut_short.converged);
+  EXPECT_EQ(cut_short.sweeps, kMaxBlockSweeps);
+  for (const auto& block : swept) {
+    EXPECT_GE(block.gamma[0], 0.0);
+    EXPECT_LE(block.gamma[0], 1.0);
+  }
+
+  auto stiff = stiff_blocks();
+  const auto solved = solve_counted(stiff, 1e4, 1.0);
+  ASSERT_TRUE(solved.result.converged);
+  EXPECT_EQ(solved.unconverged, 0.0);
+  EXPECT_GT(solved.result.newton_iterations, 0);
+  EXPECT_LE(solved.result.polish_sweeps, 2);
+  const double optimum = 1.0 / (2.0 * 1e4 + 1.0);
+  for (const auto& block : stiff) {
+    EXPECT_NEAR(block.gamma[0], optimum, 1e-9 * optimum);
+  }
+  EXPECT_LT(kkt_residual(dense_problem(stiff, 1e4, 1.0), flat_gamma(stiff)),
+            1e-9);
+}
+
 TEST(CappedSimplexQp, CountersRecordOncePerDualSolve) {
   // Three users, a few planes each: many block solves, one recorded solve.
   auto blocks = make_blocks({{{{1.0, 0.5}, 1.0}, {{0.2, 1.0}, 0.5}},
                              {{{-0.3, 1.0}, 0.8}},
-                             {{{1.0, 1.0}, 0.7}, {{0.5, -1.0}, 0.2}}},
-                            0.5);
+                             {{{1.0, 1.0}, 0.7}, {{0.5, -1.0}, 0.2}}});
   const auto cold = solve_counted(blocks, 0.5, 1.0);
   ASSERT_TRUE(cold.result.converged);
   EXPECT_GT(cold.result.sweeps, 1);
   EXPECT_EQ(cold.solves, 1.0);
   EXPECT_EQ(cold.pivots, static_cast<double>(cold.result.pivots));
   EXPECT_EQ(cold.sweeps, static_cast<double>(cold.result.sweeps));
+  EXPECT_GT(cold.result.newton_iterations, 0);
+  EXPECT_EQ(cold.newton_iterations,
+            static_cast<double>(cold.result.newton_iterations));
+  EXPECT_EQ(cold.newton_evaluations,
+            static_cast<double>(cold.result.newton_evaluations));
+  EXPECT_EQ(cold.polish_sweeps,
+            static_cast<double>(cold.result.polish_sweeps));
+  EXPECT_EQ(cold.result.polish_sweeps, cold.result.sweeps - 1);
   EXPECT_EQ(cold.warm_hits, 0.0);
 
   // Re-solving the converged dual is one pivot-free sweep: a warm hit.
@@ -294,6 +331,7 @@ TEST(CappedSimplexQp, CountersRecordOncePerDualSolve) {
   ASSERT_TRUE(again.result.converged);
   EXPECT_EQ(again.result.sweeps, 1);
   EXPECT_EQ(again.result.pivots, 0);
+  EXPECT_EQ(again.result.newton_evaluations, 0);
   EXPECT_EQ(again.solves, 1.0);
   EXPECT_EQ(again.warm_hits, 1.0);
 }
@@ -302,8 +340,7 @@ TEST(CappedSimplexQp, CountersRecordOncePerDualSolve) {
 // matches) every random feasible probe, and KKT holds.
 class CappedSimplexQpProperty : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  static std::vector<SimplexBlock> random_blocks(rng::Engine& engine,
-                                                 double coupling) {
+  static std::vector<SimplexBlock> random_blocks(rng::Engine& engine) {
     const std::size_t dim =
         1 + static_cast<std::size_t>(engine.uniform_int(0, 3));
     // 1-3 users with 0-4 planes each.
@@ -317,7 +354,7 @@ class CappedSimplexQpProperty : public ::testing::TestWithParam<std::uint64_t> {
       }
     }
     specs[0].push_back({engine.gaussian_vector(dim), engine.gaussian(), 0.0});
-    return make_blocks(specs, coupling);
+    return make_blocks(specs);
   }
 };
 
@@ -325,7 +362,7 @@ TEST_P(CappedSimplexQpProperty, BeatsRandomFeasibleProbesAndSatisfiesKkt) {
   rng::Engine engine(GetParam() * 977 + 3);
   const double coupling = engine.uniform(0.1, 2.0);
   const double cap = engine.uniform(0.1, 2.0);
-  auto blocks = random_blocks(engine, coupling);
+  auto blocks = random_blocks(engine);
   const auto result = solve_block_sweeps(blocks, coupling, cap);
   EXPECT_TRUE(result.converged);
   const auto p = dense_problem(blocks, coupling, cap);

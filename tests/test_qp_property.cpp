@@ -4,7 +4,7 @@
 // properties the trainers lean on:
 //   1. correctness — the returned point satisfies the KKT conditions of its
 //      problem (feasibility + unit-step projected-gradient norm), measured
-//      by the dense qp::kkt_residual;
+//      by the dense test_support::kkt_residual;
 //   2. optimality — the objective is never worse than a converged run of a
 //      test-local FISTA loop, the projected-gradient method the solvers
 //      replaced;
@@ -34,9 +34,9 @@
 #include <vector>
 
 #include "block_dual_support.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
-#include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
 #include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
@@ -69,6 +69,9 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
+using test_support::CappedSimplexQpProblem;
+using test_support::kkt_residual;
+using test_support::project_groups;
 
 constexpr int kInstancesPerSolver = 200;
 
@@ -107,16 +110,6 @@ double reference_lipschitz(const Matrix& h) {
   return 1.1 * lambda + 1e-12;
 }
 
-void reference_project(const CappedSimplexQpProblem& p, Vector& x) {
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    const auto& idx = p.groups[g];
-    Vector block(idx.size());
-    for (std::size_t k = 0; k < idx.size(); ++k) block[k] = x[idx[k]];
-    project_capped_simplex(block, p.caps[g]);
-    for (std::size_t k = 0; k < idx.size(); ++k) x[idx[k]] = block[k];
-  }
-}
-
 double reference_objective(const CappedSimplexQpProblem& p, const Vector& x) {
   const Vector hx = p.hessian.matvec(x);
   return 0.5 * linalg::dot(x, hx) - linalg::dot(p.linear, x);
@@ -135,7 +128,7 @@ QpResult reference_solve(const CappedSimplexQpProblem& p,
   const double step = 1.0 / reference_lipschitz(p.hessian);
 
   Vector x(n, 0.0);
-  reference_project(p, x);
+  project_groups(p, x);
   Vector y = x;
   Vector x_prev = x;
   double momentum = 1.0;
@@ -143,7 +136,7 @@ QpResult reference_solve(const CappedSimplexQpProblem& p,
   {
     Vector probe = x;
     linalg::axpy(-step, reference_gradient(p, x), probe);
-    reference_project(p, probe);
+    project_groups(p, probe);
     const double pg_step0 = std::sqrt(linalg::squared_distance(probe, x)) /
                             std::max(step, 1e-300);
     if (pg_step0 <= options.tolerance * (1.0 + std::abs(f_prev))) {
@@ -154,12 +147,12 @@ QpResult reference_solve(const CappedSimplexQpProblem& p,
     const Vector grad_y = reference_gradient(p, y);
     Vector x_next = y;
     linalg::axpy(-step, grad_y, x_next);
-    reference_project(p, x_next);
+    project_groups(p, x_next);
 
     const Vector pg = reference_gradient(p, x_next);
     Vector probe = x_next;
     linalg::axpy(-step, pg, probe);
-    reference_project(p, probe);
+    project_groups(p, probe);
     const double pg_step = std::sqrt(linalg::squared_distance(probe, x_next)) /
                            std::max(step, 1e-300);
 
@@ -210,14 +203,16 @@ struct BlockInstance {
 };
 
 // Centralized-shaped duals (Eq. 16): 1–6 users with 0–7 planes each in
-// 1–5 dimensions, coupling κ = λ/T. Every other instance warm-starts from
-// random non-negative duals, which may overshoot the cap.
+// 1–5 dimensions, coupling κ = λ/T, or κ = 0 (uncoupled users) for every
+// seventh seed. Every other instance warm-starts from random non-negative
+// duals, which may overshoot the cap.
 BlockInstance random_block_instance(int seed) {
   rng::Engine engine(static_cast<std::uint64_t>(seed) * 7919 + 1);
   BlockInstance instance;
   instance.shape =
       static_cast<Coupling>(seed % static_cast<int>(Coupling::kCount));
   instance.coupling = engine.uniform(0.05, 3.0);
+  if (seed % 7 == 0) instance.coupling = 0.0;
   instance.cap = engine.uniform(0.25, 2.0);
   instance.warm = seed % 2 == 1;
   const std::size_t dim = 1 + static_cast<std::size_t>(seed % 5);
@@ -246,7 +241,7 @@ BlockInstance random_block_instance(int seed) {
   if (drawn.empty()) {  // at least one plane somewhere
     specs[0].push_back({engine.gaussian_vector(dim), 1.0, 0.0});
   }
-  instance.blocks = test_support::make_blocks(specs, instance.coupling);
+  instance.blocks = test_support::make_blocks(specs);
   return instance;
 }
 
@@ -257,6 +252,10 @@ TEST(QpProperty, CappedSimplexKktAndWarmIdempotence) {
   int empty_users = 0;
   int multi_user = 0;
   int compared = 0;
+  int uncoupled = 0;
+  int newton = 0;
+  int binding_caps = 0;
+  int slack_caps = 0;
   for (int seed = 0; seed < kInstancesPerSolver; ++seed) {
     BlockInstance instance = random_block_instance(seed);
     ++shapes[static_cast<std::size_t>(instance.shape)];
@@ -264,10 +263,35 @@ TEST(QpProperty, CappedSimplexKktAndWarmIdempotence) {
     if (instance.has_empty_user) ++empty_users;
     if (instance.blocks.size() > 1) ++multi_user;
 
+    std::vector<SimplexBlock> swept = instance.blocks;
     std::vector<SimplexBlock>& blocks = instance.blocks;
     const auto solved =
         solve_block_sweeps(blocks, instance.coupling, instance.cap);
     ASSERT_TRUE(solved.converged) << "seed " << seed;
+    EXPECT_LE(solved.polish_sweeps, 10) << "seed " << seed;
+    if (solved.newton_iterations > 0) ++newton;
+    if (instance.coupling == 0.0) {
+      ++uncoupled;
+      EXPECT_EQ(solved.newton_evaluations, 0) << "seed " << seed;
+    }
+    for (const SimplexBlock& block : blocks) {
+      if (block.planes.empty()) continue;
+      if (linalg::kernels::serial_sum(block.gamma) >=
+          instance.cap * (1.0 - 1e-12)) {
+        ++binding_caps;
+      } else {
+        ++slack_caps;
+      }
+    }
+
+    // The Newton phase only shortens the road: sweeps alone reach the same
+    // objective.
+    const auto sweeps_only = test_support::solve_sweeps_only(
+        swept, instance.coupling, instance.cap);
+    ASSERT_TRUE(sweeps_only.converged) << "seed " << seed;
+    EXPECT_NEAR(solved.objective, sweeps_only.objective,
+                1e-12 * (1.0 + std::abs(sweeps_only.objective)))
+        << "seed " << seed;
     const auto problem =
         test_support::dense_problem(blocks, instance.coupling, instance.cap);
     const Vector gamma = test_support::flat_gamma(blocks);
@@ -291,6 +315,7 @@ TEST(QpProperty, CappedSimplexKktAndWarmIdempotence) {
     ASSERT_TRUE(again.converged) << "seed " << seed;
     EXPECT_EQ(again.sweeps, 1) << "seed " << seed;
     EXPECT_EQ(again.pivots, 0) << "seed " << seed;
+    EXPECT_EQ(again.newton_evaluations, 0) << "seed " << seed;
     for (std::size_t t = 0; t < blocks.size(); ++t) {
       expect_bitwise_equal(before[t].gamma, blocks[t].gamma, seed);
       expect_bitwise_equal(before[t].z, blocks[t].z, seed);
@@ -304,23 +329,46 @@ TEST(QpProperty, CappedSimplexKktAndWarmIdempotence) {
   EXPECT_GT(empty_users, 0);
   EXPECT_GT(multi_user, kInstancesPerSolver / 2);
   EXPECT_GT(compared, kInstancesPerSolver / 4);
+  EXPECT_GT(uncoupled, 0);
+  EXPECT_GT(newton, kInstancesPerSolver / 2);
+  EXPECT_GT(binding_caps, 0);
+  EXPECT_GT(slack_caps, 0);
+}
+
+// A last block with more support planes than dimensions, after blocks of
+// full rank: d = 1, κ = 1, cap 2. The first sweep projects block 1's
+// infeasible warm start to γ = (2, 2, 2)/3, where its gradient is level,
+// so it keeps all three planes; block 0, solved against the unprojected
+// z_1, is left off its optimum. The first Newton direction therefore
+// stacks block 0's plane and then block 1's two face directions
+// (differences of collinear planes), the second of them dependent.
+BlockInstance wide_last_block_instance() {
+  BlockInstance instance;
+  instance.coupling = 1.0;
+  instance.cap = 2.0;
+  instance.warm = true;
+  instance.blocks = test_support::make_blocks(
+      {{{{1.0}, 5.2, 0.0}},
+       {{{1.0}, 9.5, 0.7}, {{2.0}, 18.0, 0.7}, {{3.0}, 26.5, 0.7}}});
+  return instance;
 }
 
 TEST(QpProperty, CappedSimplexLoopDoesNotAllocate) {
-  // Allocations made by a solve must not depend on how many sweeps it
-  // runs: the buffers reach their final size in the first sweep. A cold
-  // solve takes many sweeps; the same blocks warm-started at its solution
-  // take one.
-  int multi_sweep = 0;
-  for (int seed = 1; seed < 40; seed += 2) {
-    const BlockInstance instance = random_block_instance(seed);
+  // Allocations made by a solve must not depend on how many passes over
+  // the blocks (sweeps and Newton evaluations) it makes: the Newton buffers
+  // are sized once per solve, and the active-set buffers reach their final
+  // size in the first sweep. A cold solve takes many passes; the same
+  // blocks warm-started at its solution take one sweep.
+  int multi_pass = 0;
+  const auto check = [&multi_pass](const BlockInstance& instance, int seed) {
     const auto allocations_for = [&](std::vector<SimplexBlock> blocks) {
       const std::size_t before = g_allocations.load();
       const auto result =
           solve_block_sweeps(blocks, instance.coupling, instance.cap);
       const std::size_t after = g_allocations.load();
       EXPECT_TRUE(result.converged) << "seed " << seed;
-      return std::pair(after - before, result.sweeps);
+      return std::pair(after - before,
+                       result.sweeps + result.newton_evaluations);
     };
     std::vector<SimplexBlock> solved = instance.blocks;
     // The first call also resolves the static instruments.
@@ -329,14 +377,18 @@ TEST(QpProperty, CappedSimplexLoopDoesNotAllocate) {
     for (std::size_t t = 0; t < warm.size(); ++t) {
       warm[t].gamma = solved[t].gamma;
     }
-    const auto [cold_allocations, cold_sweeps] =
+    const auto [cold_allocations, cold_passes] =
         allocations_for(instance.blocks);
-    const auto [warm_allocations, warm_sweeps] = allocations_for(warm);
-    EXPECT_EQ(warm_sweeps, 1) << "seed " << seed;
-    if (cold_sweeps > 2) ++multi_sweep;
+    const auto [warm_allocations, warm_passes] = allocations_for(warm);
+    EXPECT_EQ(warm_passes, 1) << "seed " << seed;
+    if (cold_passes > 2) ++multi_pass;
     EXPECT_EQ(cold_allocations, warm_allocations) << "seed " << seed;
+  };
+  for (int seed = 1; seed < 40; seed += 2) {
+    check(random_block_instance(seed), seed);
   }
-  EXPECT_GT(multi_sweep, 10);
+  check(wide_last_block_instance(), -1);
+  EXPECT_GT(multi_pass, 10);
 }
 
 // --- Exact single-simplex solver ------------------------------------------

@@ -263,6 +263,12 @@ void register_standard_instruments() {
                            obs::default_iteration_buckets());
   obs::metrics().histogram("qp.capped_simplex.sweeps",
                            obs::default_iteration_buckets());
+  obs::metrics().histogram("qp.capped_simplex.newton_iterations",
+                           obs::default_iteration_buckets());
+  obs::metrics().histogram("qp.capped_simplex.newton_evaluations",
+                           obs::default_iteration_buckets());
+  obs::metrics().histogram("qp.capped_simplex.polish_sweeps",
+                           obs::default_iteration_buckets());
   obs::metrics().gauge("plos.admm.participation_rate");
   obs::metrics().counter("simnet.bytes_to_device");
   obs::metrics().counter("simnet.bytes_to_server");
