@@ -5,10 +5,8 @@
 
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
-#include "linalg/kernels.hpp"
 #include "net/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "qp/simplex_qp.hpp"
 #include "svm/linear_svm.hpp"
 
 namespace plos::core {
@@ -57,7 +55,8 @@ AdmmDevice::AdmmDevice(const data::UserData& user, std::size_t num_users,
       kappa_(static_cast<double>(num_users) / (2.0 * options.params.lambda) +
              1.0 / options.rho),
       v_over_g_(static_cast<double>(num_users) /
-                (2.0 * options.params.lambda)) {}
+                (2.0 * options.params.lambda)),
+      working_set_(kappa_) {}
 
 linalg::Vector AdmmDevice::bootstrap_weights() const {
   if (ctx_.labeled.empty()) return {};
@@ -73,17 +72,8 @@ linalg::Vector AdmmDevice::bootstrap_weights() const {
 void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
                                   bool first_round, std::uint64_t seed) {
   // Keep the round's planes and converged duals before resetting: planes
-  // the next round re-derives bitwise resume from them. A round that built
-  // no working set leaves the older seeds in place.
-  if (!working_set_.empty() &&
-      previous_gamma_.size() == working_set_.size()) {
-    std::vector<linalg::Vector> planes;
-    planes.reserve(working_set_.size());
-    for (CuttingPlane& plane : working_set_) {
-      planes.push_back(std::move(plane.s));
-    }
-    seeds_.assign(std::move(planes), std::move(previous_gamma_));
-  }
+  // the next round re-derives bitwise resume from them.
+  persist_warm_seeds(working_set_, seeds_);
   if (first_round && ctx_.labeled.empty()) {
     signs_ = cluster_initial_signs(ctx_, current_weights,
                                    options_->params.lambda / num_users_,
@@ -92,10 +82,7 @@ void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
   } else {
     signs_ = cccp_signs(ctx_, current_weights);
   }
-  working_set_.clear();
-  hessian_ = linalg::Matrix();
-  linear_.clear();
-  previous_gamma_.clear();
+  working_set_ = qp::SimplexBlock(kappa_);
 }
 
 AdmmDevice::LocalSolution AdmmDevice::solve(std::span<const double> w0,
@@ -104,81 +91,21 @@ AdmmDevice::LocalSolution AdmmDevice::solve(std::span<const double> w0,
   linalg::Vector d(dim);
   for (std::size_t j = 0; j < dim; ++j) d[j] = w0[j] - u[j];
 
-  LocalSolution sol;
-  sol.w = d;  // empty working set ⇒ g = 0 ⇒ w = d, v = 0
-  sol.v = linalg::zeros(dim);
-
-  if (ctx_.num_samples() == 0) return sol;
-
-  // The prox center moved: refresh the d-dependent linear coefficients
-  // once per ADMM iteration. They are loop-invariant across the plane
-  // additions below (each addition appends only its own entry), where
-  // the old code recomputed the full set on every dual solve.
-  for (std::size_t i = 0; i < working_set_.size(); ++i) {
-    linear_[i] =
-        working_set_[i].offset - linalg::dot(working_set_[i].s, d);
-  }
-
   // The working set persists across ADMM iterations (the planes depend
-  // only on the CCCP signs), but the prox center d moved — re-solve over
-  // the existing set before looking for new violations.
-  if (!working_set_.empty()) solve_dual(d, sol);
+  // only on the CCCP signs); the loop re-solves it at the new center d.
+  ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
+      ctx_, signs_, options_->params.cl, options_->params.cu, d,
+      working_set_, shifted_, &seeds_, options_->cutting_plane.epsilon,
+      options_->cutting_plane.max_iterations);
+  qp_solves_ += solved.qp_solves;
+  qp_iterations_ += solved.qp_pivots;
+  qp_unconverged_ += solved.qp_unconverged;
 
-  for (int it = 0; it < options_->cutting_plane.max_iterations; ++it) {
-    sol.xi = optimal_slack(working_set_, sol.w);
-    CuttingPlane plane = most_violated_constraint(
-        ctx_, signs_, sol.w, options_->params.cl, options_->params.cu);
-    if (constraint_violation(plane, sol.w, sol.xi) <=
-        options_->cutting_plane.epsilon) {
-      break;
-    }
-    add_plane(std::move(plane), d);
-    solve_dual(d, sol);
-  }
-  sol.xi = optimal_slack(working_set_, sol.w);
+  LocalSolution sol;
+  sol.w = std::move(solved.w);
+  sol.v = linalg::scaled(working_set_.z, v_over_g_);
+  sol.xi = solved.xi;
   return sol;
-}
-
-void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
-  const std::size_t a = working_set_.size();
-  // Extend the prox-QP Hessian (already scaled by κ) by one border
-  // row/column.
-  linalg::Matrix h(a + 1, a + 1);
-  for (std::size_t i = 0; i < a; ++i) {
-    for (std::size_t j = 0; j < a; ++j) h(i, j) = hessian_(i, j);
-    const double entry =
-        kappa_ * linalg::kernels::blocked_dot(working_set_[i].s, plane.s);
-    h(i, a) = entry;
-    h(a, i) = entry;
-  }
-  h(a, a) = kappa_ * linalg::kernels::blocked_dot(plane.s, plane.s);
-  hessian_ = std::move(h);
-  linear_.push_back(plane.offset - linalg::dot(plane.s, d));
-  // The new dual variable resumes from the γ this plane converged to in
-  // the previous CCCP round (0 if it was never in the working set).
-  previous_gamma_.push_back(seeds_.seed(plane.s));
-  working_set_.push_back(std::move(plane));
-  count_constraint_added();
-}
-
-void AdmmDevice::solve_dual(const linalg::Vector& d, LocalSolution& sol) {
-  const std::size_t n = working_set_.size();
-  const qp::QpResult result =
-      qp::solve_simplex_qp(hessian_, linear_, /*cap=*/1.0, previous_gamma_);
-  ++qp_solves_;
-  qp_iterations_ += result.iterations;
-  if (!result.converged) ++qp_unconverged_;
-  previous_gamma_ = result.solution;
-
-  linalg::Vector g = linalg::zeros(d.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (result.solution[i] != 0.0) {
-      linalg::axpy(result.solution[i], working_set_[i].s, g);
-    }
-  }
-  sol.w = d;
-  linalg::axpy(kappa_, g, sol.w);
-  sol.v = linalg::scaled(g, v_over_g_);
 }
 
 StalenessLedger::StalenessLedger(std::size_t num_users)

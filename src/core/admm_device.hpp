@@ -18,6 +18,7 @@
 #include "core/distributed_plos.hpp"
 #include "obs/journal.hpp"
 #include "obs/sketch.hpp"
+#include "qp/simplex_qp.hpp"
 #include "qp/warm_store.hpp"
 
 namespace plos::core {
@@ -83,22 +84,17 @@ class AdmmDevice {
   int qp_unconverged() const { return qp_unconverged_; }
 
   /// Cutting planes currently in the device's working set.
-  std::size_t working_set_size() const { return working_set_.size(); }
+  std::size_t working_set_size() const { return working_set_.planes.size(); }
 
  private:
-  void add_plane(CuttingPlane plane, const linalg::Vector& d);
-  void solve_dual(const linalg::Vector& d, LocalSolution& sol);
-
   PlosUserContext ctx_;
   const DistributedPlosOptions* options_;
   double num_users_;
   double kappa_;     ///< T/(2λ) + 1/ρ
   double v_over_g_;  ///< T/(2λ)
   std::vector<int> signs_;
-  std::vector<CuttingPlane> working_set_;
-  linalg::Matrix hessian_;   ///< κ ⟨s_i, s_j⟩ over the working set
-  linalg::Vector linear_;    ///< b_i − ⟨s_i, d⟩ at the current prox center
-  linalg::Vector previous_gamma_;
+  qp::SimplexBlock working_set_;  ///< this CCCP round's planes, scale κ
+  linalg::Vector shifted_;   ///< b_a − ⟨s_a, d⟩ at the current prox center
   qp::WarmSeeds seeds_;      ///< previous CCCP round's planes and duals
   int qp_solves_ = 0;
   int qp_iterations_ = 0;

@@ -1,6 +1,7 @@
 #include "core/centralized_plos.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
@@ -19,8 +20,8 @@ namespace {
 // The joint dual (Eq. 16) as one qp::SimplexBlock per user: the user's
 // planes, offsets, block Gram and duals. Adding a constraint appends one
 // plane to its user's block. New duals are seeded from, and at round end
-// each user's converged duals are written back to, that user's
-// trainer-owned qp::WarmSeeds.
+// each user's converged duals are handed to, that user's trainer-owned
+// qp::WarmSeeds.
 class DualState {
  public:
   DualState(std::size_t num_users, double lambda,
@@ -30,27 +31,27 @@ class DualState {
         blocks_(num_users),
         seeds_(seeds) {}
 
-  std::size_t size() const { return size_; }
+  /// Constraints over every user's working set.
+  std::size_t size() const {
+    std::size_t total = 0;
+    for (const qp::SimplexBlock& block : blocks_) total += block.planes.size();
+    return total;
+  }
 
   const qp::SimplexBlock& block(std::size_t user) const {
     return blocks_[user];
   }
 
   void add_constraint(std::size_t user, CuttingPlane plane) {
-    // The new dual starts from the γ this plane converged to the last time
-    // it was in user's working set (0 if never) instead of flat zero.
-    const double gamma0 = (*seeds_)[user].seed(plane.s);
-    blocks_[user].append(std::move(plane.s), plane.offset, gamma0);
-    ++size_;
-    count_constraint_added();
+    core::add_constraint(blocks_[user], std::move(plane), &(*seeds_)[user]);
   }
 
-  /// Replaces every user's seeds with their current planes and duals, even
-  /// when the working set is empty, so the next CCCP round's re-derived
-  /// planes warm-start where they converged.
+  /// Hands every user's planes and duals to their seeds, so the next CCCP
+  /// round's re-derived planes warm-start where they converged. Leaves the
+  /// blocks empty.
   void persist_warm_starts() {
     for (std::size_t t = 0; t < blocks_.size(); ++t) {
-      (*seeds_)[t].assign(blocks_[t].planes, blocks_[t].gamma);
+      persist_warm_seeds(blocks_[t], (*seeds_)[t]);
     }
   }
 
@@ -72,7 +73,6 @@ class DualState {
   double lambda_over_t_;
   double cap_;
   std::vector<qp::SimplexBlock> blocks_;
-  std::size_t size_ = 0;
   std::vector<qp::WarmSeeds>* seeds_;
 };
 
@@ -145,6 +145,8 @@ CentralizedPlosResult train_centralized_plos(
     PLOS_SPAN("plos.cccp_round", "round", cccp);
     const Stopwatch round_watch;
     const int round_qp_solves_before = result.diagnostics.qp_solves;
+    const int round_qp_unconverged_before =
+        result.diagnostics.qp_unconverged;
     int round_qp_iterations = 0;
     result.diagnostics.cccp_iterations = cccp + 1;
 
@@ -196,15 +198,12 @@ CentralizedPlosResult train_centralized_plos(
         pool.parallel_for(num_users, [&](std::size_t t) {
           violated[t] = 0;
           if (contexts[t].num_samples() == 0) return;
-          CuttingPlane plane =
-              most_violated_constraint(contexts[t], signs[t], weights[t],
-                                       options.params.cl, options.params.cu);
-          const qp::SimplexBlock& block = dual.block(t);
-          const double xi =
-              optimal_slack(block.planes, block.linear, weights[t]);
-          if (constraint_violation(plane, weights[t], xi) >
-              options.cutting_plane.epsilon) {
-            separated[t] = std::move(plane);
+          std::optional<CuttingPlane> plane =
+              separate(contexts[t], signs[t], weights[t], dual.block(t),
+                       options.params.cl, options.params.cu,
+                       options.cutting_plane.epsilon);
+          if (plane) {
+            separated[t] = std::move(*plane);
             violated[t] = 1;
           }
         });
@@ -229,7 +228,6 @@ CentralizedPlosResult train_centralized_plos(
       });
     }
     result.diagnostics.final_constraint_count = dual.size();
-    dual.persist_warm_starts();
 
     const double objective =
         plos_objective(dataset, result.model, options.params);
@@ -250,6 +248,8 @@ CentralizedPlosResult train_centralized_plos(
       record.constraints = dual.size();
       record.qp_solves = result.diagnostics.round_qp_solves.back();
       record.qp_iterations = round_qp_iterations;
+      record.qp_unconverged =
+          result.diagnostics.qp_unconverged - round_qp_unconverged_before;
       if (options.journal != nullptr) options.journal->append(record);
       if (options.watchdog != nullptr &&
           options.watchdog->observe(record) == obs::WatchdogAction::kAbort) {
@@ -286,6 +286,7 @@ CentralizedPlosResult train_centralized_plos(
     }
     previous_objective = objective;
     previous_model = result.model;
+    dual.persist_warm_starts();
   }
 
   result.diagnostics.train_seconds = watch.elapsed_seconds();

@@ -1,13 +1,12 @@
 #include "core/cutting_plane.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "cluster/kmeans.hpp"
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
-#include "linalg/kernels.hpp"
 #include "obs/metrics.hpp"
-#include "qp/simplex_qp.hpp"
 #include "rng/engine.hpp"
 #include "svm/linear_svm.hpp"
 
@@ -42,62 +41,19 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
   PLOS_CHECK(ctx.user != nullptr, "fit_local_deviation: null user");
   PLOS_CHECK(lambda_over_t > 0.0,
              "fit_local_deviation: lambda_over_t must be positive");
-  const std::size_t dim = global_weights.size();
   const double kappa = 1.0 / (2.0 * lambda_over_t);  // = T/(2λ)
+  qp::SimplexBlock working_set(kappa);
+  linalg::Vector shifted;
+  ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
+      ctx, signs, cl, cu, global_weights, working_set, shifted,
+      /*seeds=*/nullptr, epsilon, max_iterations);
 
+  // ρ→∞ limit of the device solve: v = κ z and w = w0 + v.
+  const linalg::Vector v = linalg::scaled(working_set.z, kappa);
   LocalDeviationFit fit;
-  fit.weights.assign(global_weights.begin(), global_weights.end());
-  if (ctx.num_samples() == 0) return fit;
-
-  std::vector<CuttingPlane> working_set;
-  linalg::Matrix hessian;      // κ ⟨s_i, s_j⟩ over the working set
-  linalg::Vector linear;       // b_i − ⟨s_i, w0⟩, fixed once a plane enters
-  linalg::Vector gamma;
-  linalg::Vector v = linalg::zeros(dim);
-
-  for (int it = 0; it < max_iterations; ++it) {
-    const double xi = optimal_slack(working_set, fit.weights);
-    const CuttingPlane plane =
-        most_violated_constraint(ctx, signs, fit.weights, cl, cu);
-    if (constraint_violation(plane, fit.weights, xi) <= epsilon) break;
-
-    // Extend the Hessian by the new plane's row and column.
-    const std::size_t a = working_set.size();
-    linalg::Matrix next(a + 1, a + 1);
-    for (std::size_t i = 0; i < a; ++i) {
-      for (std::size_t j = 0; j < a; ++j) next(i, j) = hessian(i, j);
-      const double entry =
-          kappa * linalg::kernels::blocked_dot(working_set[i].s, plane.s);
-      next(i, a) = entry;
-      next(a, i) = entry;
-    }
-    next(a, a) = kappa * linalg::kernels::blocked_dot(plane.s, plane.s);
-    hessian = std::move(next);
-    working_set.push_back(plane);
-    linear.push_back(plane.offset - linalg::dot(plane.s, global_weights));
-    count_constraint_added();
-
-    // Dual: max Σγ(b_c − s_c·w0) − ½ κ ||Σγs||², γ ≥ 0, Σγ ≤ 1, from the
-    // previous γ padded with a zero for the new plane.
-    const std::size_t n = working_set.size();
-    gamma.resize(n, 0.0);
-    gamma = qp::solve_simplex_qp(hessian, linear, /*cap=*/1.0, gamma).solution;
-    // The solver keeps γ in {γ ≥ 0, Σγ ≤ 1}; this guards the hand-off.
-    PLOS_DCHECK(gamma.size() == n,
-                "fit_local_deviation: dual size " << gamma.size() << " != " << n);
-
-    linalg::Vector g = linalg::zeros(dim);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (gamma[i] != 0.0) linalg::axpy(gamma[i], working_set[i].s, g);
-    }
-    // ρ→∞ limit of the device solve: v = κ g and w = w0 + v.
-    v = linalg::scaled(g, kappa);
-    fit.weights.assign(global_weights.begin(), global_weights.end());
-    linalg::axpy(1.0, v, fit.weights);
-  }
-
+  fit.weights = std::move(solved.w);
   fit.objective = PLOS_CHECK_FINITE(lambda_over_t * linalg::squared_norm(v) +
-                                    optimal_slack(working_set, fit.weights));
+                                    solved.xi);
   return fit;
 }
 
@@ -235,25 +191,15 @@ CuttingPlane most_violated_constraint(const PlosUserContext& ctx,
 
 double constraint_violation(const CuttingPlane& plane,
                             std::span<const double> user_weights, double xi) {
-  const double violation =
-      plane.offset - linalg::dot(plane.s, user_weights) - xi;
-  static obs::Gauge& gauge =
-      obs::metrics().gauge("plos.cutting_plane.violation");
-  gauge.set(violation);
-  return violation;
+  return plane.offset - linalg::dot(plane.s, user_weights) - xi;
 }
 
-void count_constraint_added() {
-  static obs::Counter& constraints =
-      obs::metrics().counter("plos.cutting_plane.constraints_added");
-  constraints.increment();
-}
-
-double optimal_slack(const std::vector<CuttingPlane>& working_set,
+double optimal_slack(const qp::SimplexBlock& working_set,
                      std::span<const double> user_weights) {
   double xi = 0.0;
-  for (const auto& plane : working_set) {
-    xi = std::max(xi, plane.offset - linalg::dot(plane.s, user_weights));
+  for (std::size_t a = 0; a < working_set.planes.size(); ++a) {
+    xi = std::max(xi, working_set.linear[a] -
+                          linalg::dot(working_set.planes[a], user_weights));
   }
   // Slack non-negativity: ξ = max(0, violations) by construction; NaN plane
   // terms would poison the max silently, so re-assert in checked builds.
@@ -261,17 +207,81 @@ double optimal_slack(const std::vector<CuttingPlane>& working_set,
   return xi;
 }
 
-double optimal_slack(std::span<const linalg::Vector> planes,
-                     std::span<const double> offsets,
-                     std::span<const double> user_weights) {
-  PLOS_CHECK(planes.size() == offsets.size(),
-             "optimal_slack: planes/offsets size mismatch");
-  double xi = 0.0;
-  for (std::size_t a = 0; a < planes.size(); ++a) {
-    xi = std::max(xi, offsets[a] - linalg::dot(planes[a], user_weights));
+void add_constraint(qp::SimplexBlock& working_set, CuttingPlane plane,
+                    const qp::WarmSeeds* seeds) {
+  // The new dual resumes from the γ this plane converged to in the previous
+  // CCCP round (0 if it was never in the working set).
+  const double gamma0 = seeds != nullptr ? seeds->seed(plane.s) : 0.0;
+  working_set.append(std::move(plane.s), plane.offset, gamma0);
+  static obs::Counter& constraints =
+      obs::metrics().counter("plos.cutting_plane.constraints_added");
+  constraints.increment();
+}
+
+std::optional<CuttingPlane> separate(const PlosUserContext& ctx,
+                                     std::span<const int> signs,
+                                     std::span<const double> user_weights,
+                                     const qp::SimplexBlock& working_set,
+                                     double cl, double cu, double epsilon) {
+  CuttingPlane plane =
+      most_violated_constraint(ctx, signs, user_weights, cl, cu);
+  const double xi = optimal_slack(working_set, user_weights);
+  if (constraint_violation(plane, user_weights, xi) <= epsilon) {
+    return std::nullopt;
   }
-  PLOS_DCHECK(xi >= 0.0, "optimal_slack: negative or NaN slack " << xi);
-  return xi;
+  return plane;
+}
+
+ProxCuttingPlaneResult solve_prox_cutting_planes(
+    const PlosUserContext& ctx, std::span<const int> signs, double cl,
+    double cu, std::span<const double> center, qp::SimplexBlock& working_set,
+    linalg::Vector& shifted, const qp::WarmSeeds* seeds, double epsilon,
+    int max_iterations) {
+  const std::size_t dim = center.size();
+  const double kappa = working_set.scale();
+  ProxCuttingPlaneResult result;
+  result.w.assign(center.begin(), center.end());
+  if (working_set.planes.empty()) working_set.z.assign(dim, 0.0);
+  if (ctx.num_samples() == 0) return result;
+
+  const auto solve_dual = [&] {
+    const qp::QpResult solved = qp::solve_simplex_qp(
+        working_set.gram, shifted, /*cap=*/1.0, working_set.gamma);
+    ++result.qp_solves;
+    result.qp_pivots += solved.iterations;
+    if (!solved.converged) ++result.qp_unconverged;
+    working_set.gamma = solved.solution;
+    working_set.refresh_z(dim);
+    result.w.assign(center.begin(), center.end());
+    linalg::axpy(kappa, working_set.z, result.w);
+  };
+
+  // The planes depend only on the signs, but the center moved: re-derive
+  // the shifted terms and re-solve over the planes already held before
+  // looking for new violations. Within the call each appended plane adds
+  // only its own term.
+  shifted.resize(working_set.planes.size());
+  for (std::size_t a = 0; a < shifted.size(); ++a) {
+    shifted[a] =
+        working_set.linear[a] - linalg::dot(working_set.planes[a], center);
+  }
+  if (!working_set.planes.empty()) solve_dual();
+
+  for (int it = 0; it < max_iterations; ++it) {
+    std::optional<CuttingPlane> plane =
+        separate(ctx, signs, result.w, working_set, cl, cu, epsilon);
+    if (!plane) break;
+    shifted.push_back(plane->offset - linalg::dot(plane->s, center));
+    add_constraint(working_set, std::move(*plane), seeds);
+    solve_dual();
+  }
+  result.xi = optimal_slack(working_set, result.w);
+  return result;
+}
+
+void persist_warm_seeds(qp::SimplexBlock& working_set, qp::WarmSeeds& seeds) {
+  if (working_set.planes.empty()) return;
+  seeds.assign(std::move(working_set.planes), std::move(working_set.gamma));
 }
 
 }  // namespace plos::core

@@ -14,11 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
+#include "qp/simplex_qp.hpp"
+#include "qp/warm_store.hpp"
 
 namespace plos::core {
 
@@ -48,9 +51,8 @@ std::vector<int> cccp_signs(const PlosUserContext& ctx,
 /// Result of fitting the personal deviation for one user with fixed signs:
 /// min over (v, ξ) of (λ/T)||v||² + ξ subject to the user's 1-slack
 /// constraints at w = w0 + v. This is user t's contribution to the PLOS
-/// objective (Eq. 4) with w0 held fixed; solved by cutting planes over the
-/// same single-group capped-simplex dual the distributed device uses (the
-/// ρ→∞ limit of Eq. 22).
+/// objective (Eq. 4) with w0 held fixed: solve_prox_cutting_planes around
+/// w0 with κ = T/(2λ), the ρ→∞ limit of the device's Eq. 22.
 struct LocalDeviationFit {
   linalg::Vector weights;  ///< w = w0 + v
   double objective = 0.0;  ///< (λ/T)||v||² + ξ
@@ -97,24 +99,55 @@ CuttingPlane most_violated_constraint(const PlosUserContext& ctx,
                                       double cl, double cu);
 
 /// Violation b_c − s_c·w − ξ of a constraint at weights w with slack ξ.
-/// Mirrors the value into the "plos.cutting_plane.violation" gauge.
 double constraint_violation(const CuttingPlane& plane,
                             std::span<const double> user_weights, double xi);
 
-/// Bumps the shared "plos.cutting_plane.constraints_added" counter; called
-/// by every working-set grow site (centralized dual, device dual, local
-/// deviation fit) so the registry sees one population-wide count.
-void count_constraint_added();
-
-/// Optimal slack for a working set Ω at weights w:
-/// ξ = max(0, max_{c ∈ Ω} b_c − s_c·w).
-double optimal_slack(const std::vector<CuttingPlane>& working_set,
+/// Optimal slack of a working set at weights w, its linear terms read as
+/// the plane offsets: ξ = max(0, max_{c ∈ Ω} b_c − s_c·w).
+double optimal_slack(const qp::SimplexBlock& working_set,
                      std::span<const double> user_weights);
 
-/// The same over a working set held as planes s_c and offsets b_c side by
-/// side (a centralized dual block, qp::SimplexBlock).
-double optimal_slack(std::span<const linalg::Vector> planes,
-                     std::span<const double> offsets,
-                     std::span<const double> user_weights);
+/// The separation step of every cutting-plane loop: the most violated
+/// constraint at w (Eq. 14), unless it beats the working set's slack at w
+/// by at most ε.
+std::optional<CuttingPlane> separate(const PlosUserContext& ctx,
+                                     std::span<const int> signs,
+                                     std::span<const double> user_weights,
+                                     const qp::SimplexBlock& working_set,
+                                     double cl, double cu, double epsilon);
+
+/// Appends `plane` to a working set, its dual seeded from `seeds` (0
+/// without them), and bumps "plos.cutting_plane.constraints_added": the
+/// one grow site of both trainers and the local fit.
+void add_constraint(qp::SimplexBlock& working_set, CuttingPlane plane,
+                    const qp::WarmSeeds* seeds);
+
+struct ProxCuttingPlaneResult {
+  linalg::Vector w;        ///< center + κ·z, or center before any solve
+  double xi = 0.0;         ///< optimal slack of the working set at w
+  int qp_solves = 0;       ///< dual QP solves of this call
+  int qp_pivots = 0;       ///< their summed active-set pivots
+  int qp_unconverged = 0;  ///< of those solves, not converged
+};
+
+/// The prox cutting-plane loop of the device solve (Eq. 22) and the local
+/// fit: min ‖w − center‖²/(2κ) + ξ over the user's 1-slack constraints,
+/// κ = working_set.scale(), through the capped-simplex dual
+/// max Σγ_a (b_a − s_a·center) − ½κ‖z‖², z = Σγ_a s_a, γ ≥ 0, Σγ ≤ 1,
+/// whose primal is w = center + κ·z. `shifted` lends storage for the terms
+/// b_a − s_a·center, rewritten every call. A non-empty working set is
+/// re-solved at the new center first; then the loop separates at w, stops
+/// at ε or after `max_iterations` planes, else adds the plane and re-solves
+/// from the previous γ. On return working_set.z holds z.
+ProxCuttingPlaneResult solve_prox_cutting_planes(
+    const PlosUserContext& ctx, std::span<const int> signs, double cl,
+    double cu, std::span<const double> center, qp::SimplexBlock& working_set,
+    linalg::Vector& shifted, const qp::WarmSeeds* seeds, double epsilon,
+    int max_iterations);
+
+/// Hands a finished CCCP round's working set to the next round's warm
+/// starts (DESIGN.md §13.2): a non-empty block's planes and duals move into
+/// `seeds`; an empty one leaves the older seeds in place.
+void persist_warm_seeds(qp::SimplexBlock& working_set, qp::WarmSeeds& seeds);
 
 }  // namespace plos::core

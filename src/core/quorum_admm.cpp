@@ -147,19 +147,11 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   const double sqrt_t = std::sqrt(static_cast<double>(num_users));
   double previous_cccp_objective = std::numeric_limits<double>::infinity();
 
-  const auto total_device_qp_solves = [&devices]() {
-    int total = 0;
-    for (const AdmmDevice& device : devices) total += device.qp_solves();
-    return total;
-  };
-  const auto total_device_qp_iterations = [&devices]() {
-    int total = 0;
-    for (const AdmmDevice& device : devices) total += device.qp_iterations();
-    return total;
-  };
-  const auto total_working_set_size = [&devices]() {
-    std::size_t total = 0;
-    for (const AdmmDevice& device : devices) total += device.working_set_size();
+  // One of the devices' counts (an AdmmDevice getter), summed over the
+  // fleet.
+  const auto fleet = [&devices](auto count) {
+    decltype((devices.front().*count)()) total = 0;
+    for (const AdmmDevice& device : devices) total += (device.*count)();
     return total;
   };
 
@@ -201,7 +193,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     PLOS_SPAN("plos.cccp_round", "round", cccp);
     const Stopwatch round_watch;
     const int round_admm_before = result.diagnostics.admm_iterations_total;
-    const int round_qp_before = total_device_qp_solves();
+    const int round_qp_before = fleet(&AdmmDevice::qp_solves);
     result.diagnostics.cccp_iterations = cccp + 1;
     pool.parallel_for(num_users, [&](std::size_t t) {
       Stopwatch device_watch;
@@ -220,9 +212,11 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       PLOS_SPAN("plos.admm_round", "iteration", admm);
       ++result.diagnostics.admm_iterations_total;
       const int iteration_qp_solves_before =
-          (telemetry || tuning) ? total_device_qp_solves() : 0;
+          (telemetry || tuning) ? fleet(&AdmmDevice::qp_solves) : 0;
       const int iteration_qp_iterations_before =
-          (telemetry || tuning) ? total_device_qp_iterations() : 0;
+          (telemetry || tuning) ? fleet(&AdmmDevice::qp_iterations) : 0;
+      const int iteration_qp_unconverged_before =
+          (telemetry || tuning) ? fleet(&AdmmDevice::qp_unconverged) : 0;
       const linalg::Vector w0_old = w0;
       std::vector<linalg::Vector> u_old = u;
       const std::uint64_t round = network.current_round();
@@ -650,11 +644,13 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
         record.objective_finite = std::isfinite(objective);
         record.primal_residual = primal_residual;
         record.dual_residual = dual_residual;
-        record.constraints = total_working_set_size();
+        record.constraints = fleet(&AdmmDevice::working_set_size);
         record.qp_solves =
-            total_device_qp_solves() - iteration_qp_solves_before;
-        record.qp_iterations =
-            total_device_qp_iterations() - iteration_qp_iterations_before;
+            fleet(&AdmmDevice::qp_solves) - iteration_qp_solves_before;
+        record.qp_iterations = fleet(&AdmmDevice::qp_iterations) -
+                               iteration_qp_iterations_before;
+        record.qp_unconverged = fleet(&AdmmDevice::qp_unconverged) -
+                                iteration_qp_unconverged_before;
         record.participation_rate = participation_rate;
         record.quorum_size = fresh_count;
         record.late_uploads = late_count;
@@ -731,8 +727,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     result.diagnostics.round_seconds.push_back(round_watch.elapsed_seconds());
     result.diagnostics.round_admm_iterations.push_back(
         result.diagnostics.admm_iterations_total - round_admm_before);
-    result.diagnostics.round_qp_solves.push_back(total_device_qp_solves() -
-                                                 round_qp_before);
+    result.diagnostics.round_qp_solves.push_back(
+        fleet(&AdmmDevice::qp_solves) - round_qp_before);
     PLOS_LOG_DEBUG(
         "cccp round", obs::F("round", cccp),
         obs::F("objective", objective),
@@ -751,10 +747,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     }
     previous_cccp_objective = objective;
   }
-  result.diagnostics.qp_solves = total_device_qp_solves();
-  for (const AdmmDevice& device : devices) {
-    result.diagnostics.qp_unconverged += device.qp_unconverged();
-  }
+  result.diagnostics.qp_solves = fleet(&AdmmDevice::qp_solves);
+  result.diagnostics.qp_unconverged = fleet(&AdmmDevice::qp_unconverged);
 
   result.model.global_weights = w0;
   for (std::size_t t = 0; t < num_users; ++t) {

@@ -193,6 +193,7 @@ void report_journal(std::string& out,
   std::uint64_t bytes_down = 0, bytes_up = 0, dropped = 0, retries = 0;
   int qp_solves = 0;
   long long qp_iterations = 0;
+  int qp_unconverged = 0;
   int max_cccp = 0;
   std::uint64_t quorum_sum = 0, quorum_min = 0, quorum_records = 0;
   std::uint64_t late_uploads = 0, evictions = 0, max_staleness = 0;
@@ -222,6 +223,7 @@ void report_journal(std::string& out,
     retries += r.retries;
     qp_solves += r.qp_solves;
     qp_iterations += r.qp_iterations;
+    qp_unconverged += r.qp_unconverged;
     max_cccp = std::max(max_cccp, r.cccp_round);
     if (r.quorum_size > 0) {
       quorum_sum += r.quorum_size;
@@ -270,7 +272,8 @@ void report_journal(std::string& out,
   }
   append_line(out, "  qp          " + std::to_string(qp_solves) +
                        " solves, " + std::to_string(qp_iterations) +
-                       " iterations");
+                       " iterations, " + std::to_string(qp_unconverged) +
+                       " unconverged");
   if (bytes_down + bytes_up > 0) {
     append_line(out, "  traffic     " + std::to_string(bytes_down) +
                          " B down, " + std::to_string(bytes_up) +

@@ -61,6 +61,8 @@ std::string record_to_json(const RoundRecord& record) {
   out += std::to_string(record.qp_solves);
   out += ",\"qp_iterations\":";
   out += std::to_string(record.qp_iterations);
+  out += ",\"qp_unconverged\":";
+  out += std::to_string(record.qp_unconverged);
   out += ',';
   append_optional(out, "participation_rate", record.participation_rate);
   out += ',';
@@ -224,6 +226,8 @@ bool parse_journal_jsonl(std::string_view text, std::vector<RoundRecord>& out,
     record.qp_solves = static_cast<int>(u64_field(*value, "qp_solves"));
     record.qp_iterations =
         static_cast<int>(u64_field(*value, "qp_iterations"));
+    record.qp_unconverged =
+        static_cast<int>(u64_field(*value, "qp_unconverged"));
     record.participation_rate = optional_number(*value, "participation_rate");
     record.bytes_to_devices = u64_field(*value, "bytes_to_devices");
     record.bytes_to_server = u64_field(*value, "bytes_to_server");

@@ -42,6 +42,7 @@ struct RoundRecord {
   std::size_t constraints = 0;  ///< cutting planes in force after the step
   int qp_solves = 0;            ///< dual QP solves performed by the step
   int qp_iterations = 0;        ///< summed QP iterations/pivots of the step
+  int qp_unconverged = 0;       ///< of the step's solves, not converged
 
   double participation_rate = kUnset;  ///< distributed only
   std::uint64_t bytes_to_devices = 0;  ///< downlink bytes this step

@@ -376,17 +376,6 @@ void record_solve(double seconds_spent, int pivots, bool converged,
   if (warm_hit) warm_hits.increment();
 }
 
-// z = S_tᵀ γ_t over the block's planes, into a buffer of `dim` values.
-void combine_planes(const SimplexBlock& block, linalg::Vector& z,
-                   std::size_t dim) {
-  z.assign(dim, 0.0);
-  for (std::size_t a = 0; a < block.planes.size(); ++a) {
-    if (block.gamma[a] != 0.0) {
-      linalg::kernels::blocked_axpy(block.gamma[a], block.planes[a], z);
-    }
-  }
-}
-
 // total = Σ_t z_t, added in block order.
 void sum_blocks(std::span<const SimplexBlock> blocks, linalg::Vector& total) {
   std::fill(total.begin(), total.end(), 0.0);
@@ -409,9 +398,9 @@ class Sweeper {
         ws_(ws),
         total_(dim),
         u_(dim),
-        fresh_(dim) {
+        stale_(dim) {
     for (SimplexBlock& block : blocks) {
-      combine_planes(block, block.z, dim);
+      block.refresh_z(dim);
       const auto n = static_cast<double>(block.planes.size());
       flops_ += n * (static_cast<double>(dim) + n);
     }
@@ -450,11 +439,11 @@ class Sweeper {
       pivots += run(set).pivots;
       if (set.store(block.gamma)) {
         moved = true;
-        combine_planes(block, fresh_, dim_);
+        std::swap(block.z, stale_);
+        block.refresh_z(dim_);
         for (std::size_t j = 0; j < dim_; ++j) {
-          total_[j] += fresh_[j] - block.z[j];
+          total_[j] += block.z[j] - stale_[j];
         }
-        std::swap(block.z, fresh_);
       }
     }
     result.pivots += pivots;
@@ -482,7 +471,7 @@ class Sweeper {
   std::size_t dim_;
   Workspace& ws_;
   double flops_ = 0.0;
-  linalg::Vector linear_, total_, u_, fresh_;
+  linalg::Vector linear_, total_, u_, stale_;
 };
 
 // Armijo's sufficient-decrease fraction of the directional derivative.
@@ -648,7 +637,7 @@ class DualNewton {
     for (std::size_t t = 0; t < blocks_.size(); ++t) {
       std::copy(current_.gamma[t].begin(), current_.gamma[t].end(),
                 blocks_[t].gamma.begin());
-      combine_planes(blocks_[t], blocks_[t].z, dim_);
+      blocks_[t].refresh_z(dim_);
     }
   }
 
@@ -824,15 +813,21 @@ QpResult solve_simplex_qp(const linalg::Matrix& h, std::span<const double> c,
   return result;
 }
 
+SimplexBlock::SimplexBlock(double scale) : scale_(scale) {
+  PLOS_CHECK(std::isfinite(scale) && scale > 0.0,
+             "SimplexBlock: scale must be positive and finite");
+}
+
 void SimplexBlock::append(linalg::Vector s, double c, double gamma0) {
   const std::size_t a = planes.size();
-  const double diagonal = linalg::kernels::blocked_dot(s, s);
+  const double scale = this->scale();
+  const double diagonal = scale * linalg::kernels::blocked_dot(s, s);
   PLOS_CHECK(std::isfinite(c) && std::isfinite(diagonal),
              "SimplexBlock: non-finite plane or linear term");
   linalg::Matrix next(a + 1, a + 1);
   for (std::size_t i = 0; i < a; ++i) {
     for (std::size_t j = 0; j < a; ++j) next(i, j) = gram(i, j);
-    const double entry = linalg::kernels::blocked_dot(planes[i], s);
+    const double entry = scale * linalg::kernels::blocked_dot(planes[i], s);
     next(i, a) = entry;
     next(a, i) = entry;
   }
@@ -841,6 +836,13 @@ void SimplexBlock::append(linalg::Vector s, double c, double gamma0) {
   planes.push_back(std::move(s));
   linear.push_back(c);
   gamma.push_back(gamma0);
+}
+
+void SimplexBlock::refresh_z(std::size_t dim) {
+  z.assign(dim, 0.0);
+  for (std::size_t a = 0; a < planes.size(); ++a) {
+    if (gamma[a] != 0.0) linalg::kernels::blocked_axpy(gamma[a], planes[a], z);
+  }
 }
 
 BlockSweepResult solve_block_sweeps(std::span<SimplexBlock> blocks,
@@ -857,6 +859,7 @@ BlockSweepResult solve_block_sweeps(std::span<SimplexBlock> blocks,
                    block.gram.cols() == n,
                "BlockSweeps: block shape mismatch");
     PLOS_CHECK(block.gamma.size() == n, "BlockSweeps: warm start size mismatch");
+    PLOS_CHECK(!block.scaled(), "BlockSweeps: block has a scaled Gram");
     for (const linalg::Vector& s : block.planes) {
       if (!have_dim) dim = s.size();
       have_dim = true;

@@ -17,6 +17,7 @@
 // §13.4).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -45,19 +46,38 @@ QpResult solve_simplex_qp(const linalg::Matrix& h, std::span<const double> c,
                           double cap,
                           std::span<const double> warm_start = {});
 
-/// One block t of the coupled dual solved by solve_block_sweeps: the planes
-/// s_a (the rows of S_t), their linear terms c_t, the block Gram and γ_t.
+/// One user's cutting-plane working set: the planes s_a (the rows of S_t),
+/// their linear terms c_t, the scaled block Gram and γ_t. Unscaled, it is
+/// block t of the dual solve_block_sweeps solves; scaled by κ, it is a
+/// device's or a local fit's prox-QP, solved over `gram` by
+/// solve_simplex_qp (core/cutting_plane).
 struct SimplexBlock {
+  SimplexBlock() = default;
+  /// An empty block whose Gram holds `scale`·S_t S_tᵀ; `scale` is positive
+  /// and finite.
+  explicit SimplexBlock(double scale);
+
   std::vector<linalg::Vector> planes;
   linalg::Vector linear;  ///< c_t, one entry per plane
-  linalg::Matrix gram;    ///< S_t S_tᵀ
+  linalg::Matrix gram;    ///< scale()·S_t S_tᵀ
   linalg::Vector gamma;   ///< γ_t: the warm start going in, the solution out
-  linalg::Vector z;       ///< S_tᵀ γ_t, written by solve_block_sweeps
+  linalg::Vector z;       ///< S_tᵀ γ_t, as of the last refresh_z
+
+  /// The Gram scale: 1 unless the block was constructed with one.
+  double scale() const { return scale_.value_or(1.0); }
+  /// Whether the block was constructed with a scale.
+  bool scaled() const { return scale_.has_value(); }
 
   /// Appends plane `s` with linear term `c` and starting dual `gamma0`,
   /// bordering the Gram by one row and column. Rejects a non-finite plane
   /// or linear term.
   void append(linalg::Vector s, double c, double gamma0);
+
+  /// z = Σ_a γ_a s_a over `dim` values, added in plane order.
+  void refresh_z(std::size_t dim);
+
+ private:
+  std::optional<double> scale_;
 };
 
 /// Sweep budget of solve_block_sweeps. Sweeps alone have needed up to
@@ -85,8 +105,9 @@ struct BlockSweepResult {
 ///   minimize    f(γ) = ½ γᵀ H γ − cᵀ γ,  H = κ·S Sᵀ + blockdiag_t(S_t S_tᵀ)
 ///   subject to  γ ≥ 0,  Σ_{a ∈ t} γ_a ≤ cap  for every block t
 ///
-/// with κ = `coupling`, in place on `blocks`. Each sweep visits the blocks
-/// in order and solves block t exactly against the others held fixed:
+/// with κ = `coupling`, in place on `blocks`, none of them scaled. Each
+/// sweep visits the blocks in order and solves block t exactly against the
+/// others held fixed:
 /// min over γ_t of ½ (κ + 1)·γ_tᵀ S_t S_tᵀ γ_t − (c_t − S_t·u)ᵀ γ_t with
 /// u = κ·Σ_{t' ≠ t} z_t'. When κ > 0 and sweeps do not pass, once they
 /// have cost as much as a Newton direction, up to kMaxNewtonIterations

@@ -3,10 +3,14 @@
 // among all 2^m subset selections.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/assert.hpp"
 #include "core/cutting_plane.hpp"
+#include "obs/metrics.hpp"
 #include "rng/engine.hpp"
 
 namespace plos::core {
@@ -88,12 +92,15 @@ TEST(ConstraintViolationAndSlack, Formulas) {
   const Vector w{0.5, 0.0};
   EXPECT_DOUBLE_EQ(constraint_violation(plane, w, 0.25), 2.0 - 0.5 - 0.25);
 
-  CuttingPlane weaker;
-  weaker.s = {2.0, 0.0};
-  weaker.offset = 0.2;
-  EXPECT_DOUBLE_EQ(optimal_slack({plane, weaker}, w), 1.5);
-  EXPECT_DOUBLE_EQ(optimal_slack({weaker}, w), 0.0);  // clamped at zero
-  EXPECT_DOUBLE_EQ(optimal_slack({}, w), 0.0);
+  // A working set's linear terms are the plane offsets b_c.
+  qp::SimplexBlock both;
+  both.append(plane.s, plane.offset, 0.0);
+  both.append({2.0, 0.0}, 0.2, 0.0);
+  qp::SimplexBlock weaker;
+  weaker.append({2.0, 0.0}, 0.2, 0.0);
+  EXPECT_DOUBLE_EQ(optimal_slack(both, w), 1.5);
+  EXPECT_DOUBLE_EQ(optimal_slack(weaker, w), 0.0);  // clamped at zero
+  EXPECT_DOUBLE_EQ(optimal_slack(qp::SimplexBlock{}, w), 0.0);
 }
 
 // Property: Eq. 14's greedy selection yields the subset-c constraint with
@@ -208,6 +215,144 @@ TEST(LocalDeviationFit, ObjectiveBeatsZeroDeviation) {
       std::max(0.0, plane.offset - linalg::dot(plane.s, w0));
   EXPECT_LE(fit.objective, zero_dev_objective + 1e-4);
 }
+
+TEST(LocalDeviationFit, IsTheProxLoopOnAnEmptyBlockWithoutSeeds) {
+  rng::Engine engine(505);
+  const auto user = gaussian_user(engine, 12, 1.5);
+  const auto ctx = PlosUserContext::from_user(user);
+  const linalg::Vector w0 = engine.gaussian_vector(3, 0.0, 0.2);
+  const auto signs = cccp_signs(ctx, w0);
+  const double lambda_over_t = 0.7;
+
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  const auto fit = fit_local_deviation(ctx, signs, w0, lambda_over_t, 10.0,
+                                       1.0, 1e-3, 50);
+  // No warm seeds: the fit never looks one up.
+  const double lookups = registry.counter("qp.warm_store.hits").value() +
+                         registry.counter("qp.warm_store.misses").value();
+  registry.set_enabled(false);
+  EXPECT_EQ(lookups, 0.0);
+
+  qp::SimplexBlock block(1.0 / (2.0 * lambda_over_t));
+  linalg::Vector shifted;
+  const auto solved = solve_prox_cutting_planes(
+      ctx, signs, 10.0, 1.0, w0, block, shifted, nullptr, 1e-3, 50);
+  ASSERT_GT(block.planes.size(), 0u);
+  EXPECT_EQ(fit.weights, solved.w);
+  const linalg::Vector v = linalg::scaled(block.z, block.scale());
+  EXPECT_EQ(fit.objective,
+            lambda_over_t * linalg::squared_norm(v) + solved.xi);
+}
+
+// Property of the prox cutting-plane loop shared by the device solve and
+// the local-deviation fit. At return:
+//   * no plane beats the slack at (w, ξ) by more than ε, unless the plane
+//     cap was spent;
+//   * ξ = max(0, max_a b_a − s_a·w) over the working set;
+//   * z = Σγ·s and w = center + κ·z, bit for bit (w = center before any
+//     solve).
+// Each seed calls the loop the way a device does: twice in one CCCP round
+// at two prox centers (the second call re-solves the held planes), then
+// once in a new round whose block is seeded from the first.
+enum class LoopUser { kLabeled, kLabelFree, kEmpty, kCapBound };
+
+class ProxLoopProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_P(ProxLoopProperty, StopsAtEpsilonOrCapWithExactSlackAndPrimal) {
+  rng::Engine engine(GetParam() * 29 + 3);
+  const auto kind = static_cast<LoopUser>(GetParam() % 4);
+  const std::size_t dim = 3;
+  data::UserData user;
+  if (kind != LoopUser::kEmpty) {
+    const std::size_t m =
+        4 + static_cast<std::size_t>(engine.uniform_int(0, 20));
+    for (std::size_t i = 0; i < m; ++i) {
+      user.samples.push_back(engine.gaussian_vector(dim));
+      user.true_labels.push_back(engine.bernoulli(0.5) ? 1 : -1);
+      user.revealed.push_back(kind != LoopUser::kLabelFree &&
+                              engine.bernoulli(0.6));
+    }
+  }
+  const auto ctx = PlosUserContext::from_user(user);
+  const double cl = engine.uniform(0.5, 10.0);
+  const double cu = engine.uniform(0.1, 2.0);
+  const double kappa = engine.uniform(0.2, 5.0);
+  const bool cap_bound = kind == LoopUser::kCapBound;
+  const double epsilon = cap_bound ? 1e-12 : 1e-3;
+  const int cap = cap_bound ? 2 : 200;
+
+  qp::SimplexBlock block(kappa);
+  linalg::Vector shifted;
+  qp::WarmSeeds seeds;
+  linalg::Vector center = engine.gaussian_vector(dim, 0.0, 0.3);
+  std::vector<int> signs = cccp_signs(ctx, center);
+  for (int call = 0; call < 3; ++call) {
+    if (call == 2) {
+      persist_warm_seeds(block, seeds);
+      block = qp::SimplexBlock(kappa);
+    }
+    const std::size_t held = block.planes.size();
+    const auto solved = solve_prox_cutting_planes(
+        ctx, signs, cl, cu, center, block, shifted, &seeds, epsilon, cap);
+    SCOPED_TRACE(testing::Message() << "call " << call);
+
+    const std::size_t appended = block.planes.size() - held;
+    ASSERT_LE(appended, static_cast<std::size_t>(cap));
+    EXPECT_EQ(solved.qp_solves,
+              static_cast<int>(appended) + (held > 0 ? 1 : 0));
+    EXPECT_EQ(solved.qp_unconverged, 0);
+    const bool spent = appended == static_cast<std::size_t>(cap);
+    if (kind == LoopUser::kEmpty) {
+      EXPECT_EQ(appended, 0u);
+    } else if (cap_bound && call == 0) {
+      EXPECT_TRUE(spent);
+    } else if (!cap_bound) {
+      EXPECT_FALSE(spent);
+    }
+    if (!spent && ctx.num_samples() > 0) {
+      const CuttingPlane plane =
+          most_violated_constraint(ctx, signs, solved.w, cl, cu);
+      EXPECT_LE(constraint_violation(plane, solved.w, solved.xi), epsilon);
+    }
+
+    double xi = 0.0;
+    for (std::size_t a = 0; a < block.planes.size(); ++a) {
+      xi = std::max(xi, block.linear[a] - linalg::dot(block.planes[a],
+                                                      solved.w));
+    }
+    EXPECT_TRUE(same_bits({&solved.xi, 1}, {&xi, 1}));
+
+    linalg::Vector z = linalg::zeros(dim);
+    for (std::size_t a = 0; a < block.planes.size(); ++a) {
+      if (block.gamma[a] != 0.0) {
+        linalg::axpy(block.gamma[a], block.planes[a], z);
+      }
+    }
+    EXPECT_TRUE(same_bits(block.z, z));
+    linalg::Vector w = center;
+    if (!block.planes.empty()) linalg::axpy(kappa, z, w);
+    EXPECT_TRUE(same_bits(solved.w, w));
+
+    // The next call moves the prox center, as the next ADMM iteration does.
+    for (double& c : center) c += engine.gaussian(0.0, 0.1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Users, ProxLoopProperty,
+                         ::testing::Range<std::uint64_t>(0, 24));
 
 TEST(ClusterInitialSigns, RecoversCleanClusterStructure) {
   // w0 classifies at chance on this user; the user's own two clean blobs

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -16,6 +18,8 @@
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
 #include "net/simnet.hpp"
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "rng/engine.hpp"
 #include "sensing/body_sensor.hpp"
 #include "sensing/har.hpp"
@@ -217,6 +221,61 @@ TEST_P(SerialEquivalence, BaselinesBodySensor) {
 
 TEST_P(SerialEquivalence, BaselinesHar) {
   check_baselines(make_har_population(), GetParam());
+}
+
+// The global registry's snapshot after one run, minus the wall-clock and
+// energy instruments (names ending in "seconds" or "joules"), which no
+// contract pins.
+std::string deterministic_snapshot() {
+  const auto snapshot = obs::json::parse(obs::metrics().to_json());
+  EXPECT_TRUE(snapshot && snapshot->is_object());
+  if (!snapshot || !snapshot->is_object()) return {};
+  const auto timed = [](std::string_view name) {
+    return name.ends_with("seconds") || name.ends_with("joules");
+  };
+  obs::json::Object kept;
+  for (const auto& [kind, instruments] : snapshot->as_object()) {
+    obs::json::Object filtered;
+    for (const auto& [name, value] : instruments.as_object()) {
+      if (!timed(name)) filtered.emplace(name, value);
+    }
+    kept.emplace(kind, obs::json::Value(std::move(filtered)));
+  }
+  return obs::json::Value(std::move(kept)).to_json();
+}
+
+// Every instrument a training run records — counters, gauge sample traces
+// and histograms — is a function of the solver trajectory, so a threaded
+// run leaves the same registry behind as the serial one. A gauge written
+// from pool workers would record its samples in schedule order.
+template <typename Train>
+void expect_snapshot_thread_invariant(const Train& train) {
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  train(1);
+  const std::string serial = deterministic_snapshot();
+  registry.reset_values();
+  train(4);
+  const std::string threaded = deterministic_snapshot();
+  registry.set_enabled(false);
+  EXPECT_EQ(serial, threaded);
+}
+
+TEST(RegistrySnapshot, CentralizedMatchesSerialAtFourThreads) {
+  const auto dataset = make_synth_population();
+  expect_snapshot_thread_invariant([&](int threads) {
+    train_centralized_plos(dataset, centralized_options(threads));
+  });
+}
+
+TEST(RegistrySnapshot, DistributedMatchesSerialAtFourThreads) {
+  const auto dataset = make_synth_population();
+  expect_snapshot_thread_invariant([&](int threads) {
+    net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
+                            net::LinkProfile{});
+    train_distributed_plos(dataset, distributed_options(threads), &network);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SerialEquivalence,

@@ -166,6 +166,11 @@ TEST(CappedSimplexQp, ValidatesGroupPartition) {
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
   EXPECT_THROW(solve_block_sweeps(blocks, -1.0, 1.0), PreconditionError);
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, -1.0), PreconditionError);
+  // A κ-scaled block (a device's or a local fit's working set) is not a
+  // sweep block.
+  blocks = tiny_blocks();
+  blocks.emplace_back(2.0).append({1.0, 0.0}, 1.0, 0.0);
+  EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
 }
 
 // A NaN anywhere in the input used to hang the solve: the NaN gradient
@@ -186,6 +191,21 @@ TEST(CappedSimplexQp, NanHessianEntryThrows) {
   EXPECT_THROW(block.append({HUGE_VAL, 1.0}, 1.0, 0.0),
                PreconditionError);
   EXPECT_EQ(block.planes.size(), 1u);
+
+  // A κ-scaled block stores κ·⟨s_a, s⟩, and a plane whose scaled diagonal
+  // overflows is rejected like a non-finite one.
+  SimplexBlock scaled(2.5);
+  scaled.append({1.0, 3.0}, 1.0, 0.0);
+  scaled.append({0.5, -1.0}, 1.0, 0.0);
+  EXPECT_EQ(scaled.gram(0, 0), 25.0);
+  EXPECT_EQ(scaled.gram(0, 1), -6.25);
+  EXPECT_EQ(scaled.gram(1, 0), -6.25);
+  EXPECT_EQ(scaled.gram(1, 1), 3.125);
+  SimplexBlock huge(1e300);
+  EXPECT_THROW(huge.append({1e10, 0.0}, 1.0, 0.0), PreconditionError);
+  EXPECT_TRUE(huge.planes.empty());
+  EXPECT_THROW(SimplexBlock(0.0), PreconditionError);
+  EXPECT_THROW(SimplexBlock(std::nan("")), PreconditionError);
 }
 
 TEST(CappedSimplexQp, WarmStartMatchesColdSolution) {

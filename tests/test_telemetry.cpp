@@ -123,6 +123,7 @@ TEST(Journal, RecordRoundTripsThroughJsonl) {
   centralized.constraints = 17;
   centralized.qp_solves = 3;
   centralized.qp_iterations = 420;
+  centralized.qp_unconverged = 2;
   journal.append(centralized);
 
   obs::RoundRecord blowup;
@@ -153,6 +154,8 @@ TEST(Journal, RecordRoundTripsThroughJsonl) {
   EXPECT_TRUE(std::isnan(parsed[0].primal_residual));
   EXPECT_EQ(parsed[0].constraints, 17u);
   EXPECT_EQ(parsed[0].qp_iterations, 420);
+  EXPECT_EQ(parsed[0].qp_unconverged, 2);
+  EXPECT_EQ(parsed[1].qp_unconverged, 0);
 
   EXPECT_EQ(parsed[1].admm_iteration, 5);
   EXPECT_TRUE(std::isnan(parsed[1].objective));
@@ -773,10 +776,12 @@ TEST(Inspect, ConvergenceReportMentionsKeyFacts) {
   std::vector<obs::RoundRecord> journal;
   journal.push_back(healthy_record(2.0));
   journal.push_back(healthy_record(1.5));
+  journal.back().qp_unconverged = 3;
   const std::string report = obs::convergence_report(&manifest, &journal);
   EXPECT_NE(report.find("synth"), std::string::npos);
   EXPECT_NE(report.find("2 records"), std::string::npos);
   EXPECT_NE(report.find("accuracy.plos.overall"), std::string::npos);
+  EXPECT_NE(report.find("3 unconverged"), std::string::npos);
 }
 
 TEST(Inspect, ManifestCoreByteIdenticalAcrossThreadCounts) {

@@ -254,7 +254,6 @@ void register_standard_instruments() {
   obs::metrics().gauge("plos.admm.objective");
   obs::metrics().gauge("plos.admm.primal_residual");
   obs::metrics().gauge("plos.admm.dual_residual");
-  obs::metrics().gauge("plos.cutting_plane.violation");
   obs::metrics().counter("plos.cutting_plane.constraints_added");
   obs::metrics().counter("qp.capped_simplex.solves");
   obs::metrics().counter("qp.capped_simplex.seconds");
