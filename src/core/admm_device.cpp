@@ -71,9 +71,6 @@ linalg::Vector AdmmDevice::bootstrap_weights() const {
 
 void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
                                   bool first_round, std::uint64_t seed) {
-  // Keep the round's planes and converged duals before resetting: planes
-  // the next round re-derives bitwise resume from them.
-  persist_warm_seeds(working_set_, seeds_);
   if (first_round && ctx_.labeled.empty()) {
     signs_ = cluster_initial_signs(ctx_, current_weights,
                                    options_->params.lambda / num_users_,
@@ -95,7 +92,7 @@ AdmmDevice::LocalSolution AdmmDevice::solve(std::span<const double> w0,
   // only on the CCCP signs); the loop re-solves it at the new center d.
   ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
       ctx_, signs_, options_->params.cl, options_->params.cu, d,
-      working_set_, shifted_, &seeds_, options_->cutting_plane.epsilon,
+      working_set_, shifted_, options_->cutting_plane.epsilon,
       options_->cutting_plane.max_iterations);
   qp_solves_ += solved.qp_solves;
   qp_iterations_ += solved.qp_pivots;

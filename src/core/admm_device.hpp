@@ -2,11 +2,11 @@
 // (core/quorum_admm) under every schedule — synchronous and asynchronous.
 //
 // One AdmmDevice owns one simulated device: its raw data, CCCP signs, the
-// cutting-plane working set of the current CCCP round, and the hot-path
-// state of DESIGN.md §13 (the previous round's planes and converged duals
-// as warm-start seeds). Under the thread pool's static chunking each device
-// is touched by exactly one worker per round, so none of this needs
-// locking.
+// cutting-plane working set of the current CCCP round. No solver state
+// outlives a CCCP round (DESIGN.md §13): begin_cccp_round starts an empty
+// working set, and a new plane enters it at dual 0. Under the thread pool's
+// static chunking each device is touched by exactly one worker per round,
+// so none of this needs locking.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,6 @@
 #include "obs/journal.hpp"
 #include "obs/sketch.hpp"
 #include "qp/simplex_qp.hpp"
-#include "qp/warm_store.hpp"
 
 namespace plos::core {
 
@@ -95,7 +94,6 @@ class AdmmDevice {
   std::vector<int> signs_;
   qp::SimplexBlock working_set_;  ///< this CCCP round's planes, scale κ
   linalg::Vector shifted_;   ///< b_a − ⟨s_a, d⟩ at the current prox center
-  qp::WarmSeeds seeds_;      ///< previous CCCP round's planes and duals
   int qp_solves_ = 0;
   int qp_iterations_ = 0;
   int qp_unconverged_ = 0;

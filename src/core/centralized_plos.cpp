@@ -11,7 +11,6 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "qp/simplex_qp.hpp"
-#include "qp/warm_store.hpp"
 
 namespace plos::core {
 
@@ -19,17 +18,14 @@ namespace {
 
 // The joint dual (Eq. 16) as one qp::SimplexBlock per user: the user's
 // planes, offsets, block Gram and duals. Adding a constraint appends one
-// plane to its user's block. New duals are seeded from, and at round end
-// each user's converged duals are handed to, that user's trainer-owned
-// qp::WarmSeeds.
+// plane to its user's block at dual 0. A DualState lives for one CCCP
+// round: no solver state outlives it (DESIGN.md §13).
 class DualState {
  public:
-  DualState(std::size_t num_users, double lambda,
-            std::vector<qp::WarmSeeds>* seeds)
+  DualState(std::size_t num_users, double lambda)
       : lambda_over_t_(lambda / static_cast<double>(num_users)),
         cap_(static_cast<double>(num_users) / (2.0 * lambda)),
-        blocks_(num_users),
-        seeds_(seeds) {}
+        blocks_(num_users) {}
 
   /// Constraints over every user's working set.
   std::size_t size() const {
@@ -43,16 +39,7 @@ class DualState {
   }
 
   void add_constraint(std::size_t user, CuttingPlane plane) {
-    core::add_constraint(blocks_[user], std::move(plane), &(*seeds_)[user]);
-  }
-
-  /// Hands every user's planes and duals to their seeds, so the next CCCP
-  /// round's re-derived planes warm-start where they converged. Leaves the
-  /// blocks empty.
-  void persist_warm_starts() {
-    for (std::size_t t = 0; t < blocks_.size(); ++t) {
-      persist_warm_seeds(blocks_[t], (*seeds_)[t]);
-    }
+    core::add_constraint(blocks_[user], std::move(plane));
   }
 
   /// Solves the dual and recovers (w0, v_t) into `model`:
@@ -73,7 +60,6 @@ class DualState {
   double lambda_over_t_;
   double cap_;
   std::vector<qp::SimplexBlock> blocks_;
-  std::vector<qp::WarmSeeds>* seeds_;
 };
 
 }  // namespace
@@ -135,10 +121,6 @@ CentralizedPlosResult train_centralized_plos(
     contexts.push_back(PlosUserContext::from_user(user));
   }
 
-  // The only state that outlives the per-round DualState: each user's
-  // previous working set and its converged duals (DESIGN.md §13).
-  std::vector<qp::WarmSeeds> seeds(num_users);
-
   double previous_objective = std::numeric_limits<double>::infinity();
   PersonalizedModel previous_model = result.model;
   for (int cccp = 0; cccp < options.cccp.max_iterations; ++cccp) {
@@ -177,7 +159,7 @@ CentralizedPlosResult train_centralized_plos(
     // genuinely optimizes the PLOS objective instead of merely certifying
     // the init — an SVM init that happens to satisfy all margins must not
     // short-circuit training.
-    DualState dual(num_users, options.params.lambda, &seeds);
+    DualState dual(num_users, options.params.lambda);
     for (auto& w : weights) w.assign(dim, 0.0);
     result.model = PersonalizedModel::zeros(num_users, dim);
 
@@ -286,7 +268,6 @@ CentralizedPlosResult train_centralized_plos(
     }
     previous_objective = objective;
     previous_model = result.model;
-    dual.persist_warm_starts();
   }
 
   result.diagnostics.train_seconds = watch.elapsed_seconds();

@@ -45,8 +45,8 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
   qp::SimplexBlock working_set(kappa);
   linalg::Vector shifted;
   ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
-      ctx, signs, cl, cu, global_weights, working_set, shifted,
-      /*seeds=*/nullptr, epsilon, max_iterations);
+      ctx, signs, cl, cu, global_weights, working_set, shifted, epsilon,
+      max_iterations);
 
   // ρ→∞ limit of the device solve: v = κ z and w = w0 + v.
   const linalg::Vector v = linalg::scaled(working_set.z, kappa);
@@ -207,12 +207,8 @@ double optimal_slack(const qp::SimplexBlock& working_set,
   return xi;
 }
 
-void add_constraint(qp::SimplexBlock& working_set, CuttingPlane plane,
-                    const qp::WarmSeeds* seeds) {
-  // The new dual resumes from the γ this plane converged to in the previous
-  // CCCP round (0 if it was never in the working set).
-  const double gamma0 = seeds != nullptr ? seeds->seed(plane.s) : 0.0;
-  working_set.append(std::move(plane.s), plane.offset, gamma0);
+void add_constraint(qp::SimplexBlock& working_set, CuttingPlane plane) {
+  working_set.append(std::move(plane.s), plane.offset);
   static obs::Counter& constraints =
       obs::metrics().counter("plos.cutting_plane.constraints_added");
   constraints.increment();
@@ -235,8 +231,7 @@ std::optional<CuttingPlane> separate(const PlosUserContext& ctx,
 ProxCuttingPlaneResult solve_prox_cutting_planes(
     const PlosUserContext& ctx, std::span<const int> signs, double cl,
     double cu, std::span<const double> center, qp::SimplexBlock& working_set,
-    linalg::Vector& shifted, const qp::WarmSeeds* seeds, double epsilon,
-    int max_iterations) {
+    linalg::Vector& shifted, double epsilon, int max_iterations) {
   const std::size_t dim = center.size();
   const double kappa = working_set.scale();
   ProxCuttingPlaneResult result;
@@ -272,16 +267,11 @@ ProxCuttingPlaneResult solve_prox_cutting_planes(
         separate(ctx, signs, result.w, working_set, cl, cu, epsilon);
     if (!plane) break;
     shifted.push_back(plane->offset - linalg::dot(plane->s, center));
-    add_constraint(working_set, std::move(*plane), seeds);
+    add_constraint(working_set, std::move(*plane));
     solve_dual();
   }
   result.xi = optimal_slack(working_set, result.w);
   return result;
-}
-
-void persist_warm_seeds(qp::SimplexBlock& working_set, qp::WarmSeeds& seeds) {
-  if (working_set.planes.empty()) return;
-  seeds.assign(std::move(working_set.planes), std::move(working_set.gamma));
 }
 
 }  // namespace plos::core

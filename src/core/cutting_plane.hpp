@@ -21,7 +21,6 @@
 #include "data/dataset.hpp"
 #include "linalg/vector.hpp"
 #include "qp/simplex_qp.hpp"
-#include "qp/warm_store.hpp"
 
 namespace plos::core {
 
@@ -116,11 +115,10 @@ std::optional<CuttingPlane> separate(const PlosUserContext& ctx,
                                      const qp::SimplexBlock& working_set,
                                      double cl, double cu, double epsilon);
 
-/// Appends `plane` to a working set, its dual seeded from `seeds` (0
-/// without them), and bumps "plos.cutting_plane.constraints_added": the
-/// one grow site of both trainers and the local fit.
-void add_constraint(qp::SimplexBlock& working_set, CuttingPlane plane,
-                    const qp::WarmSeeds* seeds);
+/// Appends `plane` to a working set at dual 0 and bumps
+/// "plos.cutting_plane.constraints_added": the one grow site of both
+/// trainers and the local fit.
+void add_constraint(qp::SimplexBlock& working_set, CuttingPlane plane);
 
 struct ProxCuttingPlaneResult {
   linalg::Vector w;        ///< center + κ·z, or center before any solve
@@ -142,12 +140,6 @@ struct ProxCuttingPlaneResult {
 ProxCuttingPlaneResult solve_prox_cutting_planes(
     const PlosUserContext& ctx, std::span<const int> signs, double cl,
     double cu, std::span<const double> center, qp::SimplexBlock& working_set,
-    linalg::Vector& shifted, const qp::WarmSeeds* seeds, double epsilon,
-    int max_iterations);
-
-/// Hands a finished CCCP round's working set to the next round's warm
-/// starts (DESIGN.md §13.2): a non-empty block's planes and duals move into
-/// `seeds`; an empty one leaves the older seeds in place.
-void persist_warm_seeds(qp::SimplexBlock& working_set, qp::WarmSeeds& seeds);
+    linalg::Vector& shifted, double epsilon, int max_iterations);
 
 }  // namespace plos::core

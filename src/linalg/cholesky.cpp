@@ -36,36 +36,4 @@ std::optional<Matrix> cholesky(const Matrix& a) {
   return l;
 }
 
-Vector cholesky_solve(const Matrix& l, std::span<const double> b) {
-  const std::size_t n = l.rows();
-  PLOS_CHECK(l.cols() == n && b.size() == n, "cholesky_solve: size mismatch");
-  // A factor from a successful cholesky() has a strictly positive diagonal;
-  // anything else divides by zero below.
-  for (std::size_t i = 0; i < n; ++i) {
-    PLOS_DCHECK(l(i, i) > 0.0, "cholesky_solve: non-positive pivot L("
-                                   << i << "," << i << ")=" << l(i, i));
-  }
-  // Forward substitution: L y = b.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
-  }
-  // Back substitution: L^T x = y.
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
-  }
-  return x;
-}
-
-std::optional<Vector> solve_spd(const Matrix& a, std::span<const double> b) {
-  auto l = cholesky(a);
-  if (!l) return std::nullopt;
-  return cholesky_solve(*l, b);
-}
-
 }  // namespace plos::linalg

@@ -1,7 +1,7 @@
-// Cholesky factorization and SPD linear solves.
+// Cholesky factorization.
 //
-// Used by the multivariate-normal sampler (covariance factoring) and as a
-// building block for QP diagnostics.
+// Used by the multivariate-normal sampler to factor covariances. The QP
+// solvers factor their own small systems in place (qp/simplex_qp).
 #pragma once
 
 #include <optional>
@@ -13,11 +13,5 @@ namespace plos::linalg {
 /// Lower-triangular Cholesky factor L with A = L L^T.
 /// Returns std::nullopt when A is not (numerically) positive definite.
 std::optional<Matrix> cholesky(const Matrix& a);
-
-/// Solve A x = b given the Cholesky factor L of A (forward then back subst).
-Vector cholesky_solve(const Matrix& l, std::span<const double> b);
-
-/// Solve the SPD system A x = b directly; nullopt when A is not SPD.
-std::optional<Vector> solve_spd(const Matrix& a, std::span<const double> b);
 
 }  // namespace plos::linalg

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/watchdog.hpp"
+
 namespace plos::obs {
 
 namespace {
@@ -274,6 +276,20 @@ void report_journal(std::string& out,
                        " solves, " + std::to_string(qp_iterations) +
                        " iterations, " + std::to_string(qp_unconverged) +
                        " unconverged");
+  // The default watchdog policy replayed over the journal; the run's own
+  // policy and verdict are the manifest's.
+  const Watchdog replayed = replay_watchdog(journal, WatchdogConfig{});
+  append_line(out, "  replay      watchdog " +
+                       std::string(replayed.verdict()) + " (" +
+                       std::to_string(replayed.violations().size()) +
+                       " violations)");
+  if (replayed.triggered()) {
+    const WatchdogViolation& first = replayed.violations().front();
+    append_line(out, "  violation   record " +
+                         std::to_string(first.record_index) + " " +
+                         violation_kind_name(first.kind) + ": " +
+                         first.message);
+  }
   if (bytes_down + bytes_up > 0) {
     append_line(out, "  traffic     " + std::to_string(bytes_down) +
                          " B down, " + std::to_string(bytes_up) +

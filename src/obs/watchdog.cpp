@@ -22,6 +22,8 @@ Counter& kind_counter(ViolationKind kind) {
       return metrics().counter("plos.watchdog.participation");
     case ViolationKind::kStaleness:
       return metrics().counter("plos.watchdog.staleness");
+    case ViolationKind::kUnconverged:
+      return metrics().counter("plos.watchdog.unconverged");
   }
   return metrics().counter("plos.watchdog.unknown");  // unreachable
 }
@@ -40,6 +42,8 @@ const char* violation_kind_name(ViolationKind kind) {
       return "participation";
     case ViolationKind::kStaleness:
       return "staleness";
+    case ViolationKind::kUnconverged:
+      return "unconverged";
   }
   return "unknown";
 }
@@ -89,6 +93,16 @@ WatchdogAction Watchdog::observe(const RoundRecord& record) {
     escalate(report(ViolationKind::kNonFinite,
                     objective_blowup ? "objective is not finite"
                                      : "ADMM residual is not finite"));
+  }
+
+  // -- unconverged QP solves -------------------------------------------------
+  // A solve that spent its budget returns a feasible but suboptimal dual, so
+  // the step's model is not the one the cutting-plane loop certified.
+  if (record.qp_unconverged > 0) {
+    escalate(report(ViolationKind::kUnconverged,
+                    std::to_string(record.qp_unconverged) + " of " +
+                        std::to_string(record.qp_solves) +
+                        " QP solves did not converge"));
   }
 
   const bool has_objective =

@@ -1,10 +1,11 @@
 // Convergence watchdog: online violation detection over the round journal.
 //
 // Federated-personalization loops fail in characteristic ways — a NaN in
-// the objective from a blown-up QP, a stall where rounds stop improving,
-// outright divergence of the objective or the ADMM residuals, and (under
-// fault injection) a participation collapse where most devices silently
-// stop reaching the server. The watchdog is a policy object fed every
+// the objective from a blown-up QP, a dual QP that spends its budget
+// without converging, a stall where rounds stop improving, outright
+// divergence of the objective or the ADMM residuals, and (under fault
+// injection) a participation collapse where most devices silently stop
+// reaching the server. The watchdog is a policy object fed every
 // RoundRecord as it is produced; it classifies violations, fires
 // structured log events, bumps `plos.watchdog.*` metrics, and — when
 // configured with OnViolation::kAbort — tells the trainer to stop the run
@@ -37,6 +38,7 @@ enum class ViolationKind {
   kDivergence,     ///< objective or residual growth beyond tolerance
   kParticipation,  ///< participation rate below floor for too many rounds
   kStaleness,      ///< max server-block staleness at/above ceiling too long
+  kUnconverged,    ///< a QP solve of the step returned converged == false
 };
 
 const char* violation_kind_name(ViolationKind kind);

@@ -818,7 +818,7 @@ SimplexBlock::SimplexBlock(double scale) : scale_(scale) {
              "SimplexBlock: scale must be positive and finite");
 }
 
-void SimplexBlock::append(linalg::Vector s, double c, double gamma0) {
+void SimplexBlock::append(linalg::Vector s, double c) {
   const std::size_t a = planes.size();
   const double scale = this->scale();
   const double diagonal = scale * linalg::kernels::blocked_dot(s, s);
@@ -835,7 +835,7 @@ void SimplexBlock::append(linalg::Vector s, double c, double gamma0) {
   gram = std::move(next);
   planes.push_back(std::move(s));
   linear.push_back(c);
-  gamma.push_back(gamma0);
+  gamma.push_back(0.0);
 }
 
 void SimplexBlock::refresh_z(std::size_t dim) {

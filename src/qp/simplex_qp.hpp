@@ -68,10 +68,10 @@ struct SimplexBlock {
   /// Whether the block was constructed with a scale.
   bool scaled() const { return scale_.has_value(); }
 
-  /// Appends plane `s` with linear term `c` and starting dual `gamma0`,
-  /// bordering the Gram by one row and column. Rejects a non-finite plane
-  /// or linear term.
-  void append(linalg::Vector s, double c, double gamma0);
+  /// Appends plane `s` with linear term `c` and starting dual 0, bordering
+  /// the Gram by one row and column. Rejects a non-finite plane or linear
+  /// term.
+  void append(linalg::Vector s, double c);
 
   /// z = Σ_a γ_a s_a over `dim` values, added in plane order.
   void refresh_z(std::size_t dim);

@@ -110,7 +110,8 @@ inline std::vector<SimplexBlock> make_blocks(
   std::vector<SimplexBlock> blocks(specs.size());
   for (std::size_t t = 0; t < specs.size(); ++t) {
     for (const PlaneSpec& plane : specs[t]) {
-      blocks[t].append(plane.s, plane.linear, plane.gamma);
+      blocks[t].append(plane.s, plane.linear);
+      blocks[t].gamma.back() = plane.gamma;
     }
   }
   return blocks;

@@ -10,7 +10,6 @@
 
 #include "common/assert.hpp"
 #include "core/cutting_plane.hpp"
-#include "obs/metrics.hpp"
 #include "rng/engine.hpp"
 
 namespace plos::core {
@@ -94,10 +93,10 @@ TEST(ConstraintViolationAndSlack, Formulas) {
 
   // A working set's linear terms are the plane offsets b_c.
   qp::SimplexBlock both;
-  both.append(plane.s, plane.offset, 0.0);
-  both.append({2.0, 0.0}, 0.2, 0.0);
+  both.append(plane.s, plane.offset);
+  both.append({2.0, 0.0}, 0.2);
   qp::SimplexBlock weaker;
-  weaker.append({2.0, 0.0}, 0.2, 0.0);
+  weaker.append({2.0, 0.0}, 0.2);
   EXPECT_DOUBLE_EQ(optimal_slack(both, w), 1.5);
   EXPECT_DOUBLE_EQ(optimal_slack(weaker, w), 0.0);  // clamped at zero
   EXPECT_DOUBLE_EQ(optimal_slack(qp::SimplexBlock{}, w), 0.0);
@@ -224,21 +223,14 @@ TEST(LocalDeviationFit, IsTheProxLoopOnAnEmptyBlockWithoutSeeds) {
   const auto signs = cccp_signs(ctx, w0);
   const double lambda_over_t = 0.7;
 
-  auto& registry = obs::metrics();
-  registry.set_enabled(true);
-  registry.reset_values();
   const auto fit = fit_local_deviation(ctx, signs, w0, lambda_over_t, 10.0,
                                        1.0, 1e-3, 50);
-  // No warm seeds: the fit never looks one up.
-  const double lookups = registry.counter("qp.warm_store.hits").value() +
-                         registry.counter("qp.warm_store.misses").value();
-  registry.set_enabled(false);
-  EXPECT_EQ(lookups, 0.0);
 
+  // The same loop on a fresh block of the fit's scale κ = T/(2λ).
   qp::SimplexBlock block(1.0 / (2.0 * lambda_over_t));
   linalg::Vector shifted;
   const auto solved = solve_prox_cutting_planes(
-      ctx, signs, 10.0, 1.0, w0, block, shifted, nullptr, 1e-3, 50);
+      ctx, signs, 10.0, 1.0, w0, block, shifted, 1e-3, 50);
   ASSERT_GT(block.planes.size(), 0u);
   EXPECT_EQ(fit.weights, solved.w);
   const linalg::Vector v = linalg::scaled(block.z, block.scale());
@@ -255,7 +247,7 @@ TEST(LocalDeviationFit, IsTheProxLoopOnAnEmptyBlockWithoutSeeds) {
 //     solve).
 // Each seed calls the loop the way a device does: twice in one CCCP round
 // at two prox centers (the second call re-solves the held planes), then
-// once in a new round whose block is seeded from the first.
+// once in a new round on a fresh block.
 enum class LoopUser { kLabeled, kLabelFree, kEmpty, kCapBound };
 
 class ProxLoopProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -296,17 +288,13 @@ TEST_P(ProxLoopProperty, StopsAtEpsilonOrCapWithExactSlackAndPrimal) {
 
   qp::SimplexBlock block(kappa);
   linalg::Vector shifted;
-  qp::WarmSeeds seeds;
   linalg::Vector center = engine.gaussian_vector(dim, 0.0, 0.3);
   std::vector<int> signs = cccp_signs(ctx, center);
   for (int call = 0; call < 3; ++call) {
-    if (call == 2) {
-      persist_warm_seeds(block, seeds);
-      block = qp::SimplexBlock(kappa);
-    }
+    if (call == 2) block = qp::SimplexBlock(kappa);
     const std::size_t held = block.planes.size();
     const auto solved = solve_prox_cutting_planes(
-        ctx, signs, cl, cu, center, block, shifted, &seeds, epsilon, cap);
+        ctx, signs, cl, cu, center, block, shifted, epsilon, cap);
     SCOPED_TRACE(testing::Message() << "call " << call);
 
     const std::size_t appended = block.planes.size() - held;

@@ -918,10 +918,10 @@ TEST(ShippedConfig, ParsesAndCoversTheDeterminismCatalog) {
 
 // ---- cache-purity rule ---------------------------------------------------
 //
-// The warm-start seed store (warm_store) must stay a pure function of
-// solver inputs: no timers, no wall clocks, no pointer-derived keys, no
-// hash-seeded containers (DESIGN.md §13). The shipped rule is path-scoped
-// to exactly that file and the sketch/flight sources below.
+// The mergeable sketches and the flight recorder must stay a pure function
+// of their inputs: no timers, no wall clocks, no pointer-derived keys, no
+// hash-seeded containers (DESIGN.md §15). The shipped rule is path-scoped
+// to exactly those sources.
 
 std::size_t count_rule(const std::vector<Finding>& findings,
                        const std::string& rule) {
@@ -946,11 +946,11 @@ TEST(CachePurity, FlagsImpureStateInsideCacheSources) {
       "  auto key = reinterpret_cast<std::size_t>(nullptr);\n"
       "  return 0;\n"
       "}\n";
-  // Every impurity class fires, in both warm-start source files.
-  EXPECT_GE(count_rule(lint_source(*config, "src/qp/warm_store.cpp", impure),
+  // Every impurity class fires, in both sketch source files.
+  EXPECT_GE(count_rule(lint_source(*config, "src/obs/sketch.cpp", impure),
                        "cache-purity"),
             4u);
-  EXPECT_GE(count_rule(lint_source(*config, "src/qp/warm_store.hpp", impure),
+  EXPECT_GE(count_rule(lint_source(*config, "src/obs/sketch.hpp", impure),
                        "cache-purity"),
             4u);
 }

@@ -139,7 +139,7 @@ TEST(CappedSimplexQp, EmptyProblem) {
 
   // Blocks without planes impose nothing; their z is zero.
   std::vector<SimplexBlock> blocks(3);
-  blocks[1].append({1.0, 2.0}, 1.0, 0.0);
+  blocks[1].append({1.0, 2.0}, 1.0);
   ASSERT_TRUE(solve_block_sweeps(blocks, 0.5, 1.0).converged);
   EXPECT_EQ(blocks[0].z, Vector(2, 0.0));
   EXPECT_EQ(blocks[2].z, Vector(2, 0.0));
@@ -162,14 +162,14 @@ TEST(CappedSimplexQp, ValidatesGroupPartition) {
   blocks[0].linear.pop_back();
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
   blocks = tiny_blocks();
-  blocks.emplace_back().append({1.0, 2.0, 3.0}, 1.0, 0.0);
+  blocks.emplace_back().append({1.0, 2.0, 3.0}, 1.0);
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
   EXPECT_THROW(solve_block_sweeps(blocks, -1.0, 1.0), PreconditionError);
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, -1.0), PreconditionError);
   // A κ-scaled block (a device's or a local fit's working set) is not a
   // sweep block.
   blocks = tiny_blocks();
-  blocks.emplace_back(2.0).append({1.0, 0.0}, 1.0, 0.0);
+  blocks.emplace_back(2.0).append({1.0, 0.0}, 1.0);
   EXPECT_THROW(solve_block_sweeps(blocks, 0.0, 1.0), PreconditionError);
 }
 
@@ -178,31 +178,28 @@ TEST(CappedSimplexQp, ValidatesGroupPartition) {
 // Appending one is now rejected outright.
 TEST(CappedSimplexQp, NanLinearTermThrows) {
   SimplexBlock block;
-  EXPECT_THROW(block.append({1.0, 0.0}, std::nan(""), 0.0),
-               PreconditionError);
+  EXPECT_THROW(block.append({1.0, 0.0}, std::nan("")), PreconditionError);
   EXPECT_TRUE(block.planes.empty());
 }
 
 TEST(CappedSimplexQp, NanHessianEntryThrows) {
   SimplexBlock block;
-  block.append({1.0, 0.0}, 1.0, 0.0);
-  EXPECT_THROW(block.append({std::nan(""), 1.0}, 1.0, 0.0),
-               PreconditionError);
-  EXPECT_THROW(block.append({HUGE_VAL, 1.0}, 1.0, 0.0),
-               PreconditionError);
+  block.append({1.0, 0.0}, 1.0);
+  EXPECT_THROW(block.append({std::nan(""), 1.0}, 1.0), PreconditionError);
+  EXPECT_THROW(block.append({HUGE_VAL, 1.0}, 1.0), PreconditionError);
   EXPECT_EQ(block.planes.size(), 1u);
 
   // A κ-scaled block stores κ·⟨s_a, s⟩, and a plane whose scaled diagonal
   // overflows is rejected like a non-finite one.
   SimplexBlock scaled(2.5);
-  scaled.append({1.0, 3.0}, 1.0, 0.0);
-  scaled.append({0.5, -1.0}, 1.0, 0.0);
+  scaled.append({1.0, 3.0}, 1.0);
+  scaled.append({0.5, -1.0}, 1.0);
   EXPECT_EQ(scaled.gram(0, 0), 25.0);
   EXPECT_EQ(scaled.gram(0, 1), -6.25);
   EXPECT_EQ(scaled.gram(1, 0), -6.25);
   EXPECT_EQ(scaled.gram(1, 1), 3.125);
   SimplexBlock huge(1e300);
-  EXPECT_THROW(huge.append({1e10, 0.0}, 1.0, 0.0), PreconditionError);
+  EXPECT_THROW(huge.append({1e10, 0.0}, 1.0), PreconditionError);
   EXPECT_TRUE(huge.planes.empty());
   EXPECT_THROW(SimplexBlock(0.0), PreconditionError);
   EXPECT_THROW(SimplexBlock(std::nan("")), PreconditionError);

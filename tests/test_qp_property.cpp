@@ -10,8 +10,8 @@
 //      replaced;
 //   3. warm-start idempotence — re-solving from a converged result does no
 //      work (zero pivots; for the block sweeps, one pivot-free sweep) and
-//      returns the bitwise-identical vector, which is what makes cross-round
-//      warm-start seeding safe;
+//      returns the bitwise-identical vector, which is what makes re-solving
+//      a working set from its own γ within a round safe;
 //   4. projection idempotence — projecting an already-projected point is a
 //      bitwise no-op, so a solver's "project the warm start before use"
 //      step cannot perturb an optimal seed.

@@ -634,6 +634,47 @@ TEST(Watchdog, ReplayMatchesOnlineObservation) {
   EXPECT_EQ(watchdog.violations()[0].record_index, 2u);
 }
 
+TEST(Watchdog, FlagsUnconvergedSolves) {
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  obs::Watchdog watchdog{obs::WatchdogConfig{}};
+  obs::RoundRecord converged = healthy_record(2.0);
+  converged.qp_solves = 4;
+  EXPECT_EQ(watchdog.observe(converged), obs::WatchdogAction::kNone);
+  obs::RoundRecord budget_spent = healthy_record(1.5);
+  budget_spent.qp_solves = 4;
+  budget_spent.qp_unconverged = 1;
+  EXPECT_EQ(watchdog.observe(budget_spent), obs::WatchdogAction::kWarn);
+  const double fired =
+      registry.counter("plos.watchdog.unconverged").value();
+  registry.set_enabled(false);
+  ASSERT_EQ(watchdog.violations().size(), 1u);
+  EXPECT_EQ(watchdog.violations()[0].kind, obs::ViolationKind::kUnconverged);
+  EXPECT_EQ(watchdog.violations()[0].record_index, 1u);
+  EXPECT_EQ(watchdog.violations()[0].message,
+            "1 of 4 QP solves did not converge");
+  EXPECT_STREQ(obs::violation_kind_name(obs::ViolationKind::kUnconverged),
+               "unconverged");
+  EXPECT_EQ(fired, 1.0);
+  EXPECT_FALSE(watchdog.should_abort());
+  EXPECT_STREQ(watchdog.verdict(), "warn");
+}
+
+TEST(Watchdog, UnconvergedSolveAbortsUnderAbortPolicy) {
+  obs::WatchdogConfig config;
+  config.on_violation = obs::WatchdogConfig::OnViolation::kAbort;
+  obs::Watchdog watchdog(config);
+  obs::RoundRecord record = healthy_record(1.0);
+  record.qp_solves = 2;
+  record.qp_unconverged = 2;
+  EXPECT_EQ(watchdog.observe(record), obs::WatchdogAction::kAbort);
+  ASSERT_EQ(watchdog.violations().size(), 1u);
+  EXPECT_EQ(watchdog.violations()[0].kind, obs::ViolationKind::kUnconverged);
+  EXPECT_TRUE(watchdog.should_abort());
+  EXPECT_STREQ(watchdog.verdict(), "abort");
+}
+
 // ---- run manifest --------------------------------------------------------
 
 obs::RunManifest sample_manifest() {
@@ -782,6 +823,38 @@ TEST(Inspect, ConvergenceReportMentionsKeyFacts) {
   EXPECT_NE(report.find("2 records"), std::string::npos);
   EXPECT_NE(report.find("accuracy.plos.overall"), std::string::npos);
   EXPECT_NE(report.find("3 unconverged"), std::string::npos);
+}
+
+TEST(Inspect, ReportReplaysTheWatchdogOverTheJournal) {
+  // `plos_inspect report` on a journal file: the default policy replayed
+  // over the parsed records names an unconverged step.
+  obs::Journal journal;
+  journal.append(healthy_record(2.0));
+  obs::RoundRecord budget_spent = healthy_record(1.5);
+  budget_spent.cccp_round = 1;
+  budget_spent.qp_solves = 5;
+  budget_spent.qp_unconverged = 2;
+  journal.append(budget_spent);
+  std::vector<obs::RoundRecord> parsed;
+  std::string error;
+  ASSERT_TRUE(obs::parse_journal_jsonl(journal.to_jsonl(), parsed, &error))
+      << error;
+  const std::string report = obs::convergence_report(nullptr, &parsed);
+  EXPECT_NE(report.find("replay      watchdog warn (1 violations)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("violation   record 1 unconverged: 2 of 5 QP solves "
+                        "did not converge"),
+            std::string::npos)
+      << report;
+
+  // A journal whose solves all converged replays clean.
+  parsed.pop_back();
+  const std::string clean = obs::convergence_report(nullptr, &parsed);
+  EXPECT_NE(clean.find("replay      watchdog ok (0 violations)"),
+            std::string::npos)
+      << clean;
+  EXPECT_EQ(clean.find("violation   record"), std::string::npos) << clean;
 }
 
 TEST(Inspect, ManifestCoreByteIdenticalAcrossThreadCounts) {

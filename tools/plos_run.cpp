@@ -235,8 +235,8 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
        cli::text(c.profile_out)},
       {"--watchdog", "MODE",
        "off (default), warn, or abort: convergence watchdog over the round "
-       "journal (NaN, divergence, participation collapse; abort stops "
-       "training at the next round boundary)",
+       "journal (NaN, unconverged QP, divergence, participation collapse; "
+       "abort stops training at the next round boundary)",
        cli::choice(c.watchdog, {"off", "warn", "abort"})},
       {"--watchdog-stall-rounds", "N",
        "also flag N rounds without objective improvement (0 = stall check "
@@ -284,6 +284,7 @@ void register_standard_instruments() {
   obs::metrics().counter("plos.watchdog.divergence");
   obs::metrics().counter("plos.watchdog.participation");
   obs::metrics().counter("plos.watchdog.staleness");
+  obs::metrics().counter("plos.watchdog.unconverged");
   obs::metrics().counter("plos.watchdog.violations");
   obs::metrics().gauge("plos.watchdog.violations_total");
 }
