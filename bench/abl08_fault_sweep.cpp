@@ -4,8 +4,8 @@
 // recover most drops, so accuracy degrades by at most a few percent while
 // retry traffic/energy and (under churn) ADMM iterations grow — graceful
 // degradation rather than a cliff. Set PLOS_BENCH_METRICS=<file> to dump a
-// per-drop-rate metrics snapshot (retry/drop/corrupt counters, traffic,
-// participation gauge) as JSON lines.
+// per-drop-rate metrics snapshot (retry/drop/corrupt counters, traffic)
+// as JSON lines.
 #include <benchmark/benchmark.h>
 
 #include <memory>

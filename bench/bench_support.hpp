@@ -168,9 +168,11 @@ bool write_bench_suite(const BenchSuite& suite);
 /// RAII phase scope. When bench_metrics_enabled(), construction enables the
 /// global metrics registry and zeroes its values; destruction appends one
 /// JSON line `{"phase":"<name>","metrics":<registry snapshot>}` to the
-/// PLOS_BENCH_METRICS file. The snapshot carries the solver-internal
-/// breakdown (time in QP vs cutting-plane separation vs serialization,
-/// iteration histograms, simnet traffic) for BENCH_*.json post-processing.
+/// PLOS_BENCH_METRICS file. The snapshot is Registry::to_json(),
+/// `{"counters":…,"histograms":…}` (no "gauges" section), and carries the
+/// solver-internal breakdown (time in QP vs cutting-plane separation vs
+/// serialization, iteration histograms, simnet traffic) for BENCH_*.json
+/// post-processing.
 /// A no-op when the variable is unset, so benches stay overhead-free by
 /// default.
 class PhaseMetrics {

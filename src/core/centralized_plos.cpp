@@ -7,7 +7,6 @@
 #include "common/stopwatch.hpp"
 #include "core/cutting_plane.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "qp/simplex_qp.hpp"
@@ -253,10 +252,6 @@ CentralizedPlosResult train_centralized_plos(
       break;
     }
     result.diagnostics.objective_trace.push_back(objective);
-    // Gauge samples mirror the accepted-objective trace, so a snapshot's
-    // "plos.objective" trajectory is monotone like the diagnostics trace.
-    static obs::Gauge& objective_gauge = obs::metrics().gauge("plos.objective");
-    objective_gauge.set(objective);
     PLOS_LOG_DEBUG("cccp round", obs::F("round", cccp),
                    obs::F("objective", objective),
                    obs::F("constraints", dual.size()),

@@ -13,7 +13,6 @@
 #include "net/event_queue.hpp"
 #include "net/serialize.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -613,18 +612,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       result.diagnostics.objective_trace.push_back(objective);
       result.diagnostics.primal_residual_trace.push_back(primal_residual);
       result.diagnostics.dual_residual_trace.push_back(dual_residual);
-      static obs::Gauge& primal_gauge =
-          obs::metrics().gauge("plos.admm.primal_residual");
-      static obs::Gauge& dual_gauge =
-          obs::metrics().gauge("plos.admm.dual_residual");
-      static obs::Gauge& objective_gauge =
-          obs::metrics().gauge("plos.admm.objective");
-      static obs::Gauge& participation_gauge =
-          obs::metrics().gauge("plos.admm.participation_rate");
-      primal_gauge.set(primal_residual);
-      dual_gauge.set(dual_residual);
-      objective_gauge.set(objective);
-      participation_gauge.set(participation_rate);
       PLOS_LOG_TRACE("admm iteration", obs::F("cccp", cccp),
                      obs::F("admm", admm), obs::F("objective", objective),
                      obs::F("primal_residual", primal_residual),

@@ -107,19 +107,6 @@ void StderrSink::write(std::string_view line) {
   std::fflush(stderr);
 }
 
-FileSink::FileSink(const std::string& path)
-    : file_(std::fopen(path.c_str(), "a")) {}
-
-FileSink::~FileSink() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void FileSink::write(std::string_view line) {
-  if (file_ == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
-}
-
 void MemorySink::write(std::string_view line) {
   const std::lock_guard<std::mutex> lock(mutex_);
   lines_.emplace_back(line);

@@ -98,18 +98,6 @@ class StderrSink final : public Sink {
   void write(std::string_view line) override;
 };
 
-/// Appends to a file opened at construction; no-op if the open failed.
-class FileSink final : public Sink {
- public:
-  explicit FileSink(const std::string& path);
-  ~FileSink() override;
-  bool ok() const { return file_ != nullptr; }
-  void write(std::string_view line) override;
-
- private:
-  std::FILE* file_ = nullptr;
-};
-
 /// Captures rendered lines in memory; for tests.
 class MemorySink final : public Sink {
  public:

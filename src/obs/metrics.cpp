@@ -8,28 +8,6 @@
 
 namespace plos::obs {
 
-void Gauge::set(double value) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  value_.store(value, std::memory_order_relaxed);
-  has_value_.store(true, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (samples_.size() < kMaxSamples) {
-    samples_.push_back(value);
-  } else {
-    ++dropped_;
-  }
-}
-
-std::vector<double> Gauge::samples() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return samples_;
-}
-
-std::size_t Gauge::dropped_samples() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
 void Histogram::record(double value) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -81,18 +59,6 @@ Counter& Registry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name),
-                      std::unique_ptr<Gauge>(new Gauge(&enabled_)))
-             .first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name,
                                const QuantileSketch::Spec& spec) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -111,13 +77,6 @@ void Registry::reset_values() {
   for (auto& [name, counter] : counters_) {
     counter->value_.store(0.0, std::memory_order_relaxed);
   }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->value_.store(0.0, std::memory_order_relaxed);
-    gauge->has_value_.store(false, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> gauge_lock(gauge->mutex_);
-    gauge->samples_.clear();
-    gauge->dropped_ = 0;
-  }
   for (auto& [name, histogram] : histograms_) {
     const std::lock_guard<std::mutex> histogram_lock(histogram->mutex_);
     histogram->sketch_ = QuantileSketch(histogram->sketch_.spec());
@@ -125,6 +84,20 @@ void Registry::reset_values() {
     histogram->min_ = 0.0;
     histogram->max_ = 0.0;
   }
+}
+
+void Registry::for_each_counter(
+    const std::function<void(const std::string&, const Counter&)>& visit)
+    const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, counter] : counters_) visit(name, *counter);
+}
+
+void Registry::for_each_histogram(
+    const std::function<void(const std::string&, const Histogram&)>& visit)
+    const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, histogram] : histograms_) visit(name, *histogram);
 }
 
 namespace {
@@ -150,24 +123,6 @@ std::string Registry::to_json() const {
     out += json::escape(name);
     out += ':';
     out += json::number(counter->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    out += json::escape(name);
-    out += ":{\"value\":";
-    out += json::number(gauge->value());
-    out += ",\"samples\":[";
-    const std::vector<double> samples = gauge->samples();
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (i > 0) out += ',';
-      out += json::number(samples[i]);
-    }
-    out += "],\"dropped_samples\":";
-    out += json::number(static_cast<double>(gauge->dropped_samples()));
-    out += '}';
   }
   out += "},\"histograms\":{";
   first = true;
@@ -245,18 +200,6 @@ std::string Registry::to_prometheus() const {
     const std::string metric = prometheus_name(name);
     header(metric, "counter", "Registry counter " + name + ".");
     out += metric + " " + prometheus_number(counter->value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    const std::string metric = prometheus_name(name);
-    header(metric, "gauge", "Registry gauge " + name + ".");
-    out += metric + " " + prometheus_number(gauge->value()) + "\n";
-    const std::size_t dropped = gauge->dropped_samples();
-    if (dropped > 0) {
-      header(metric + "_dropped_samples", "gauge",
-             "Samples dropped by gauge " + name + ".");
-      out += metric + "_dropped_samples " +
-             prometheus_number(static_cast<double>(dropped)) + "\n";
-    }
   }
   for (const auto& [name, histogram] : histograms_) {
     const std::string metric = prometheus_name(name);

@@ -1,14 +1,14 @@
-// Metrics registry: named counters, gauges, and sketch-backed histograms,
-// with snapshot-to-JSON and Prometheus export.
+// Metrics registry: named counters and sketch-backed histograms, with
+// snapshot-to-JSON and Prometheus export.
 //
 //   * Counter   — monotonically increasing double (bytes, solves, seconds).
-//   * Gauge     — last-written value plus a bounded sample trace, so a
-//                 snapshot carries the *trajectory* (objective per CCCP
-//                 round, ADMM residuals per iteration), not just the final
-//                 scalar.
 //   * Histogram — a QuantileSketch (obs/sketch.hpp, the repo's one
 //                 distribution type: log-bucketed and mergeable) plus exact
 //                 count/sum/min/max (QP iteration distributions).
+//
+// Per-step values (objective per CCCP round, ADMM residuals and
+// participation per iteration) are not instruments: the trainers keep them
+// in their diagnostics traces and the round journal.
 //
 // Instruments are created on first lookup and live as long as their
 // Registry; `reset_values()` zeroes values but keeps instrument identities,
@@ -23,12 +23,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/sketch.hpp"
 
@@ -50,34 +50,6 @@ class Counter {
   explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
 
   std::atomic<double> value_{0.0};
-  const std::atomic<bool>* enabled_;
-};
-
-class Gauge {
- public:
-  /// Caps the per-gauge sample trace; the last value is always kept.
-  static constexpr std::size_t kMaxSamples = 65536;
-
-  void set(double value);
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  bool has_value() const { return has_value_.load(std::memory_order_relaxed); }
-  std::vector<double> samples() const;
-  /// Samples recorded after the trace filled up (the last value is still
-  /// tracked, only the trajectory entry was dropped). Nonzero means the
-  /// sample trace is a truncated prefix, not the full trajectory —
-  /// surfaced in the JSON/Prometheus snapshots so long runs can't misread
-  /// a capped trace as complete.
-  std::size_t dropped_samples() const;
-
- private:
-  friend class Registry;
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-
-  std::atomic<double> value_{0.0};
-  std::atomic<bool> has_value_{false};
-  mutable std::mutex mutex_;
-  std::vector<double> samples_;
-  std::size_t dropped_ = 0;
   const std::atomic<bool>* enabled_;
 };
 
@@ -124,7 +96,6 @@ class Registry {
 
   /// Lookup-or-create. References stay valid for the Registry's lifetime.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   /// On first creation the sketch layout is fixed from `spec`; later
   /// lookups ignore the argument.
   Histogram& histogram(std::string_view name,
@@ -133,28 +104,34 @@ class Registry {
   /// Zeroes every instrument's values; instrument identities survive.
   void reset_values();
 
+  /// Calls `visit` on every counter (histogram) in name order, under the
+  /// registry lock; `visit` must not look instruments up.
+  void for_each_counter(
+      const std::function<void(const std::string&, const Counter&)>& visit)
+      const;
+  void for_each_histogram(
+      const std::function<void(const std::string&, const Histogram&)>& visit)
+      const;
+
   /// Snapshot of all instruments as a JSON object:
   /// {"counters":{name:value,…},
-  ///  "gauges":{name:{"value":v,"samples":[…]},…},
   ///  "histograms":{name:{"count":n,"sum":s,"min":m,"max":M,
   ///                      "p50":…,"p90":…,"p99":…},…}}
-  /// Gauges additionally carry "dropped_samples". count/sum/min/max are
-  /// exact; p50/p90/p99 are QuantileSketch::quantile bucket lower edges.
+  /// count/sum/min/max are exact; p50/p90/p99 are QuantileSketch::quantile
+  /// bucket lower edges.
   std::string to_json() const;
 
   /// Snapshot in the Prometheus text exposition format (version 0.0.4):
-  /// counters and gauges as scalar samples, each histogram as one `summary`
-  /// family ({quantile="0.5|0.9|0.99"} series plus `_sum`/`_count`).
-  /// Instrument names are sanitized to [a-zA-Z0-9_:] (every other
-  /// character becomes '_'); gauges with an overflowed sample trace expose
-  /// an extra `<name>_dropped_samples` gauge.
+  /// counters as scalar samples, each histogram as one `summary` family
+  /// ({quantile="0.5|0.9|0.99"} series plus `_sum`/`_count`). Instrument
+  /// names are sanitized to [a-zA-Z0-9_:] (every other character becomes
+  /// '_').
   std::string to_prometheus() const;
 
  private:
   std::atomic<bool> enabled_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

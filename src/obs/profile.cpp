@@ -6,6 +6,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace plos::obs {
 
@@ -21,6 +22,7 @@ struct Frame {
   std::int32_t node = 0;
   std::uint64_t generation = 0;
   std::int64_t start_ns = 0;
+  bool sliced = false;  ///< slices were on when the span opened
 };
 
 // Per-thread frame stack plus the base position installed by
@@ -33,6 +35,14 @@ struct ThreadState {
 ThreadState& tls() {
   thread_local ThreadState state;
   return state;
+}
+
+// Small dense thread ids (Chrome renders one lane per tid).
+std::uint32_t current_tid() {
+  static std::atomic<std::uint32_t> next{1};
+  thread_local const std::uint32_t tid =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return tid;
 }
 
 /// Wall-clock-derived instruments are quarantined by naming convention:
@@ -59,9 +69,17 @@ void Profiler::set_enabled(bool enabled) {
   enabled_.store(enabled, std::memory_order_relaxed);
 }
 
+void Profiler::set_slices_enabled(bool enabled) {
+  if (enabled && !slices_enabled_.load(std::memory_order_relaxed)) {
+    slice_epoch_ns_.store(steady_now_ns(), std::memory_order_relaxed);
+  }
+  slices_enabled_.store(enabled, std::memory_order_relaxed);
+}
+
 void Profiler::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   nodes_.clear();
+  slices_.clear();
   Node root;
   root.name = "root";
   nodes_.push_back(std::move(root));
@@ -99,10 +117,12 @@ void Profiler::span_open(const char* name) {
     }
     ++nodes_[child].count;
   }
-  state.stack.push_back(Frame{child, generation, steady_now_ns()});
+  state.stack.push_back(
+      Frame{child, generation, steady_now_ns(),
+            slices_enabled_.load(std::memory_order_relaxed)});
 }
 
-void Profiler::span_close() {
+void Profiler::span_close(const char* arg_name, double arg) {
   ThreadState& state = tls();
   if (state.stack.empty()) return;  // unbalanced close: ignore
   const Frame frame = state.stack.back();
@@ -111,9 +131,17 @@ void Profiler::span_close() {
     return;  // span opened before a reset; its node is gone
   }
   const std::int64_t elapsed = steady_now_ns() - frame.start_ns;
+  const std::uint32_t tid = frame.sliced ? current_tid() : 0;
+  const std::int64_t epoch_ns =
+      slice_epoch_ns_.load(std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (frame.node >= 0 && static_cast<std::size_t>(frame.node) < nodes_.size()) {
-    nodes_[frame.node].inclusive_ns += elapsed;
+  if (frame.node < 0 || static_cast<std::size_t>(frame.node) >= nodes_.size()) {
+    return;
+  }
+  nodes_[frame.node].inclusive_ns += elapsed;
+  if (frame.sliced) {
+    slices_.push_back(SliceRecord{frame.node, tid, frame.start_ns - epoch_ns,
+                                  elapsed, arg_name, arg});
   }
 }
 
@@ -152,11 +180,52 @@ Profiler::NodeSnapshot Profiler::snapshot() const {
   return root;
 }
 
-void profile_span_open(const char* name) {
-  Profiler::instance().span_open(name);
+std::vector<Profiler::Slice> Profiler::slices() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // A node is appended after its parent, so one forward pass sets every
+  // depth (the synthetic root sits at -1, top-level phases at 0).
+  std::vector<int> depth(nodes_.size(), -1);
+  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+    depth[i] = depth[nodes_[i].parent] + 1;
+  }
+  std::vector<Slice> out;
+  out.reserve(slices_.size());
+  for (const SliceRecord& record : slices_) {
+    out.push_back(Slice{nodes_[record.node].name, depth[record.node],
+                        record.tid, static_cast<double>(record.start_ns) * 1e-3,
+                        static_cast<double>(record.duration_ns) * 1e-3,
+                        record.arg_name, record.arg});
+  }
+  return out;
 }
 
-void profile_span_close() { Profiler::instance().span_close(); }
+std::string Profiler::to_chrome_json() const {
+  const std::vector<Slice> snapshot = slices();
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    const Slice& slice = snapshot[i];
+    if (i > 0) out += ',';
+    out += "{\"name\":";
+    out += json::escape(slice.name);
+    out += ",\"cat\":\"plos\",\"ph\":\"X\",\"pid\":1,\"tid\":";
+    out += json::number(static_cast<double>(slice.tid));
+    out += ",\"ts\":";
+    out += json::number(slice.ts_us);
+    out += ",\"dur\":";
+    out += json::number(slice.dur_us);
+    out += ",\"args\":{\"depth\":";
+    out += json::number(static_cast<double>(slice.depth));
+    if (slice.arg_name != nullptr) {
+      out += ',';
+      out += json::escape(slice.arg_name);
+      out += ':';
+      out += json::number(slice.arg);
+    }
+    out += "}}";
+  }
+  out += "]}";
+  return out;
+}
 
 ProfileContext profile_context() { return Profiler::instance().context(); }
 
@@ -166,6 +235,17 @@ ProfileContextScope::ProfileContextScope(const ProfileContext& context)
 }
 
 ProfileContextScope::~ProfileContextScope() { tls().base = saved_; }
+
+ScopedSpan::ScopedSpan(const char* name, const char* arg_name, double arg)
+    : arg_name_(arg_name), arg_(arg) {
+  if (!Profiler::enabled()) return;
+  active_ = true;
+  Profiler::instance().span_open(name);
+}
+
+ScopedSpan::~ScopedSpan() {
+  if (active_) Profiler::instance().span_close(arg_name_, arg_);
+}
 
 namespace {
 
@@ -221,15 +301,8 @@ void append_number_map(const std::map<std::string, double>& values,
   out += '}';
 }
 
-struct HistogramSummary {
-  double count = 0.0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-void append_histogram_map(
-    const std::map<std::string, HistogramSummary>& values, std::string& out) {
+void append_histogram_map(const std::map<std::string, const Histogram*>& values,
+                          std::string& out) {
   out += '{';
   bool first = true;
   for (const auto& [name, h] : values) {
@@ -237,55 +310,38 @@ void append_histogram_map(
     first = false;
     out += json::escape(name);
     out += ":{\"count\":";
-    out += json::number(h.count);
+    out += json::number(static_cast<double>(h->count()));
     out += ",\"sum\":";
-    out += json::number(h.sum);
+    out += json::number(h->sum());
     out += ",\"min\":";
-    out += json::number(h.min);
+    out += json::number(h->min());
     out += ",\"max\":";
-    out += json::number(h.max);
+    out += json::number(h->max());
     out += '}';
   }
   out += '}';
 }
 
-double field_or_zero(const json::Value& object, std::string_view key) {
-  const json::Value* field = object.find(key);
-  return field != nullptr && field->is_number() ? field->as_number() : 0.0;
-}
-
 }  // namespace
 
 std::string profile_to_json(const ProfileJsonOptions& options) {
-  // Exact counters come from the registry snapshot; reusing its JSON
-  // emitter (and parsing it back) keeps one source of truth for how
-  // instruments serialize.
   std::map<std::string, double> counters;
   std::map<std::string, double> timing_counters;
-  std::map<std::string, HistogramSummary> histograms;
-  std::map<std::string, HistogramSummary> timing_histograms;
+  // Instruments live as long as their registry, so the pointers outlast
+  // this call.
+  std::map<std::string, const Histogram*> histograms;
+  std::map<std::string, const Histogram*> timing_histograms;
   if (options.registry != nullptr) {
-    if (const auto parsed = json::parse(options.registry->to_json())) {
-      if (const json::Value* object = parsed->find("counters")) {
-        for (const auto& [name, value] : object->as_object()) {
-          if (!value.is_number()) continue;
+    options.registry->for_each_counter(
+        [&](const std::string& name, const Counter& counter) {
           (is_timing_instrument(name) ? timing_counters
-                                      : counters)[name] = value.as_number();
-        }
-      }
-      if (const json::Value* object = parsed->find("histograms")) {
-        for (const auto& [name, value] : object->as_object()) {
-          if (!value.is_object()) continue;
-          HistogramSummary summary;
-          summary.count = field_or_zero(value, "count");
-          summary.sum = field_or_zero(value, "sum");
-          summary.min = field_or_zero(value, "min");
-          summary.max = field_or_zero(value, "max");
+                                      : counters)[name] = counter.value();
+        });
+    options.registry->for_each_histogram(
+        [&](const std::string& name, const Histogram& histogram) {
           (is_timing_instrument(name) ? timing_histograms
-                                      : histograms)[name] = summary;
-        }
-      }
-    }
+                                      : histograms)[name] = &histogram;
+        });
   }
 
   const Profiler::NodeSnapshot tree = Profiler::instance().snapshot();

@@ -207,12 +207,6 @@ WatchdogAction Watchdog::observe(const RoundRecord& record) {
       high_staleness_streak_ = 0;
     }
   }
-
-  if (action != WatchdogAction::kNone) {
-    metrics()
-        .gauge("plos.watchdog.violations_total")
-        .set(static_cast<double>(violations_.size()));
-  }
   return action;
 }
 

@@ -1,5 +1,5 @@
 // Tests for the plos::obs observability layer: structured logger, metrics
-// registry, and trace spans.
+// registry, and the Profiler's span slices (Chrome trace).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -13,6 +13,7 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace plos::obs {
@@ -258,37 +259,17 @@ TEST(Metrics, CounterAccumulates) {
 TEST(Metrics, DisabledRegistryDropsRecords) {
   Registry registry(/*enabled=*/false);
   Counter& counter = registry.counter("c");
-  Gauge& gauge = registry.gauge("g");
   Histogram& histogram = registry.histogram("h", default_iteration_buckets());
   counter.increment();
-  gauge.set(7.0);
   histogram.record(3.0);
   EXPECT_DOUBLE_EQ(counter.value(), 0.0);
-  EXPECT_FALSE(gauge.has_value());
-  EXPECT_TRUE(gauge.samples().empty());
   EXPECT_EQ(histogram.count(), 0u);
 
   registry.set_enabled(true);
   counter.increment();
-  gauge.set(7.0);
+  histogram.record(3.0);
   EXPECT_DOUBLE_EQ(counter.value(), 1.0);
-  EXPECT_DOUBLE_EQ(gauge.value(), 7.0);
-}
-
-TEST(Metrics, GaugeKeepsLastValueAndSampleTrace) {
-  Registry registry;
-  Gauge& gauge = registry.gauge("g");
-  EXPECT_FALSE(gauge.has_value());
-  gauge.set(3.0);
-  gauge.set(1.0);
-  gauge.set(2.0);
-  EXPECT_TRUE(gauge.has_value());
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.0);
-  const auto samples = gauge.samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples[0], 3.0);
-  EXPECT_DOUBLE_EQ(samples[1], 1.0);
-  EXPECT_DOUBLE_EQ(samples[2], 2.0);
+  EXPECT_EQ(histogram.count(), 1u);
 }
 
 TEST(Metrics, HistogramSumIsExactAndResetZeroesIt) {
@@ -327,16 +308,12 @@ TEST(Metrics, HistogramRejectsValuesOutsideTheSketchDomain) {
 TEST(Metrics, ResetValuesKeepsInstrumentIdentity) {
   Registry registry;
   Counter& counter = registry.counter("c");
-  Gauge& gauge = registry.gauge("g");
   Histogram& histogram = registry.histogram("h", default_iteration_buckets());
   counter.add(5.0);
-  gauge.set(1.0);
   histogram.record(1.5);
 
   registry.reset_values();
   EXPECT_DOUBLE_EQ(counter.value(), 0.0);
-  EXPECT_FALSE(gauge.has_value());
-  EXPECT_TRUE(gauge.samples().empty());
   EXPECT_EQ(histogram.count(), 0u);
   // The references still point at the live instruments.
   EXPECT_EQ(&registry.counter("c"), &counter);
@@ -347,13 +324,12 @@ TEST(Metrics, ResetValuesKeepsInstrumentIdentity) {
 TEST(Metrics, SnapshotIsValidJsonWithAllInstruments) {
   Registry registry;
   registry.counter("a.count").add(3.0);
-  registry.gauge("b.gauge").set(1.25);
   registry.histogram("c.hist", default_iteration_buckets()).record(4.0);
   const std::string json = registry.to_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"a.count\":3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"b.gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"samples\":[1.25]"), std::string::npos) << json;
+  EXPECT_EQ(json.rfind("{\"counters\":{\"a.count\":3},\"histograms\":{", 0),
+            0u)
+      << json;
   EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
 }
 
@@ -431,14 +407,14 @@ std::size_t count_occurrences(const std::string& text,
 TEST(Metrics, PrometheusEmitsHelpAndTypeOncePerFamily) {
   Registry registry;
   registry.counter("fmt.count").add(1.0);
-  registry.gauge("fmt.gauge").set(2.0);
+  registry.counter("fmt.total").add(2.0);
   Histogram& histogram = registry.histogram("fmt.hist",
                                             default_iteration_buckets());
   histogram.record(3.0);
   const std::string prom = registry.to_prometheus();
   // Exactly one HELP and one TYPE per family — including the histogram's
   // summary family (three quantile series plus _sum/_count, one header).
-  for (const std::string family : {"fmt_count", "fmt_gauge", "fmt_hist"}) {
+  for (const std::string family : {"fmt_count", "fmt_total", "fmt_hist"}) {
     EXPECT_EQ(count_occurrences(prom, "# HELP " + family + " "), 1u)
         << family << "\n" << prom;
     EXPECT_EQ(count_occurrences(prom, "# TYPE " + family + " "), 1u)
@@ -460,33 +436,42 @@ TEST(Metrics, PrometheusDeduplicatesCollidingFamilies) {
   Registry registry;
   // Distinct dotted names that sanitize onto the same Prometheus family
   // must not repeat the family's headers.
-  registry.gauge("col.lide").set(1.0);
-  registry.gauge("col/lide").set(2.0);
+  registry.counter("col.lide").add(1.0);
+  registry.counter("col/lide").add(2.0);
   const std::string prom = registry.to_prometheus();
-  EXPECT_EQ(count_occurrences(prom, "# TYPE col_lide gauge"), 1u) << prom;
+  EXPECT_EQ(count_occurrences(prom, "# TYPE col_lide counter"), 1u) << prom;
   EXPECT_EQ(count_occurrences(prom, "# HELP col_lide "), 1u) << prom;
   EXPECT_EQ(count_occurrences(prom, "\ncol_lide "), 2u) << prom;
 }
 
-// ---- trace spans ---------------------------------------------------------
+// ---- trace spans (Profiler slices) ---------------------------------------
 
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    TraceCollector::instance().clear();
-    TraceCollector::instance().set_enabled(true);
+    Profiler::instance().reset();
+    Profiler::instance().set_enabled(true);
+    Profiler::instance().set_slices_enabled(true);
   }
 
   void TearDown() override {
-    TraceCollector::instance().set_enabled(false);
-    TraceCollector::instance().clear();
+    Profiler::instance().set_slices_enabled(false);
+    Profiler::instance().set_enabled(false);
+    Profiler::instance().reset();
   }
 };
 
 TEST_F(TraceTest, DisabledCollectorRecordsNothing) {
-  TraceCollector::instance().set_enabled(false);
+  Profiler::instance().set_enabled(false);
   { PLOS_SPAN("invisible"); }
-  EXPECT_TRUE(TraceCollector::instance().events().empty());
+  EXPECT_TRUE(Profiler::instance().slices().empty());
+  EXPECT_TRUE(Profiler::instance().snapshot().children.empty());
+  // With slices off the tree still counts the span, but keeps no slice.
+  Profiler::instance().set_enabled(true);
+  Profiler::instance().set_slices_enabled(false);
+  { PLOS_SPAN("tree_only"); }
+  EXPECT_TRUE(Profiler::instance().slices().empty());
+  EXPECT_EQ(Profiler::instance().snapshot().count, 1u);
 }
 
 TEST_F(TraceTest, SpansNestWithDepthAndContainment) {
@@ -497,22 +482,23 @@ TEST_F(TraceTest, SpansNestWithDepthAndContainment) {
       { PLOS_SPAN("inner", "index", 3.0); }
     }
   }
-  const auto events = TraceCollector::instance().events();
-  ASSERT_EQ(events.size(), 3u);
+  const auto slices = Profiler::instance().slices();
+  ASSERT_EQ(slices.size(), 3u);
   // Spans close innermost-first.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[1].name, "middle");
-  EXPECT_EQ(events[2].name, "outer");
-  EXPECT_EQ(events[0].depth, 2);
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_EQ(events[2].depth, 0);
-  EXPECT_TRUE(events[0].has_arg);
-  EXPECT_EQ(events[0].arg_name, "index");
-  EXPECT_DOUBLE_EQ(events[0].arg, 3.0);
+  EXPECT_EQ(slices[0].name, "inner");
+  EXPECT_EQ(slices[1].name, "middle");
+  EXPECT_EQ(slices[2].name, "outer");
+  EXPECT_EQ(slices[0].depth, 2);
+  EXPECT_EQ(slices[1].depth, 1);
+  EXPECT_EQ(slices[2].depth, 0);
+  ASSERT_NE(slices[0].arg_name, nullptr);
+  EXPECT_EQ(std::string(slices[0].arg_name), "index");
+  EXPECT_DOUBLE_EQ(slices[0].arg, 3.0);
+  EXPECT_EQ(slices[1].arg_name, nullptr);
   // Child intervals are contained in their parent's interval.
   for (int child = 0; child < 2; ++child) {
-    const auto& inner = events[child];
-    const auto& outer = events[child + 1];
+    const auto& inner = slices[child];
+    const auto& outer = slices[child + 1];
     EXPECT_GE(inner.ts_us, outer.ts_us);
     EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us);
   }
@@ -521,19 +507,19 @@ TEST_F(TraceTest, SpansNestWithDepthAndContainment) {
 TEST_F(TraceTest, SequentialSpansShareDepthZero) {
   { PLOS_SPAN("first"); }
   { PLOS_SPAN("second"); }
-  const auto events = TraceCollector::instance().events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_LE(events[0].ts_us, events[1].ts_us);
+  const auto slices = Profiler::instance().slices();
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[0].depth, 0);
+  EXPECT_EQ(slices[1].depth, 0);
+  EXPECT_LE(slices[0].ts_us, slices[1].ts_us);
 }
 
 TEST_F(TraceTest, ChromeJsonIsValidAndCarriesEvents) {
   {
     PLOS_SPAN("qp_solve");
-    { PLOS_SPAN("projection"); }
+    { PLOS_SPAN("projection", "sweep", 2.0); }
   }
-  const std::string json = TraceCollector::instance().to_chrome_json();
+  const std::string json = Profiler::instance().to_chrome_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"qp_solve\""), std::string::npos);
@@ -541,17 +527,21 @@ TEST_F(TraceTest, ChromeJsonIsValidAndCarriesEvents) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\":"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"depth\":1,\"sweep\":2}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"args\":{\"depth\":0}"), std::string::npos) << json;
 }
 
 TEST_F(TraceTest, EmptyCollectorStillSerializesValidJson) {
-  const std::string json = TraceCollector::instance().to_chrome_json();
+  const std::string json = Profiler::instance().to_chrome_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\":[]"), std::string::npos);
 }
 
 TEST_F(TraceTest, ConcurrentSpansRecordPerThreadTracksWithoutLoss) {
-  // Thread pools open spans from many workers at once: depth bookkeeping is
-  // thread-local, the shared event vector is mutex-guarded, and each event
+  // Thread pools open spans from many workers at once: the frame stack is
+  // thread-local, the shared slice list is mutex-guarded, and each slice
   // carries its recording thread's id so Perfetto renders per-worker
   // tracks. Nothing may be lost or cross-contaminated.
   constexpr int kThreads = 8;
@@ -568,19 +558,19 @@ TEST_F(TraceTest, ConcurrentSpansRecordPerThreadTracksWithoutLoss) {
   }
   for (auto& t : threads) t.join();
 
-  const auto events = TraceCollector::instance().events();
-  ASSERT_EQ(events.size(),
+  const auto slices = Profiler::instance().slices();
+  ASSERT_EQ(slices.size(),
             static_cast<std::size_t>(kThreads * kSpansPerThread * 2));
   std::map<std::uint32_t, std::pair<int, int>> per_tid;  // (outer, inner)
-  for (const auto& event : events) {
-    EXPECT_GT(event.tid, 0u);
-    if (event.name == "worker_outer") {
-      EXPECT_EQ(event.depth, 0);
-      ++per_tid[event.tid].first;
+  for (const auto& slice : slices) {
+    EXPECT_GT(slice.tid, 0u);
+    if (slice.name == "worker_outer") {
+      EXPECT_EQ(slice.depth, 0);
+      ++per_tid[slice.tid].first;
     } else {
-      ASSERT_EQ(event.name, "worker_inner");
-      EXPECT_EQ(event.depth, 1);
-      ++per_tid[event.tid].second;
+      ASSERT_EQ(slice.name, "worker_inner");
+      EXPECT_EQ(slice.depth, 1);
+      ++per_tid[slice.tid].second;
     }
   }
   // Dense per-thread ids: every worker contributed its full span count to
@@ -590,16 +580,15 @@ TEST_F(TraceTest, ConcurrentSpansRecordPerThreadTracksWithoutLoss) {
     EXPECT_EQ(counts.first, kSpansPerThread) << "tid " << tid;
     EXPECT_EQ(counts.second, kSpansPerThread) << "tid " << tid;
   }
-  EXPECT_TRUE(is_valid_json(TraceCollector::instance().to_chrome_json()));
+  EXPECT_TRUE(is_valid_json(Profiler::instance().to_chrome_json()));
 }
 
 TEST(Metrics, ConcurrentCounterGaugeHistogramRecording) {
-  // The solver records counters/gauges/histograms from pool workers; the
-  // registry must neither lose integer-valued increments nor corrupt the
-  // gauge sample trace under concurrency.
+  // The solver records counters and histograms from pool workers; the
+  // registry must lose neither integer-valued increments nor samples under
+  // concurrency.
   Registry registry(true);
   Counter& counter = registry.counter("c");
-  Gauge& gauge = registry.gauge("g");
   Histogram& histogram = registry.histogram("h", default_iteration_buckets());
 
   constexpr int kThreads = 8;
@@ -607,10 +596,9 @@ TEST(Metrics, ConcurrentCounterGaugeHistogramRecording) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
+    threads.emplace_back([&] {
       for (int k = 0; k < kOpsPerThread; ++k) {
         counter.increment();
-        gauge.set(static_cast<double>(i));
         histogram.record(static_cast<double>(k % 50));
       }
     });
@@ -621,11 +609,8 @@ TEST(Metrics, ConcurrentCounterGaugeHistogramRecording) {
                    static_cast<double>(kThreads * kOpsPerThread));
   EXPECT_EQ(histogram.count(),
             static_cast<std::size_t>(kThreads * kOpsPerThread));
-  const auto samples = gauge.samples();
-  EXPECT_EQ(samples.size(), static_cast<std::size_t>(kThreads * kOpsPerThread));
-  // The last value is one of the writers' values, whatever the interleave.
-  EXPECT_GE(gauge.value(), 0.0);
-  EXPECT_LT(gauge.value(), static_cast<double>(kThreads));
+  // Each thread records 0..49 ten times: sum = 8 * 10 * 1225.
+  EXPECT_DOUBLE_EQ(histogram.sum(), static_cast<double>(kThreads * 10 * 1225));
   EXPECT_TRUE(is_valid_json(registry.to_json()));
 }
 

@@ -244,10 +244,9 @@ std::string deterministic_snapshot() {
   return obs::json::Value(std::move(kept)).to_json();
 }
 
-// Every instrument a training run records — counters, gauge sample traces
-// and histograms — is a function of the solver trajectory, so a threaded
-// run leaves the same registry behind as the serial one. A gauge written
-// from pool workers would record its samples in schedule order.
+// Every instrument a training run records — counters and histograms — is a
+// function of the solver trajectory, so a threaded run leaves the same
+// registry behind as the serial one.
 template <typename Train>
 void expect_snapshot_thread_invariant(const Train& train) {
   auto& registry = obs::metrics();

@@ -1,19 +1,24 @@
 // Profiler + bench-gate suite.
 //
-// Three contracts under test:
+// Four contracts under test:
 //   1. Tree aggregation — repeated PLOS_SPAN scopes at the same position
 //      fold into one node; pool workers nest under the span that spawned
 //      them (ProfileContextScope); reset() with open spans is safe.
 //   2. Structural byte-identity (DESIGN.md §8, §12) — the non-"timing"
 //      part of the profile JSON for a full trainer run is byte-identical
 //      at any thread count, for both trainers.
-//   3. bench_check — the BENCH_*.json gate flags counter drift and median
+//   3. Slices agree with the tree — every Chrome-trace slice carries its
+//      node's tree depth on whatever thread ran it, and the per-name slice
+//      counts are the tree's call counts.
+//   4. bench_check — the BENCH_*.json gate flags counter drift and median
 //      wall-time regressions, tolerates timing noise in diff mode, and
 //      the checked-in repo-root baselines pass a self-check.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "core/centralized_plos.hpp"
 #include "core/distributed_plos.hpp"
@@ -89,9 +94,9 @@ TEST_F(ProfilerTest, PoolWorkersInheritSpawningSpan) {
 }
 
 TEST_F(ProfilerTest, ResetWithOpenSpanClosesAsNoOp) {
-  obs::profile_span_open("stale");
+  obs::Profiler::instance().span_open("stale");
   obs::Profiler::instance().reset();
-  obs::profile_span_close();  // generation mismatch: must not touch tree
+  obs::Profiler::instance().span_close();  // generation mismatch: no-op
   const auto root = obs::Profiler::instance().snapshot();
   EXPECT_TRUE(root.children.empty());
 }
@@ -182,6 +187,53 @@ TEST_F(ProfilerTest, DistributedStructuralProfileIsThreadCountInvariant) {
       EXPECT_EQ(json, reference) << "threads=" << threads;
     }
   }
+}
+
+// (span name, tree depth) → summed call count of the nodes there; depth 0
+// is top level. A name can sit at several positions (net.transmit does).
+using DepthCounts = std::map<std::pair<std::string, int>, std::size_t>;
+
+void collect_tree(const obs::Profiler::NodeSnapshot& node, int depth,
+                  DepthCounts& counts) {
+  for (const auto& child : node.children) {
+    counts[{child.name, depth}] += child.count;
+    collect_tree(child, depth + 1, counts);
+  }
+}
+
+TEST_F(ProfilerTest, DistributedSlicesCarryTreeDepthAtAnyThreadCount) {
+  // parallel_for runs chunk 0 on the calling thread and chunks 1..k on
+  // pool workers; a device solve must sit at its node's depth on all of
+  // them, so the slices tally to the tree's counts at every depth.
+  const auto dataset = make_population();
+  obs::Profiler::instance().set_slices_enabled(true);
+  DepthCounts reference;
+  for (const int threads : {1, 4}) {
+    obs::Profiler::instance().reset();
+    core::DistributedPlosOptions options;
+    options.cutting_plane.epsilon = 1e-2;
+    options.cccp.max_iterations = 2;
+    options.max_admm_iterations = 30;
+    options.num_threads = threads;
+    net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
+                            net::LinkProfile{});
+    core::train_distributed_plos(dataset, options, &network);
+
+    DepthCounts tree;
+    collect_tree(obs::Profiler::instance().snapshot(), 0, tree);
+    DepthCounts slices;
+    for (const auto& slice : obs::Profiler::instance().slices()) {
+      ++slices[{slice.name, slice.depth}];
+    }
+    EXPECT_EQ(slices, tree) << "threads=" << threads;
+    EXPECT_EQ(tree.count({"plos.device_solve", 3}), 1u) << "threads=" << threads;
+    if (threads == 1) {
+      reference = slices;
+    } else {
+      EXPECT_EQ(slices, reference) << "threads=" << threads;
+    }
+  }
+  obs::Profiler::instance().set_slices_enabled(false);
 }
 
 // ---- bench_check gate ----------------------------------------------------

@@ -887,13 +887,13 @@ TEST(Inspect, ManifestCoreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// ---- metrics: prometheus + dropped samples -------------------------------
+// ---- metrics: prometheus -------------------------------------------------
 
 TEST(Metrics, PrometheusExposesCountersGaugesHistograms) {
   auto& registry = obs::metrics();
   registry.set_enabled(true);
   registry.counter("telemetry.test.counter").add(3.0);
-  registry.gauge("telemetry.test/gauge").set(1.5);
+  registry.counter("telemetry.test/slashed").add(1.5);
   auto& histogram = registry.histogram("telemetry.test.hist",
                                        obs::default_iteration_buckets());
   histogram.record(0.5);
@@ -906,7 +906,7 @@ TEST(Metrics, PrometheusExposesCountersGaugesHistograms) {
   // '/' is not a legal Prometheus name character; it must be sanitized in
   // every sample and header name. Only # HELP free text may carry the
   // original dotted/slashed registry name.
-  EXPECT_NE(prom.find("telemetry_test_gauge 1.5"), std::string::npos);
+  EXPECT_NE(prom.find("telemetry_test_slashed 1.5"), std::string::npos);
   std::istringstream lines(prom);
   for (std::string line; std::getline(lines, line);) {
     if (line.rfind("# HELP ", 0) == 0) continue;
@@ -925,25 +925,6 @@ TEST(Metrics, PrometheusExposesCountersGaugesHistograms) {
   EXPECT_NE(prom.find("telemetry_test_hist_sum 55.5\n"), std::string::npos);
   EXPECT_NE(prom.find("telemetry_test_hist_count 3\n"), std::string::npos);
   EXPECT_EQ(prom.find("telemetry_test_hist_bucket"), std::string::npos);
-}
-
-TEST(Metrics, GaugeCountsDroppedSamplesPastCap) {
-  auto& registry = obs::metrics();
-  registry.set_enabled(true);
-  auto& gauge = registry.gauge("telemetry.test.capped");
-  for (std::size_t i = 0; i < obs::Gauge::kMaxSamples + 10; ++i) {
-    gauge.set(static_cast<double>(i));
-  }
-  EXPECT_EQ(gauge.samples().size(), obs::Gauge::kMaxSamples);
-  EXPECT_EQ(gauge.dropped_samples(), 10u);
-  // The final value is still tracked even though its trace entry dropped.
-  EXPECT_DOUBLE_EQ(gauge.value(),
-                   static_cast<double>(obs::Gauge::kMaxSamples + 9));
-  const std::string json = registry.to_json();
-  EXPECT_NE(json.find("\"dropped_samples\":10"), std::string::npos);
-  const std::string prom = registry.to_prometheus();
-  EXPECT_NE(prom.find("telemetry_test_capped_dropped_samples 10"),
-            std::string::npos);
 }
 
 }  // namespace

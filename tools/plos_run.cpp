@@ -248,12 +248,8 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
 
 // Pre-creates the canonical solver/network instruments so every snapshot
 // carries stable keys (zero-valued when a code path never ran — e.g. no
-// ADMM residuals in a centralized run).
+// simnet traffic in a centralized run).
 void register_standard_instruments() {
-  obs::metrics().gauge("plos.objective");
-  obs::metrics().gauge("plos.admm.objective");
-  obs::metrics().gauge("plos.admm.primal_residual");
-  obs::metrics().gauge("plos.admm.dual_residual");
   obs::metrics().counter("plos.cutting_plane.constraints_added");
   obs::metrics().counter("qp.capped_simplex.solves");
   obs::metrics().counter("qp.capped_simplex.seconds");
@@ -268,7 +264,6 @@ void register_standard_instruments() {
                            obs::default_iteration_buckets());
   obs::metrics().histogram("qp.capped_simplex.polish_sweeps",
                            obs::default_iteration_buckets());
-  obs::metrics().gauge("plos.admm.participation_rate");
   obs::metrics().counter("simnet.bytes_to_device");
   obs::metrics().counter("simnet.bytes_to_server");
   obs::metrics().counter("simnet.messages_to_device");
@@ -286,7 +281,6 @@ void register_standard_instruments() {
   obs::metrics().counter("plos.watchdog.staleness");
   obs::metrics().counter("plos.watchdog.unconverged");
   obs::metrics().counter("plos.watchdog.violations");
-  obs::metrics().gauge("plos.watchdog.violations_total");
 }
 
 // Writes one run artifact to `path` ("-" = stdout) and says where it went,
@@ -372,12 +366,10 @@ int main(int argc, char** argv) {
     obs::metrics().set_enabled(true);
     register_standard_instruments();
   }
-  if (!c.trace_out.empty()) {
-    obs::TraceCollector::instance().set_enabled(true);
-  }
-  if (!c.profile_out.empty()) {
+  if (!c.trace_out.empty() || !c.profile_out.empty()) {
     obs::Profiler::instance().reset();
     obs::Profiler::instance().set_enabled(true);
+    obs::Profiler::instance().set_slices_enabled(!c.trace_out.empty());
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -718,7 +710,7 @@ int main(int argc, char** argv) {
   }
   if (!c.trace_out.empty() &&
       !write_artifact("trace", c.trace_out,
-                      obs::TraceCollector::instance().to_chrome_json())) {
+                      obs::Profiler::instance().to_chrome_json())) {
     return 1;
   }
   if (!c.metrics_out.empty() &&
