@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
 #include "core/cutting_plane.hpp"
-#include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "qp/simplex_qp.hpp"
@@ -104,10 +103,6 @@ CentralizedPlosResult train_centralized_plos(
              "train_centralized_plos: lambda must be positive");
 
   PLOS_SPAN("plos.centralized_train");
-  PLOS_LOG_INFO("centralized train start", obs::F("users", num_users),
-                obs::F("dim", dim), obs::F("lambda", options.params.lambda),
-                obs::F("threads", parallel::resolve_num_threads(
-                                      options.num_threads)));
   parallel::ThreadPool pool(options.num_threads);
   const Stopwatch watch;
   CentralizedPlosResult result;
@@ -124,7 +119,6 @@ CentralizedPlosResult train_centralized_plos(
   PersonalizedModel previous_model = result.model;
   for (int cccp = 0; cccp < options.cccp.max_iterations; ++cccp) {
     PLOS_SPAN("plos.cccp_round", "round", cccp);
-    const Stopwatch round_watch;
     const int round_qp_solves_before = result.diagnostics.qp_solves;
     const int round_qp_unconverged_before =
         result.diagnostics.qp_unconverged;
@@ -212,7 +206,6 @@ CentralizedPlosResult train_centralized_plos(
 
     const double objective =
         plos_objective(dataset, result.model, options.params);
-    result.diagnostics.round_seconds.push_back(round_watch.elapsed_seconds());
     result.diagnostics.round_qp_solves.push_back(
         result.diagnostics.qp_solves - round_qp_solves_before);
     // Telemetry: one journal record per started round — including a round
@@ -245,18 +238,10 @@ CentralizedPlosResult train_centralized_plos(
     // cutting-plane tolerance, so a round can fail to improve the true
     // objective — in that case keep the previous iterate and stop.
     if (objective > previous_objective) {
-      PLOS_LOG_DEBUG("cccp round rejected", obs::F("round", cccp),
-                     obs::F("objective", objective),
-                     obs::F("previous", previous_objective));
       result.model = previous_model;
       break;
     }
     result.diagnostics.objective_trace.push_back(objective);
-    PLOS_LOG_DEBUG("cccp round", obs::F("round", cccp),
-                   obs::F("objective", objective),
-                   obs::F("constraints", dual.size()),
-                   obs::F("qp_solves", result.diagnostics.round_qp_solves.back()),
-                   obs::F("seconds", result.diagnostics.round_seconds.back()));
     if (previous_objective - objective <=
         options.cccp.objective_tolerance * (1.0 + std::abs(objective))) {
       break;
@@ -266,11 +251,6 @@ CentralizedPlosResult train_centralized_plos(
   }
 
   result.diagnostics.train_seconds = watch.elapsed_seconds();
-  PLOS_LOG_INFO("centralized train done",
-                obs::F("cccp_rounds", result.diagnostics.cccp_iterations),
-                obs::F("qp_solves", result.diagnostics.qp_solves),
-                obs::F("constraints", result.diagnostics.final_constraint_count),
-                obs::F("seconds", result.diagnostics.train_seconds));
   return result;
 }
 

@@ -62,11 +62,8 @@ struct PlosDiagnostics {
   int qp_unconverged = 0;  ///< of those, solves not converged
   std::size_t final_constraint_count = 0;
   double train_seconds = 0.0;
-  /// Per-CCCP-round breakdown (one entry per *started* round, including a
-  /// final round rejected by the descent safeguard): wall time spent in the
-  /// round and dual QP solves it performed. train_seconds aggregates these;
-  /// the per-round view is what convergence/performance analysis needs.
-  std::vector<double> round_seconds;
+  /// Dual QP solves per *started* CCCP round, including a final round
+  /// rejected by the descent safeguard (the journal's per-round qp_solves).
   std::vector<int> round_qp_solves;
   /// True when the convergence watchdog aborted the run (see
   /// CentralizedPlosOptions::watchdog).

@@ -89,12 +89,6 @@ struct DistributedPlosDiagnostics {
   std::vector<double> primal_residual_trace;  ///< ||r|| per ADMM iteration
   std::vector<double> dual_residual_trace;    ///< ||s|| per ADMM iteration
   double train_seconds = 0.0;  ///< real (not simulated) wall time
-  /// Per-CCCP-round breakdown: wall time, ADMM iterations run, and device
-  /// dual QP solves within the round (what train_seconds and
-  /// admm_iterations_total aggregate away).
-  std::vector<double> round_seconds;
-  std::vector<int> round_admm_iterations;
-  std::vector<int> round_qp_solves;
   /// Fraction of devices whose update reached the server, per ADMM
   /// iteration (1.0 throughout for fault-free synchronous runs).
   std::vector<double> participation_trace;

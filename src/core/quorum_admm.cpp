@@ -12,7 +12,6 @@
 #include "linalg/vector.hpp"
 #include "net/event_queue.hpp"
 #include "net/serialize.hpp"
-#include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -56,13 +55,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
              "train_quorum_admm: quorum outside (0, 1]");
 
   PLOS_SPAN("plos.distributed_train");
-  PLOS_LOG_INFO("distributed train start", obs::F("users", num_users),
-                obs::F("dim", dim), obs::F("rho", base.rho),
-                obs::F("quorum", options.quorum),
-                obs::F("staleness_bound", options.staleness_bound),
-                obs::F("adaptive_deadline", options.adaptive_deadline),
-                obs::F("threads", parallel::resolve_num_threads(
-                                      base.num_threads)));
 
   // Devices are simulated concurrently: each worker owns a disjoint set of
   // device indices per round (static chunking), so all per-device state —
@@ -190,9 +182,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
 
   for (int cccp = 0; cccp < base.cccp.max_iterations; ++cccp) {
     PLOS_SPAN("plos.cccp_round", "round", cccp);
-    const Stopwatch round_watch;
-    const int round_admm_before = result.diagnostics.admm_iterations_total;
-    const int round_qp_before = fleet(&AdmmDevice::qp_solves);
     result.diagnostics.cccp_iterations = cccp + 1;
     pool.parallel_for(num_users, [&](std::size_t t) {
       Stopwatch device_watch;
@@ -370,10 +359,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       // save. The queue's total order makes the cut independent of worker
       // interleaving.
       net::EventQueue queue;
-      std::size_t dispatched_count = 0;
       for (std::size_t t = 0; t < num_users; ++t) {
         if (dispatched[t] == 0) continue;
-        ++dispatched_count;
         const double device_deadline = deadlines.deadline(t);
         const bool on_time =
             delivered[t] != 0 && completion[t] <= device_deadline;
@@ -612,15 +599,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       result.diagnostics.objective_trace.push_back(objective);
       result.diagnostics.primal_residual_trace.push_back(primal_residual);
       result.diagnostics.dual_residual_trace.push_back(dual_residual);
-      PLOS_LOG_TRACE("admm iteration", obs::F("cccp", cccp),
-                     obs::F("admm", admm), obs::F("objective", objective),
-                     obs::F("primal_residual", primal_residual),
-                     obs::F("dual_residual", dual_residual),
-                     obs::F("quorum", fresh_count),
-                     obs::F("late", late_count),
-                     obs::F("dispatched", dispatched_count),
-                     obs::F("round_quorum", round_quorum),
-                     obs::F("t_cut", t_cut));
 
       if (telemetry || tuning) {
         obs::RoundRecord record;
@@ -711,19 +689,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       }
     }
 
-    result.diagnostics.round_seconds.push_back(round_watch.elapsed_seconds());
-    result.diagnostics.round_admm_iterations.push_back(
-        result.diagnostics.admm_iterations_total - round_admm_before);
-    result.diagnostics.round_qp_solves.push_back(
-        fleet(&AdmmDevice::qp_solves) - round_qp_before);
-    PLOS_LOG_DEBUG(
-        "cccp round", obs::F("round", cccp),
-        obs::F("objective", objective),
-        obs::F("admm_iterations",
-               result.diagnostics.round_admm_iterations.back()),
-        obs::F("qp_solves", result.diagnostics.round_qp_solves.back()),
-        obs::F("virtual_seconds", virtual_seconds));
-
     if (watchdog_aborted) {
       result.diagnostics.watchdog_aborted = true;
       break;
@@ -749,37 +714,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   result.async.final_quorum = quorum_now;
   result.async.final_staleness_bound = staleness_bound_now;
 
-  if (fault.enabled()) {
-    const auto& d = result.diagnostics;
-    double mean_participation = linalg::sum(d.participation_trace);
-    if (!d.participation_trace.empty()) {
-      mean_participation /= static_cast<double>(d.participation_trace.size());
-    }
-    PLOS_LOG_INFO(
-        "fault degradation summary",
-        obs::F("mean_participation", mean_participation),
-        obs::F("offline", d.devices_offline_total),
-        obs::F("deadline_misses", d.deadline_misses_total),
-        obs::F("downlink_failures", d.downlink_failures_total),
-        obs::F("uplink_failures", d.uplink_failures_total),
-        obs::F("dropped", d.fault_counters.downlink_dropped +
-                              d.fault_counters.uplink_dropped),
-        obs::F("corrupted", d.fault_counters.downlink_corrupted +
-                                d.fault_counters.uplink_corrupted),
-        obs::F("retries", d.fault_counters.retries));
-  }
-  PLOS_LOG_INFO(
-      "distributed train done",
-      obs::F("cccp_rounds", result.diagnostics.cccp_iterations),
-      obs::F("admm_iterations", result.diagnostics.admm_iterations_total),
-      obs::F("qp_solves", result.diagnostics.qp_solves),
-      obs::F("late_uploads", result.async.late_uploads_total),
-      obs::F("evictions", result.async.evictions_offline_total +
-                              result.async.evictions_late_total +
-                              result.async.evictions_failed_total),
-      obs::F("max_staleness", result.async.max_staleness_seen),
-      obs::F("virtual_seconds", result.async.virtual_seconds),
-      obs::F("seconds", result.diagnostics.train_seconds));
   return result;
 }
 

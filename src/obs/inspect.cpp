@@ -278,18 +278,10 @@ void report_journal(std::string& out,
                        " unconverged");
   // The default watchdog policy replayed over the journal; the run's own
   // policy and verdict are the manifest's.
-  const Watchdog replayed = replay_watchdog(journal, WatchdogConfig{});
-  append_line(out, "  replay      watchdog " +
-                       std::string(replayed.verdict()) + " (" +
-                       std::to_string(replayed.violations().size()) +
-                       " violations)");
-  if (replayed.triggered()) {
-    const WatchdogViolation& first = replayed.violations().front();
-    append_line(out, "  violation   record " +
-                         std::to_string(first.record_index) + " " +
-                         violation_kind_name(first.kind) + ": " +
-                         first.message);
-  }
+  append_line(out, "  replay      " +
+                       watchdog_summary(
+                           replay_watchdog(journal, WatchdogConfig{}),
+                           "\n  violation   "));
   if (bytes_down + bytes_up > 0) {
     append_line(out, "  traffic     " + std::to_string(bytes_down) +
                          " B down, " + std::to_string(bytes_up) +

@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <set>
 
 #include "obs/json.hpp"
 
@@ -102,14 +100,13 @@ void Registry::for_each_histogram(
 
 namespace {
 
-// The quantiles both snapshot formats export for every histogram.
+// The quantiles the snapshot exports for every histogram.
 struct SummaryQuantile {
   const char* json_key;
-  const char* prometheus_label;
   double q;
 };
 constexpr SummaryQuantile kSummaryQuantiles[] = {
-    {"p50", "0.5", 0.50}, {"p90", "0.9", 0.90}, {"p99", "0.99", 0.99}};
+    {"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}};
 
 }  // namespace
 
@@ -149,70 +146,6 @@ std::string Registry::to_json() const {
     out += '}';
   }
   out += "}}";
-  return out;
-}
-
-namespace {
-
-// Prometheus metric names admit [a-zA-Z_:][a-zA-Z0-9_:]*; the registry's
-// dotted names map onto that by replacing every other character with '_'.
-std::string prometheus_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9' && !out.empty()) || c == '_' ||
-                    c == ':';
-    out += ok ? c : '_';
-  }
-  // push_back rather than operator=(const char*): the latter trips a GCC 12
-  // -Wrestrict false positive (PR105329) under -Werror.
-  if (out.empty()) out.push_back('_');
-  return out;
-}
-
-// Prometheus floats: the JSON rendering plus +Inf/-Inf/NaN.
-std::string prometheus_number(double value) {
-  if (std::isnan(value)) return "NaN";
-  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  return json::number(value);
-}
-
-}  // namespace
-
-std::string Registry::to_prometheus() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  // The exposition format demands exactly one # HELP / # TYPE header per
-  // metric family. Distinct dotted registry names can collapse onto the
-  // same family after sanitization (every non-admitted character becomes
-  // '_'), so headers are deduplicated across the whole dump.
-  std::set<std::string> headered;
-  const auto header = [&](const std::string& family, const char* type,
-                          const std::string& help) {
-    if (!headered.insert(family).second) return;
-    out += "# HELP " + family + " " + help + "\n";
-    out += "# TYPE " + family + " ";
-    out += type;
-    out += "\n";
-  };
-  for (const auto& [name, counter] : counters_) {
-    const std::string metric = prometheus_name(name);
-    header(metric, "counter", "Registry counter " + name + ".");
-    out += metric + " " + prometheus_number(counter->value()) + "\n";
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const std::string metric = prometheus_name(name);
-    header(metric, "summary", "Registry histogram " + name + ".");
-    const std::lock_guard<std::mutex> histogram_lock(histogram->mutex_);
-    const QuantileSketch& sketch = histogram->sketch_;
-    for (const SummaryQuantile& summary : kSummaryQuantiles) {
-      out += metric + "{quantile=\"" + summary.prometheus_label + "\"} " +
-             prometheus_number(sketch.quantile(summary.q)) + "\n";
-    }
-    out += metric + "_sum " + prometheus_number(histogram->sum_) + "\n";
-    out += metric + "_count " + std::to_string(sketch.count()) + "\n";
-  }
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Metrics registry: named counters and sketch-backed histograms, with
-// snapshot-to-JSON and Prometheus export.
+// a JSON snapshot.
 //
 //   * Counter   — monotonically increasing double (bytes, solves, seconds).
 //   * Histogram — a QuantileSketch (obs/sketch.hpp, the repo's one
@@ -120,13 +120,6 @@ class Registry {
   /// count/sum/min/max are exact; p50/p90/p99 are QuantileSketch::quantile
   /// bucket lower edges.
   std::string to_json() const;
-
-  /// Snapshot in the Prometheus text exposition format (version 0.0.4):
-  /// counters as scalar samples, each histogram as one `summary` family
-  /// ({quantile="0.5|0.9|0.99"} series plus `_sum`/`_count`). Instrument
-  /// names are sanitized to [a-zA-Z0-9_:] (every other character becomes
-  /// '_').
-  std::string to_prometheus() const;
 
  private:
   std::atomic<bool> enabled_;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace plos::obs {
@@ -51,23 +50,14 @@ const char* violation_kind_name(ViolationKind kind) {
 Watchdog::Watchdog(WatchdogConfig config) : config_(config) {}
 
 WatchdogAction Watchdog::report(ViolationKind kind, std::string message) {
-  const std::size_t index = records_seen_ - 1;
   kind_counter(kind).increment();
   metrics().counter("plos.watchdog.violations").increment();
-  const bool abort_run =
-      config_.on_violation == WatchdogConfig::OnViolation::kAbort;
-  if (abort_run) {
-    abort_ = true;
-    PLOS_LOG_ERROR("watchdog violation, aborting run",
-                   obs::F("kind", violation_kind_name(kind)),
-                   obs::F("record", index), obs::F("detail", message));
-  } else {
-    PLOS_LOG_WARN("watchdog violation",
-                  obs::F("kind", violation_kind_name(kind)),
-                  obs::F("record", index), obs::F("detail", message));
+  violations_.push_back({kind, records_seen_ - 1, std::move(message)});
+  if (config_.on_violation == WatchdogConfig::OnViolation::kWarn) {
+    return WatchdogAction::kWarn;
   }
-  violations_.push_back({kind, index, std::move(message)});
-  return abort_run ? WatchdogAction::kAbort : WatchdogAction::kWarn;
+  abort_ = true;
+  return WatchdogAction::kAbort;
 }
 
 WatchdogAction Watchdog::observe(const RoundRecord& record) {
@@ -213,6 +203,20 @@ WatchdogAction Watchdog::observe(const RoundRecord& record) {
 const char* Watchdog::verdict() const {
   if (abort_) return "abort";
   return violations_.empty() ? "ok" : "warn";
+}
+
+std::string watchdog_summary(const Watchdog& watchdog,
+                             std::string_view separator) {
+  std::string out = std::string("watchdog ") + watchdog.verdict() + " (" +
+                    std::to_string(watchdog.violations().size()) +
+                    " violations)";
+  if (watchdog.triggered()) {
+    const WatchdogViolation& first = watchdog.violations().front();
+    out += separator;
+    out += "record " + std::to_string(first.record_index) + " " +
+           violation_kind_name(first.kind) + ": " + first.message;
+  }
+  return out;
 }
 
 Watchdog replay_watchdog(const std::vector<RoundRecord>& records,

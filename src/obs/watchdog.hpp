@@ -6,10 +6,11 @@
 // divergence of the objective or the ADMM residuals, and (under fault
 // injection) a participation collapse where most devices silently stop
 // reaching the server. The watchdog is a policy object fed every
-// RoundRecord as it is produced; it classifies violations, fires
-// structured log events, bumps `plos.watchdog.*` metrics, and — when
-// configured with OnViolation::kAbort — tells the trainer to stop the run
-// at the next safe point instead of burning rounds on a doomed trajectory.
+// RoundRecord as it is produced; it classifies and keeps violations,
+// bumps `plos.watchdog.*` metrics, and — when configured with
+// OnViolation::kAbort — tells the trainer to stop the run at the next safe
+// point instead of burning rounds on a doomed trajectory. It writes
+// nothing itself: callers render its result with watchdog_summary().
 //
 // Detection is purely a function of the observed record sequence, so a
 // watchdogged run stays bitwise-deterministic at any thread count, and
@@ -20,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/journal.hpp"
@@ -92,8 +94,7 @@ class Watchdog {
   explicit Watchdog(WatchdogConfig config = {});
 
   /// Feeds one record; returns the action the policy demands for it.
-  /// Also logs (warn/error) and bumps plos.watchdog.* metrics when a
-  /// violation fires.
+  /// Also bumps plos.watchdog.* metrics when a violation fires.
   WatchdogAction observe(const RoundRecord& record);
 
   const WatchdogConfig& config() const { return config_; }
@@ -129,6 +130,13 @@ class Watchdog {
 
   std::vector<WatchdogViolation> violations_;
 };
+
+/// The watchdog's result, rendered once for every caller (`plos_run` after
+/// training, `plos_inspect report` for its replay):
+/// "watchdog <verdict> (<n> violations)", then, once a violation fired,
+/// `separator` and the first one as "record <i> <kind>: <detail>".
+std::string watchdog_summary(const Watchdog& watchdog,
+                             std::string_view separator);
 
 /// Replays a journal through a fresh watchdog (for offline analysis of a
 /// journal file); returns the watchdog in its final state.

@@ -59,6 +59,9 @@ TEST(Cli, PlosRunRejectsInvalidInvocationsWithExit2) {
       "--dataset nope",
       "--bogus",
       "--rate",
+      // Flags that no longer exist.
+      "--log-level debug",
+      "--metrics-format prom",
       // Flags that would be parsed and then ignored.
       "--quorum 0.5",
       "--staleness-bound 3",
@@ -66,7 +69,6 @@ TEST(Cli, PlosRunRejectsInvalidInvocationsWithExit2) {
       "--auto-tune on",
       "--flight-out flight.json",
       "--watchdog-stall-rounds 5",
-      "--metrics-format prom",
       "--methods all --save-model model.bin",
       "--dataset body --rotation 1.0",
       "--distributed --round-deadline 0.001",
@@ -93,10 +95,9 @@ TEST(Cli, PlosRunHelpNamesEveryFlagOnce) {
       "--fault-corrupt",   "--round-deadline",    "--async",
       "--quorum",          "--staleness-bound",   "--adaptive-deadline",
       "--auto-tune",       "--flight-out",        "--logistic",
-      "--save-model",      "--log-level",         "--trace-out",
-      "--metrics-out",     "--metrics-format",    "--manifest-out",
-      "--journal-out",     "--journal-every",     "--profile-out",
-      "--watchdog",        "--watchdog-stall-rounds",
+      "--save-model",      "--trace-out",         "--metrics-out",
+      "--manifest-out",    "--journal-out",       "--journal-every",
+      "--profile-out",     "--watchdog",          "--watchdog-stall-rounds",
       "--help",
   };
   const Outcome help = run(plos_run("--help"));
@@ -112,6 +113,28 @@ TEST(Cli, PlosRunHelpNamesEveryFlagOnce) {
     EXPECT_EQ(std::count(rows.begin(), rows.end(), flag), 1) << flag;
   }
   EXPECT_EQ(rows.size(), expected.size());
+}
+
+TEST(Cli, WatchdogWarnPrintsItsVerdict) {
+  // Heavy churn collapses participation: the run prints its watchdog's
+  // verdict, violation count and first violation after training.
+  const Outcome churn = run(plos_run(
+      "--dataset synth --users 6 --methods plos --distributed "
+      "--fault-offline 0.9 --watchdog warn"));
+  ASSERT_EQ(churn.status, 0);
+  const std::string prefix = "watchdog warn (";
+  const std::size_t at = churn.out.find(prefix);
+  ASSERT_NE(at, std::string::npos) << churn.out;
+  const std::string line = churn.out.substr(at, churn.out.find('\n', at) - at);
+  EXPECT_GT(std::stoul(line.substr(prefix.size())), 0u) << line;
+  EXPECT_NE(line.find("first violation record "), std::string::npos) << line;
+  EXPECT_NE(line.find(" participation: "), std::string::npos) << line;
+
+  const Outcome clean = run(
+      plos_run("--dataset synth --users 4 --methods plos --watchdog warn"));
+  ASSERT_EQ(clean.status, 0);
+  EXPECT_NE(clean.out.find("watchdog ok (0 violations)\n"), std::string::npos)
+      << clean.out;
 }
 
 TEST(Cli, TraceOutDashWritesJsonToStdout) {

@@ -1,17 +1,15 @@
-// Tests for the plos::obs observability layer: structured logger, metrics
-// registry, and the Profiler's span slices (Chrome trace).
+// Tests for the plos::obs observability layer: metrics registry and the
+// Profiler's span slices (Chrome trace).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -166,84 +164,6 @@ TEST(JsonChecker, SanityOnKnownInputs) {
   EXPECT_FALSE(is_valid_json("{,}"));
 }
 
-// ---- logger --------------------------------------------------------------
-
-class LoggerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    sink_ = std::make_shared<MemorySink>();
-    Logger::instance().set_sink(sink_);
-    Logger::instance().set_level(Level::kTrace);
-  }
-
-  void TearDown() override {
-    Logger::instance().set_sink(nullptr);
-    Logger::instance().set_level(Level::kInfo);
-  }
-
-  std::shared_ptr<MemorySink> sink_;
-};
-
-TEST_F(LoggerTest, RuntimeLevelFiltersRecords) {
-  Logger::instance().set_level(Level::kWarn);
-  PLOS_LOG_TRACE("invisible trace");
-  PLOS_LOG_DEBUG("invisible debug");
-  PLOS_LOG_INFO("invisible info");
-  PLOS_LOG_WARN("visible warn");
-  PLOS_LOG_ERROR("visible error");
-  const auto lines = sink_->lines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("level=warn"), std::string::npos);
-  EXPECT_NE(lines[0].find("msg=\"visible warn\""), std::string::npos);
-  EXPECT_NE(lines[1].find("level=error"), std::string::npos);
-}
-
-TEST_F(LoggerTest, OffLevelSilencesEverything) {
-  Logger::instance().set_level(Level::kOff);
-  PLOS_LOG_ERROR("nothing");
-  EXPECT_TRUE(sink_->lines().empty());
-}
-
-TEST_F(LoggerTest, FieldsRenderAsKeyValuePairs) {
-  PLOS_LOG_INFO("solve done", F("iters", 42), F("objective", 1.5),
-                F("converged", true), F("method", "fista"));
-  const auto lines = sink_->lines();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("iters=42"), std::string::npos);
-  EXPECT_NE(lines[0].find("objective=1.5"), std::string::npos);
-  EXPECT_NE(lines[0].find("converged=true"), std::string::npos);
-  EXPECT_NE(lines[0].find("method=\"fista\""), std::string::npos);
-  EXPECT_EQ(lines[0].back(), '\n');
-}
-
-TEST_F(LoggerTest, QuotesAndNewlinesAreEscaped) {
-  PLOS_LOG_INFO("a \"b\"\nc");
-  const auto lines = sink_->lines();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("msg=\"a \\\"b\\\"\\nc\""), std::string::npos);
-  // One record stays one line despite the embedded newline.
-  EXPECT_EQ(lines[0].find('\n'), lines[0].size() - 1);
-}
-
-TEST_F(LoggerTest, IntegerFieldsCoverSignsAndWidths) {
-  PLOS_LOG_INFO("ints", F("neg", -7), F("big", std::size_t{1} << 40));
-  const auto lines = sink_->lines();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("neg=-7"), std::string::npos);
-  EXPECT_NE(lines[0].find("big=1099511627776"), std::string::npos);
-}
-
-TEST(LogLevel, ParseRoundTrips) {
-  for (Level level : {Level::kTrace, Level::kDebug, Level::kInfo, Level::kWarn,
-                      Level::kError, Level::kOff}) {
-    const auto parsed = parse_level(level_name(level));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, level);
-  }
-  EXPECT_FALSE(parse_level("verbose").has_value());
-  EXPECT_FALSE(parse_level("").has_value());
-}
-
 // ---- metrics -------------------------------------------------------------
 
 TEST(Metrics, CounterAccumulates) {
@@ -380,68 +300,6 @@ TEST(Metrics, SnapshotsCarryQuantileSummaries) {
             std::string::npos)
       << json;
   EXPECT_EQ(json.find("\"bounds\""), std::string::npos) << json;
-  const std::string prom = registry.to_prometheus();
-  EXPECT_NE(prom.find("# TYPE q_hist summary"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("q_hist{quantile=\"0.5\"} 5\n"), std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("q_hist{quantile=\"0.9\"} 9\n"), std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("q_hist{quantile=\"0.99\"} 9\n"), std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("q_hist_sum 55\n"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("q_hist_count 10\n"), std::string::npos) << prom;
-}
-
-namespace {
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  return count;
-}
-}  // namespace
-
-TEST(Metrics, PrometheusEmitsHelpAndTypeOncePerFamily) {
-  Registry registry;
-  registry.counter("fmt.count").add(1.0);
-  registry.counter("fmt.total").add(2.0);
-  Histogram& histogram = registry.histogram("fmt.hist",
-                                            default_iteration_buckets());
-  histogram.record(3.0);
-  const std::string prom = registry.to_prometheus();
-  // Exactly one HELP and one TYPE per family — including the histogram's
-  // summary family (three quantile series plus _sum/_count, one header).
-  for (const std::string family : {"fmt_count", "fmt_total", "fmt_hist"}) {
-    EXPECT_EQ(count_occurrences(prom, "# HELP " + family + " "), 1u)
-        << family << "\n" << prom;
-    EXPECT_EQ(count_occurrences(prom, "# TYPE " + family + " "), 1u)
-        << family << "\n" << prom;
-  }
-  EXPECT_EQ(count_occurrences(prom, "# TYPE fmt_hist summary\n"), 1u) << prom;
-  EXPECT_EQ(count_occurrences(prom, "fmt_hist{quantile="), 3u) << prom;
-  EXPECT_EQ(count_occurrences(prom, "# HELP "), 3u) << prom;
-  EXPECT_EQ(count_occurrences(prom, "# TYPE "), 3u) << prom;
-  // HELP precedes TYPE precedes the samples of the family.
-  const std::size_t help_pos = prom.find("# HELP fmt_count ");
-  const std::size_t type_pos = prom.find("# TYPE fmt_count ");
-  const std::size_t sample_pos = prom.find("fmt_count 1");
-  EXPECT_LT(help_pos, type_pos);
-  EXPECT_LT(type_pos, sample_pos);
-}
-
-TEST(Metrics, PrometheusDeduplicatesCollidingFamilies) {
-  Registry registry;
-  // Distinct dotted names that sanitize onto the same Prometheus family
-  // must not repeat the family's headers.
-  registry.counter("col.lide").add(1.0);
-  registry.counter("col/lide").add(2.0);
-  const std::string prom = registry.to_prometheus();
-  EXPECT_EQ(count_occurrences(prom, "# TYPE col_lide counter"), 1u) << prom;
-  EXPECT_EQ(count_occurrences(prom, "# HELP col_lide "), 1u) << prom;
-  EXPECT_EQ(count_occurrences(prom, "\ncol_lide "), 2u) << prom;
 }
 
 // ---- trace spans (Profiler slices) ---------------------------------------

@@ -887,45 +887,5 @@ TEST(Inspect, ManifestCoreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// ---- metrics: prometheus -------------------------------------------------
-
-TEST(Metrics, PrometheusExposesCountersGaugesHistograms) {
-  auto& registry = obs::metrics();
-  registry.set_enabled(true);
-  registry.counter("telemetry.test.counter").add(3.0);
-  registry.counter("telemetry.test/slashed").add(1.5);
-  auto& histogram = registry.histogram("telemetry.test.hist",
-                                       obs::default_iteration_buckets());
-  histogram.record(0.5);
-  histogram.record(5.0);
-  histogram.record(50.0);
-  const std::string prom = registry.to_prometheus();
-  EXPECT_NE(prom.find("# TYPE telemetry_test_counter counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("telemetry_test_counter 3"), std::string::npos);
-  // '/' is not a legal Prometheus name character; it must be sanitized in
-  // every sample and header name. Only # HELP free text may carry the
-  // original dotted/slashed registry name.
-  EXPECT_NE(prom.find("telemetry_test_slashed 1.5"), std::string::npos);
-  std::istringstream lines(prom);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("# HELP ", 0) == 0) continue;
-    EXPECT_EQ(line.find('/'), std::string::npos) << line;
-  }
-  // Each histogram is one summary family: sketch quantiles (bucket lower
-  // edges) plus the exact _sum and _count.
-  EXPECT_NE(prom.find("# TYPE telemetry_test_hist summary"),
-            std::string::npos);
-  EXPECT_NE(prom.find("telemetry_test_hist{quantile=\"0.5\"} 5\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("telemetry_test_hist{quantile=\"0.99\"} 5\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("telemetry_test_hist_sum 55.5\n"), std::string::npos);
-  EXPECT_NE(prom.find("telemetry_test_hist_count 3\n"), std::string::npos);
-  EXPECT_EQ(prom.find("telemetry_test_hist_bucket"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace plos

@@ -32,7 +32,6 @@
 #include "obs/flight.hpp"
 #include "obs/inspect.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -65,8 +64,6 @@ struct RunConfig {
   std::string watchdog = "off";
   obs::WatchdogConfig watchdog_config;
   std::uint64_t journal_every = 1;
-  std::string log_level;  // empty = logging stays off
-  std::string metrics_format = "json";
   // Artifact paths: empty = not written, "-" = stdout.
   std::string save_model;
   std::string trace_out;
@@ -201,21 +198,13 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
       {"--save-model", "PATH", "checkpoint the trained PLOS model",
        cli::text(c.save_model),
        {"plos in --methods", [&c] { return wants(c, "plos"); }}},
-      {"--log-level", "LEVEL",
-       "stderr log level: trace, debug, info, warn, error or off",
-       cli::choice(c.log_level,
-                   {"trace", "debug", "info", "warn", "error", "off"})},
       {"--trace-out", "FILE",
        "write Chrome trace-event JSON of solver spans (open in "
        "chrome://tracing or Perfetto; '-' = stdout)",
        cli::text(c.trace_out)},
       {"--metrics-out", "FILE",
-       "write a metrics-registry snapshot ('-' = stdout)",
+       "write a metrics-registry JSON snapshot ('-' = stdout)",
        cli::text(c.metrics_out)},
-      {"--metrics-format", "json|prom",
-       "json (default) or prom (Prometheus text exposition)",
-       cli::choice(c.metrics_format, {"json", "prom"}),
-       {"--metrics-out", [&c] { return !c.metrics_out.empty(); }}},
       {"--manifest-out", "FILE",
        "write a run manifest (run.json) capturing build, seed, options, "
        "dataset fingerprint, and final metrics ('-' = stdout)",
@@ -358,10 +347,6 @@ int main(int argc, char** argv) {
   core::DistributedPlosOptions& plos = c.quorum.base;
   c.fault.seed = c.seed;
 
-  if (!c.log_level.empty()) {
-    obs::Logger::instance().set_sink(std::make_shared<obs::StderrSink>());
-    obs::Logger::instance().set_level(*obs::parse_level(c.log_level));
-  }
   if (!c.metrics_out.empty() || !c.profile_out.empty()) {
     obs::metrics().set_enabled(true);
     register_standard_instruments();
@@ -402,9 +387,6 @@ int main(int argc, char** argv) {
   // Deterministic end-of-run facts destined for the manifest.
   std::map<std::string, double> results;
   std::map<std::string, double> timing_map;
-  int rounds_completed = 0;
-  double plos_overall_accuracy = 0.0;
-  bool trained_plos = false;
 
   const auto dataset = build_dataset(c);
   std::printf("dataset %s: %zu users (%zu providers), %zu samples, dim %zu\n",
@@ -422,7 +404,6 @@ int main(int argc, char** argv) {
       std::printf("logistic PLOS: %d CCCP rounds, %.2fs\n",
                   result.diagnostics.cccp_iterations,
                   result.diagnostics.train_seconds);
-      rounds_completed = result.diagnostics.cccp_iterations;
       results["cccp_rounds"] =
           static_cast<double>(result.diagnostics.cccp_iterations);
     } else if (c.distributed) {
@@ -503,7 +484,6 @@ int main(int argc, char** argv) {
         std::printf("watchdog aborted training after %d ADMM iterations\n",
                     diagnostics.admm_iterations_total);
       }
-      rounds_completed = diagnostics.admm_iterations_total;
       results["cccp_rounds"] =
           static_cast<double>(diagnostics.cccp_iterations);
       results["admm_iterations"] =
@@ -566,7 +546,6 @@ int main(int argc, char** argv) {
         std::printf("watchdog aborted training after %d CCCP rounds\n",
                     result.diagnostics.cccp_iterations);
       }
-      rounds_completed = result.diagnostics.cccp_iterations;
       results["cccp_rounds"] =
           static_cast<double>(result.diagnostics.cccp_iterations);
       std::printf("dual QP: %d solves, %d unconverged\n",
@@ -581,11 +560,13 @@ int main(int argc, char** argv) {
         results["final_objective"] = result.diagnostics.objective_trace.back();
       }
     }
+    if (watchdog_on) {
+      std::printf("%s\n",
+                  obs::watchdog_summary(watchdog, ", first violation ").c_str());
+    }
     const auto plos_report =
         core::evaluate(dataset, core::predict_all(dataset, model));
     print_report("PLOS", plos_report);
-    trained_plos = true;
-    plos_overall_accuracy = plos_report.overall;
     results["accuracy.plos.providers"] = plos_report.providers;
     results["accuracy.plos.non_providers"] = plos_report.non_providers;
     results["accuracy.plos.overall"] = plos_report.overall;
@@ -626,12 +607,6 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  const char* watchdog_verdict = watchdog_on ? watchdog.verdict() : "off";
-  PLOS_LOG_INFO("run complete", obs::F("accuracy", plos_overall_accuracy),
-                obs::F("trained_plos", trained_plos),
-                obs::F("rounds", rounds_completed),
-                obs::F("wall_seconds", wall_seconds),
-                obs::F("watchdog", watchdog_verdict));
 
   if (!c.manifest_out.empty()) {
     obs::RunManifest manifest;
@@ -687,7 +662,7 @@ int main(int argc, char** argv) {
       manifest.fault["round_deadline_s"] = render_double(f.round_deadline_s);
     }
     manifest.results = results;
-    manifest.watchdog_verdict = watchdog_verdict;
+    manifest.watchdog_verdict = watchdog_on ? watchdog.verdict() : "off";
     manifest.watchdog_violations = watchdog.violations().size();
     if (!watchdog.violations().empty()) {
       manifest.watchdog_first_violation =
@@ -714,9 +689,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!c.metrics_out.empty() &&
-      !write_artifact("metrics", c.metrics_out,
-                      c.metrics_format == "prom" ? obs::metrics().to_prometheus()
-                                                 : obs::metrics().to_json())) {
+      !write_artifact("metrics", c.metrics_out, obs::metrics().to_json())) {
     return 1;
   }
   if (!c.profile_out.empty()) {
