@@ -5,14 +5,16 @@
 // baseline is the degenerate async run (quorum 1.0, no deadlines), which
 // the engine reproduces bit for bit and whose virtual clock is the barrier
 // schedule. Expected shape: a 60% quorum reaches the synchronous run's
-// final accuracy (within one point, entered and never left) in well under
-// 0.6x the barrier's simulated wall-clock — the slow devices stop pacing
-// the fleet, and their uploads keep folding in late under the staleness
+// final accuracy (within one point, entered and never left) in under 0.6x
+// the barrier's simulated wall-clock — the slow devices stop pacing the
+// fleet, and their uploads keep folding in late under the staleness
 // bound (12 > the ~6-8 rounds a slow solve spans at the fast cut pace)
-// instead of being dropped. Chronic stragglers never make a 60% cut, so
-// their blocks stay a few steps stale and the residual thresholds do not
-// fire; the run then ends at the ADMM iteration cap, which is why
-// time-to-accuracy, not end-to-end time, is the headline metric.
+// instead of being dropped. The 80% quorum and the straggler-free fleet
+// stop on the Eq. 24 thresholds. With no churn, though, the chronic
+// stragglers never make a 60% cut, so every one of their updates folds
+// late, the primal residual keeps oscillating, and the run ends at the
+// ADMM iteration cap; that is why time-to-accuracy, not end-to-end time,
+// is the headline metric.
 // PLOS_BENCH_JSON mode emits BENCH_abl09_async_quorum.json with exact
 // llround-scaled counters (virtual_wall_us, accuracy_x10000,
 // wallclock_ratio_x1000, tta_within1pt_us, tta_ratio_x1000,

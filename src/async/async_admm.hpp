@@ -5,11 +5,11 @@
 // round loop, whose synchronous schedule is core::train_distributed_plos.
 // This header names the asynchronous configuration of it: a partial
 // quorum cuts each round at the quorum-th on-time upload, late uploads
-// fold into later aggregates with a staleness-discounted dual update,
-// blocks older than the staleness bound are evicted, and per-device
-// deadlines adapt from observed latencies. With quorum 1.0, no deadlines,
-// and a bound that is never reached it is the synchronous trainer
-// (DESIGN.md §14).
+// fold into later aggregates with a dual update against the consensus
+// they were solved on, blocks older than the staleness bound are
+// evicted, and per-device deadlines adapt from observed latencies. With
+// quorum 1.0, no deadlines, and a bound that is never reached it is the
+// synchronous trainer (DESIGN.md §14).
 #pragma once
 
 #include "common/assert.hpp"

@@ -32,6 +32,7 @@ struct PendingUpload {
   bool active = false;
   double arrival = 0.0;         ///< absolute virtual seconds
   std::uint64_t data_step = 0;  ///< aggregation step the solve was based on
+  linalg::Vector w0_sent;       ///< consensus the device solved against
   AdmmDevice::LocalSolution sol;
   char cause = kLateUpload;  ///< kLateUpload | kDeadlineMissed
 };
@@ -210,7 +211,9 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       const std::uint64_t round = network.current_round();
       std::vector<char> status(num_users, kParticipated);
       std::vector<char> fresh(num_users, 0);
-      std::vector<double> late_weight(num_users, 0.0);
+      // Consensus each late-folded block was solved against; empty for
+      // every other block.
+      std::vector<linalg::Vector> late_w0(num_users);
       std::uint64_t late_count = 0;
       std::uint64_t ev_offline = 0, ev_late = 0, ev_failed = 0;
 
@@ -270,9 +273,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
         w[t] = std::move(pending[t].sol.w);
         v[t] = std::move(pending[t].sol.v);
         xi[t] = pending[t].sol.xi;
-        // Staleness-discounted dual refresh: an upload computed `age`
-        // steps ago moves u_t with weight 1 / (1 + age).
-        late_weight[t] = 1.0 / (1.0 + static_cast<double>(age));
+        late_w0[t] = std::move(pending[t].w0_sent);
         staleness.refresh(t, pending[t].data_step);
         ++late_count;
         status[t] = pending[t].cause;
@@ -421,6 +422,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
           pending[t].active = true;
           pending[t].arrival = virtual_seconds + completion[t];
           pending[t].data_step = aggregation_step;
+          pending[t].w0_sent = w0_old;
           pending[t].sol = std::move(solutions[t]);
           pending[t].cause = on_time ? static_cast<char>(kLateUpload)
                                      : static_cast<char>(
@@ -556,14 +558,20 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
         for (std::size_t t = 0; t < num_users; ++t) {
           linalg::Vector residual = linalg::sub(w[t], w0);
           linalg::axpy(-1.0, v[t], residual);
-          // Fresh blocks refresh their dual in full; late-folded blocks
-          // move theirs by the staleness discount; every other block keeps
-          // its u in force.
+          // Fresh blocks refresh their dual in full against the new w0.
+          // A late-folded block refreshes its dual in full too, but
+          // against the w0 its device solved on: (w_t, v_t) answered that
+          // consensus and the u_t still in force, so this completes the
+          // device's own ADMM step. The dual moves only here, after this
+          // step's dispatch, so a device re-dispatched in the step its
+          // late upload folds still solves against the pre-fold u_t.
+          // Every other block keeps its u.
           if (fresh[t] != 0) {
             u[t] = linalg::add(u_old[t], residual);
-          } else if (late_weight[t] > 0.0) {
-            u[t] = u_old[t];
-            linalg::axpy(late_weight[t], residual, u[t]);
+          } else if (!late_w0[t].empty()) {
+            u[t] = linalg::sub(w[t], late_w0[t]);
+            linalg::axpy(-1.0, v[t], u[t]);
+            linalg::axpy(1.0, u_old[t], u[t]);
           }
           primal_sq += linalg::squared_norm(residual);
           w_sq += linalg::squared_norm(w[t]);

@@ -13,8 +13,9 @@
 //     on-time uploads has arrived, cutting the round at that event's time;
 //   * uploads that miss the cut (or their per-device deadline) are not
 //     lost: they arrive later on the virtual clock and are folded into a
-//     subsequent aggregate with a staleness-discounted dual update, weight
-//     1 / (1 + age);
+//     subsequent aggregate. The block's dual then takes a full step
+//     against the consensus the device solved on, u_t += w_t − v_t −
+//     w0_sent, which completes that device's own ADMM step;
 //   * bounded staleness: a server block whose data is older than
 //     `staleness_bound` aggregation steps is evicted — reset to the
 //     consensus (w_t = w0, v_t = 0, ξ_t = 0, u_t = 0) — and the device

@@ -1,11 +1,12 @@
 // Tests for the asynchronous bounded-staleness quorum engine: degenerate
 // bitwise equivalence with the synchronous trainer, cross-thread byte
-// identity, the bounded-staleness property, and the latency/deadline
-// model.
+// identity, the bounded-staleness property, threshold-stopped ADMM under
+// chronic stragglers, and the latency/deadline model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -274,6 +275,77 @@ TEST(AsyncQuorum, PartialQuorumShortensVirtualTime) {
   ASSERT_GT(barrier.async.virtual_seconds, 0.0);
   EXPECT_LT(quorum.async.virtual_seconds,
             0.8 * barrier.async.virtual_seconds);
+}
+
+/// Late folds on a chronic-straggler fleet must let ADMM stop on the
+/// Eq. 24 thresholds. The fleet is e2ebench's async-quorum workload: 60%
+/// quorum, staleness bound 12, 30% of devices 6x slower, 10% drops, 1%
+/// corruption and 10% offline devices per round. A late upload's dual
+/// steps in full against the consensus its device solved on; a step
+/// against the current consensus discounted by 1/(1 + age) set up a limit
+/// cycle that ran nearly every CCCP round into the ADMM cap here.
+TEST(QuorumAdmm, ChronicStragglersStopOnThresholdsBeforeTheCap) {
+  constexpr std::size_t kUsers = 20;
+  constexpr int kCap = 150;
+  constexpr int kCccpRounds = 3;
+  std::uint64_t iterations = 0;
+  std::uint64_t budget = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto dataset =
+        make_population(kUsers, std::numbers::pi / 2.0, kUsers / 2, 0.05,
+                        seed, /*points_per_class=*/60);
+    core::PersonalizedModel reference;
+    for (int threads : {1, 4}) {
+      net::SimNetwork network(kUsers, net::DeviceProfile{},
+                              net::LinkProfile{});
+      for (std::size_t t = 0; t < kUsers; ++t) {
+        if (t % 10 >= 3) continue;
+        net::DeviceProfile profile;
+        profile.cpu_slowdown *= 6.0;
+        network.set_device_profile(t, profile);
+      }
+      net::FaultSpec faults;
+      faults.drop_probability = 0.1;
+      faults.corrupt_probability = 0.01;
+      faults.offline_probability = 0.1;
+      faults.seed = seed;
+      network.set_fault_model(net::FaultModel(faults));
+
+      AsyncQuorumOptions options;
+      options.base.params.lambda = 100.0;
+      options.base.params.cl = 10.0;
+      options.base.params.cu = 1.0;
+      options.base.cutting_plane.epsilon = 5e-2;
+      options.base.cccp.max_iterations = kCccpRounds;
+      options.base.max_admm_iterations = kCap;
+      options.base.num_threads = threads;
+      options.quorum = 0.6;
+      options.staleness_bound = 12;
+      options.adaptive_deadline = false;
+      options.latency.compute_base_s = 5e-2;
+      options.latency.seed = seed;
+      const auto result = train_async_quorum_plos(dataset, options, &network);
+
+      for (double x : result.model.global_weights) {
+        ASSERT_TRUE(std::isfinite(x));
+      }
+      for (const auto& deviation : result.model.user_deviations) {
+        for (double x : deviation) ASSERT_TRUE(std::isfinite(x));
+      }
+      if (threads == 1) {
+        reference = result.model;
+        iterations += result.diagnostics.admm_iterations_total;
+        budget += static_cast<std::uint64_t>(
+            result.diagnostics.cccp_iterations * kCap);
+      } else {
+        expect_models_bitwise_equal(reference, result.model);
+      }
+    }
+  }
+  // Hitting the cap in most rounds spends ~95% of the budget; stopping on
+  // the thresholds spends about half of it.
+  EXPECT_LT(iterations * 10, budget * 7)
+      << iterations << " ADMM iterations of a " << budget << " budget";
 }
 
 TEST(AsyncQuorum, RejectsInvalidQuorum) {

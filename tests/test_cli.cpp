@@ -76,6 +76,12 @@ TEST(Cli, PlosRunRejectsInvalidInvocationsWithExit2) {
       "--fault-drop 0.1",
       "--distributed --logistic --fault-offline 0.1",
       "--async --logistic",
+      "--methods all --watchdog warn",
+      "--methods all --journal-out journal.jsonl",
+      "--methods all --journal-every 2",
+      "--logistic --watchdog warn",
+      "--logistic --journal-out journal.jsonl",
+      "--logistic --journal-every 2",
   };
   for (const std::string& args : cases) {
     EXPECT_EQ(run(plos_run("--dataset synth --users 4 --methods plos " + args))

@@ -101,6 +101,11 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
   const cli::Needs needs_hinge_fleet{
       "--distributed without --logistic",
       [&c] { return c.distributed && !c.logistic; }};
+  // The journal and the watchdog are fed by the hinge-loss PLOS trainers
+  // alone.
+  const cli::Needs needs_hinge_plos{
+      "plos in --methods without --logistic",
+      [&c] { return wants(c, "plos") && !c.logistic; }};
   return {
       {"--dataset", "body|har|synth", "population simulator (default synth)",
        cli::choice(c.dataset, {"body", "har", "synth"})},
@@ -212,11 +217,11 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
       {"--journal-out", "FILE",
        "write the per-round JSONL journal of the PLOS training loop "
        "('-' = stdout)",
-       cli::text(c.journal_out)},
+       cli::text(c.journal_out), needs_hinge_plos},
       {"--journal-every", "N",
        "keep every Nth journal record (counted at aggregation boundaries; "
        "default 1 = all)",
-       cli::count(c.journal_every, 1)},
+       cli::count(c.journal_every, 1), needs_hinge_plos},
       {"--profile-out", "FILE",
        "write the hierarchical phase-profile tree (per-phase call counts + "
        "exact solver counters; wall times and peak RSS live in its "
@@ -226,7 +231,7 @@ std::vector<cli::Flag> flag_table(RunConfig& c) {
        "off (default), warn, or abort: convergence watchdog over the round "
        "journal (NaN, unconverged QP, divergence, participation collapse; "
        "abort stops training at the next round boundary)",
-       cli::choice(c.watchdog, {"off", "warn", "abort"})},
+       cli::choice(c.watchdog, {"off", "warn", "abort"}), needs_hinge_plos},
       {"--watchdog-stall-rounds", "N",
        "also flag N rounds without objective improvement (0 = stall check "
        "off)",
