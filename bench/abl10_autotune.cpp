@@ -16,7 +16,8 @@
 // visible: the hand-tuned knobs sit in ablation 9's limit cycle (the
 // stragglers never make a 60% cut), whose late accuracy dips set its
 // time-to-accuracy, so the untuned start reaches the band sooner than
-// either the hand-tuned or the auto-tuned run. PLOS_BENCH_JSON mode
+// either the hand-tuned or the auto-tuned run, and the barrier, whose
+// every-block-fresh steps are over-relaxed, beats both. PLOS_BENCH_JSON mode
 // emits BENCH_abl10_autotune.json with exact llround-scaled counters
 // (tta_within1pt_us, tta_vs_hand_x1000, tune_actions,
 // final_quorum_x1000, final_staleness_bound, accuracy_x10000) for the CI

@@ -39,6 +39,72 @@ struct PendingUpload {
 
 }  // namespace
 
+ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
+                                    const std::vector<linalg::Vector>& v,
+                                    const std::vector<char>& fresh,
+                                    const std::vector<linalg::Vector>& late_w0,
+                                    double rho, linalg::Vector& w0,
+                                    std::vector<linalg::Vector>& u) {
+  const std::size_t num_users = w.size();
+  PLOS_CHECK(num_users > 0 && v.size() == num_users &&
+                 fresh.size() == num_users && late_w0.size() == num_users &&
+                 u.size() == num_users,
+             "admm_server_update: block count mismatch");
+  PLOS_SPAN("plos.server_update");
+  // Over-relaxation only when every block is fresh. A step with a cached,
+  // late or evicted block stays plain Eq. 23, statement for statement, so
+  // quorum < 1 runs are bitwise those of plain ADMM (DESIGN.md §3).
+  const bool relax = std::all_of(fresh.begin(), fresh.end(),
+                                 [](char f) { return f != 0; });
+  std::vector<linalg::Vector> relaxed(relax ? num_users : 0);
+  linalg::Vector acc = linalg::zeros(w0.size());
+  for (std::size_t t = 0; t < num_users; ++t) {
+    if (relax) {
+      relaxed[t] = linalg::sub(w[t], v[t]);
+      linalg::scale(relaxed[t], kAdmmRelaxation);
+      linalg::axpy(1.0 - kAdmmRelaxation, w0, relaxed[t]);
+      linalg::axpy(1.0, relaxed[t], acc);
+    } else {
+      linalg::axpy(1.0, w[t], acc);
+      linalg::axpy(-1.0, v[t], acc);
+    }
+    linalg::axpy(1.0, u[t], acc);
+  }
+  linalg::scale(acc, rho / (2.0 + static_cast<double>(num_users) * rho));
+  w0 = std::move(acc);
+
+  ServerUpdateSums sums;
+  for (std::size_t t = 0; t < num_users; ++t) {
+    linalg::Vector residual = linalg::sub(w[t], w0);
+    linalg::axpy(-1.0, v[t], residual);
+    // Fresh blocks refresh their dual in full against the new w0 (with x̂_t
+    // in place of w_t − v_t when the step is relaxed). A late-folded block
+    // refreshes its dual in full too, but against the w0 its device solved
+    // on: (w_t, v_t) answered that consensus and the u_t still in force,
+    // so this completes the device's own ADMM step. The dual moves only
+    // here, after this step's dispatch, so a device re-dispatched in the
+    // step its late upload folds still solves against the pre-fold u_t.
+    // Every other block keeps its u.
+    if (relax) {
+      u[t] = linalg::add(u[t], relaxed[t]);
+      linalg::axpy(-1.0, w0, u[t]);
+    } else if (fresh[t] != 0) {
+      u[t] = linalg::add(u[t], residual);
+    } else if (!late_w0[t].empty()) {
+      linalg::Vector step = linalg::sub(w[t], late_w0[t]);
+      linalg::axpy(-1.0, v[t], step);
+      linalg::axpy(1.0, u[t], step);
+      u[t] = std::move(step);
+    }
+    sums.primal_sq += linalg::squared_norm(residual);
+    sums.w_sq += linalg::squared_norm(w[t]);
+    linalg::Vector target = linalg::add(w0, v[t]);
+    sums.target_sq += linalg::squared_norm(target);
+    sums.u_sq += linalg::squared_norm(u[t]);
+  }
+  return sums;
+}
+
 QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
                                    const QuorumAdmmOptions& options,
                                    net::SimNetwork& network) {
@@ -207,7 +273,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       const int iteration_qp_unconverged_before =
           (telemetry || tuning) ? fleet(&AdmmDevice::qp_unconverged) : 0;
       const linalg::Vector w0_old = w0;
-      std::vector<linalg::Vector> u_old = u;
       const std::uint64_t round = network.current_round();
       std::vector<char> status(num_users, kParticipated);
       std::vector<char> fresh(num_users, 0);
@@ -219,8 +284,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
 
       // Resets a server block whose data aged past the staleness bound:
       // the device re-bootstraps from the current consensus (w_t = w0,
-      // v_t = 0, ξ_t = 0) with a cleared dual. u_old must be zeroed too —
-      // the server accumulation below reads it.
+      // v_t = 0, ξ_t = 0) with a cleared dual.
       const auto evict = [&](std::size_t t, char cause) {
         if (flight != nullptr) {
           obs::FlightEvent event;
@@ -237,7 +301,6 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
         v[t] = linalg::zeros(dim);
         xi[t] = 0.0;
         u[t] = linalg::zeros(dim);
-        u_old[t] = linalg::zeros(dim);
         staleness.refresh(t, aggregation_step);
         switch (cause) {
           case kOffline:
@@ -542,44 +605,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
 
       // -- server closed-form updates (Eq. 23) -----------------------------
       Stopwatch server_watch;
-      double primal_sq = 0.0;
-      double w_sq = 0.0, target_sq = 0.0, u_sq = 0.0;
-      {
-        PLOS_SPAN("plos.server_update");
-        linalg::Vector acc = linalg::zeros(dim);
-        for (std::size_t t = 0; t < num_users; ++t) {
-          linalg::axpy(1.0, w[t], acc);
-          linalg::axpy(-1.0, v[t], acc);
-          linalg::axpy(1.0, u_old[t], acc);
-        }
-        linalg::scale(acc, base.rho / (2.0 + static_cast<double>(num_users) *
-                                                 base.rho));
-        w0 = std::move(acc);
-        for (std::size_t t = 0; t < num_users; ++t) {
-          linalg::Vector residual = linalg::sub(w[t], w0);
-          linalg::axpy(-1.0, v[t], residual);
-          // Fresh blocks refresh their dual in full against the new w0.
-          // A late-folded block refreshes its dual in full too, but
-          // against the w0 its device solved on: (w_t, v_t) answered that
-          // consensus and the u_t still in force, so this completes the
-          // device's own ADMM step. The dual moves only here, after this
-          // step's dispatch, so a device re-dispatched in the step its
-          // late upload folds still solves against the pre-fold u_t.
-          // Every other block keeps its u.
-          if (fresh[t] != 0) {
-            u[t] = linalg::add(u_old[t], residual);
-          } else if (!late_w0[t].empty()) {
-            u[t] = linalg::sub(w[t], late_w0[t]);
-            linalg::axpy(-1.0, v[t], u[t]);
-            linalg::axpy(1.0, u_old[t], u[t]);
-          }
-          primal_sq += linalg::squared_norm(residual);
-          w_sq += linalg::squared_norm(w[t]);
-          linalg::Vector target = linalg::add(w0, v[t]);
-          target_sq += linalg::squared_norm(target);
-          u_sq += linalg::squared_norm(u[t]);
-        }
-      }
+      const ServerUpdateSums sums =
+          admm_server_update(w, v, fresh, late_w0, base.rho, w0, u);
 
       objective = linalg::squared_norm(w0);
       for (std::size_t t = 0; t < num_users; ++t) {
@@ -590,7 +617,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       const double dual_residual =
           base.rho * std::sqrt(2.0 * static_cast<double>(num_users)) *
           std::sqrt(linalg::squared_distance(w0, w0_old));
-      const double primal_residual = std::sqrt(primal_sq);
+      const double primal_residual = std::sqrt(sums.primal_sq);
       network.account_server_compute(server_watch.elapsed_seconds());
       network.end_round();
       if (flight != nullptr) {
@@ -687,10 +714,10 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       // Paper thresholds (Eq. 24) plus Boyd's relative terms.
       const double primal_threshold =
           sqrt_t * base.eps_abs +
-          kEpsRel * std::sqrt(std::max(w_sq, target_sq));
+          kEpsRel * std::sqrt(std::max(sums.w_sq, sums.target_sq));
       const double dual_threshold =
           std::sqrt(2.0) * sqrt_t * base.eps_abs +
-          kEpsRel * base.rho * std::sqrt(u_sq);
+          kEpsRel * base.rho * std::sqrt(sums.u_sq);
       if (dual_residual <= dual_threshold &&
           primal_residual <= primal_threshold) {
         break;

@@ -31,11 +31,13 @@
 // degenerate schedule: quorum 1.0, no per-device deadline, a staleness
 // bound that is never reached. Then every delivered upload is on time and
 // inside the cut, nothing is ever late, busy, or evicted, and each round
-// is the paper's barrier (DESIGN.md §14). Every schedule is
-// bitwise-deterministic at any thread count: scheduling decisions derive
-// from counter-based draws and the deterministic event order, and all
-// cross-device arithmetic happens on the aggregation thread in ascending
-// device order.
+// is the paper's barrier (DESIGN.md §14). Only a step where every block is
+// fresh over-relaxes the consensus update (admm_server_update below): every
+// fault-free step of this schedule, while a quorum < 1 cut leaves blocks
+// cached and runs plain Eq. 23. Every schedule is bitwise-deterministic at
+// any thread count: scheduling decisions derive from counter-based draws
+// and the deterministic event order, and all cross-device arithmetic
+// happens on the aggregation thread in ascending device order.
 #pragma once
 
 #include <cstdint>
@@ -124,6 +126,36 @@ struct QuorumAdmmResult {
   DistributedPlosDiagnostics diagnostics;
   QuorumAdmmDiagnostics async;
 };
+
+/// Over-relaxation of the consensus step (Eckstein & Bertsekas 1992; Boyd
+/// et al. §3.4.3, which recommends α in [1.5, 1.8]). Same fixed point as
+/// plain ADMM; applied only in steps where every block is fresh.
+inline constexpr double kAdmmRelaxation = 1.6;
+
+/// Stop-rule sums of one server step, all over the unrelaxed per-block
+/// residual r_t = w_t − v_t − w0 against the new consensus.
+struct ServerUpdateSums {
+  double primal_sq = 0.0;  ///< Σ ||r_t||²
+  double w_sq = 0.0;       ///< Σ ||w_t||²
+  double target_sq = 0.0;  ///< Σ ||w0 + v_t||²
+  double u_sq = 0.0;       ///< Σ ||u_t||², after the dual step
+};
+
+/// The server's closed-form step (Eq. 23) over the cached blocks (w_t, v_t).
+/// `w0` is the consensus broadcast this step on entry and the new one on
+/// return; `u` holds the duals in force and is stepped in place. Blocks
+/// with fresh[t] != 0 were refreshed this step; a non-empty late_w0[t]
+/// marks a late-folded block and holds the consensus its device solved
+/// against; every other block keeps its dual. When every block is fresh,
+/// w_t − v_t is replaced by x̂_t = α(w_t − v_t) + (1 − α)·w0 (α =
+/// kAdmmRelaxation) in the w0 sum and the dual step; any other step is
+/// plain Eq. 23.
+ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
+                                    const std::vector<linalg::Vector>& v,
+                                    const std::vector<char>& fresh,
+                                    const std::vector<linalg::Vector>& late_w0,
+                                    double rho, linalg::Vector& w0,
+                                    std::vector<linalg::Vector>& u);
 
 /// Trains distributed PLOS under the given schedule. Every exchange goes
 /// through `network`'s transmit_* (which decides framing and retries from

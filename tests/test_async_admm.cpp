@@ -1,7 +1,8 @@
 // Tests for the asynchronous bounded-staleness quorum engine: degenerate
 // bitwise equivalence with the synchronous trainer, cross-thread byte
 // identity, the bounded-staleness property, threshold-stopped ADMM under
-// chronic stragglers, and the latency/deadline model.
+// chronic stragglers, the server step's fixed point and relaxation gate, and
+// the latency/deadline model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,8 +16,10 @@
 #include "core/autotune.hpp"
 #include "core/distributed_plos.hpp"
 #include "core/latency.hpp"
+#include "core/quorum_admm.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
+#include "linalg/vector.hpp"
 #include "net/simnet.hpp"
 #include "obs/journal.hpp"
 #include "rng/engine.hpp"
@@ -362,6 +365,148 @@ TEST(AsyncQuorum, RejectsInvalidQuorum) {
   options.quorum = 0.5;
   EXPECT_THROW(train_async_quorum_plos(dataset, options, nullptr),
                PreconditionError);
+}
+
+// ---- Server step (Eq. 23, core::admm_server_update) ------------------------
+
+struct ServerState {
+  std::vector<linalg::Vector> w, v, u, late_w0;
+  std::vector<char> fresh;
+  linalg::Vector w0;
+};
+
+// Random blocks at an ADMM fixed point: w_t − v_t = w0 for every t, and
+// Σ_t u_t = 2·w0/ρ, the stationarity condition of the w0 subproblem.
+ServerState fixed_point_state(std::size_t users, std::size_t dim, double rho,
+                              rng::Engine& engine) {
+  ServerState s;
+  s.w0 = engine.gaussian_vector(dim);
+  s.late_w0.resize(users);
+  s.fresh.assign(users, 1);
+  linalg::Vector u_sum = linalg::zeros(dim);
+  for (std::size_t t = 0; t < users; ++t) {
+    s.v.push_back(engine.gaussian_vector(dim));
+    s.w.push_back(linalg::add(s.w0, s.v.back()));
+    if (t + 1 < users) {
+      s.u.push_back(engine.gaussian_vector(dim));
+      linalg::axpy(1.0, s.u.back(), u_sum);
+    } else {
+      s.u.push_back(linalg::scaled(s.w0, 2.0 / rho));
+      linalg::axpy(-1.0, u_sum, s.u.back());
+    }
+  }
+  return s;
+}
+
+// Random blocks away from any fixed point, all fresh.
+ServerState random_state(std::size_t users, std::size_t dim,
+                         rng::Engine& engine) {
+  ServerState s;
+  s.w0 = engine.gaussian_vector(dim);
+  s.late_w0.resize(users);
+  s.fresh.assign(users, 1);
+  for (std::size_t t = 0; t < users; ++t) {
+    s.w.push_back(engine.gaussian_vector(dim));
+    s.v.push_back(engine.gaussian_vector(dim));
+    s.u.push_back(engine.gaussian_vector(dim));
+  }
+  return s;
+}
+
+core::ServerUpdateSums server_step(ServerState& s, double rho) {
+  return core::admm_server_update(s.w, s.v, s.fresh, s.late_w0, rho, s.w0,
+                                  s.u);
+}
+
+TEST(ServerStep, RelaxedStepKeepsTheAdmmFixedPoint) {
+  rng::Engine engine(41);
+  for (std::size_t users : {1u, 2u, 7u, 40u}) {
+    for (std::size_t dim : {1u, 3u, 29u}) {
+      for (double rho : {0.2, 1.0, 5.0}) {
+        ServerState s = fixed_point_state(users, dim, rho, engine);
+        const linalg::Vector w0_before = s.w0;
+        const std::vector<linalg::Vector> u_before = s.u;
+        const core::ServerUpdateSums sums = server_step(s, rho);
+        EXPECT_TRUE(linalg::approx_equal(s.w0, w0_before, 1e-12))
+            << "T=" << users << " d=" << dim << " rho=" << rho;
+        for (std::size_t t = 0; t < users; ++t) {
+          EXPECT_TRUE(linalg::approx_equal(s.u[t], u_before[t], 1e-12))
+              << "u[" << t << "] T=" << users << " d=" << dim;
+        }
+        EXPECT_LT(sums.primal_sq, 1e-20);
+      }
+    }
+  }
+}
+
+TEST(ServerStep, AllFreshStepIsOverRelaxed) {
+  // w0 = ρ/(2+Tρ)·Σ_t (x̂_t + u_t) and u_t += x̂_t − w0, with
+  // x̂_t = α(w_t − v_t) + (1 − α)·w0_old; the stop sums stay unrelaxed.
+  rng::Engine engine(42);
+  const double rho = 1.5;
+  ServerState s = random_state(5, 4, engine);
+  const ServerState before = s;
+  const core::ServerUpdateSums sums = server_step(s, rho);
+  const double alpha = core::kAdmmRelaxation;
+  std::vector<linalg::Vector> relaxed;
+  linalg::Vector w0 = linalg::zeros(4);
+  for (std::size_t t = 0; t < 5; ++t) {
+    relaxed.push_back(linalg::scaled(linalg::sub(before.w[t], before.v[t]),
+                                     alpha));
+    linalg::axpy(1.0 - alpha, before.w0, relaxed[t]);
+    linalg::axpy(1.0, linalg::add(relaxed[t], before.u[t]), w0);
+  }
+  linalg::scale(w0, rho / (2.0 + 5.0 * rho));
+  EXPECT_TRUE(linalg::approx_equal(s.w0, w0, 1e-12));
+  double primal_sq = 0.0;
+  for (std::size_t t = 0; t < 5; ++t) {
+    linalg::Vector u = linalg::add(before.u[t], relaxed[t]);
+    linalg::axpy(-1.0, w0, u);
+    EXPECT_TRUE(linalg::approx_equal(s.u[t], u, 1e-12)) << "u[" << t << "]";
+    linalg::Vector residual = linalg::sub(before.w[t], before.v[t]);
+    linalg::axpy(-1.0, w0, residual);
+    primal_sq += linalg::squared_norm(residual);
+  }
+  EXPECT_NEAR(sums.primal_sq, primal_sq, 1e-12 * (1.0 + primal_sq));
+}
+
+TEST(ServerStep, PartialStepIsPlainEq23Bitwise) {
+  // One cached block and one late-folded block: no relaxation anywhere,
+  // the same statements in the same order as plain Eq. 23.
+  rng::Engine engine(43);
+  const double rho = 1.0;
+  const std::size_t users = 6, dim = 5;
+  ServerState s = random_state(users, dim, engine);
+  s.fresh[2] = 0;  // cached: keeps its dual
+  s.fresh[4] = 0;  // late-folded against an older consensus
+  s.late_w0[4] = engine.gaussian_vector(dim);
+  const ServerState before = s;
+  const core::ServerUpdateSums sums = server_step(s, rho);
+
+  linalg::Vector w0 = linalg::zeros(dim);
+  for (std::size_t t = 0; t < users; ++t) {
+    linalg::axpy(1.0, before.w[t], w0);
+    linalg::axpy(-1.0, before.v[t], w0);
+    linalg::axpy(1.0, before.u[t], w0);
+  }
+  linalg::scale(w0, rho / (2.0 + static_cast<double>(users) * rho));
+  EXPECT_TRUE(linalg::approx_equal(s.w0, w0, 0.0));
+  double primal_sq = 0.0;
+  for (std::size_t t = 0; t < users; ++t) {
+    linalg::Vector residual = linalg::sub(before.w[t], w0);
+    linalg::axpy(-1.0, before.v[t], residual);
+    primal_sq += linalg::squared_norm(residual);
+    linalg::Vector u = before.u[t];
+    if (before.fresh[t] != 0) {
+      u = linalg::add(before.u[t], residual);
+    } else if (!before.late_w0[t].empty()) {
+      u = linalg::sub(before.w[t], before.late_w0[t]);
+      linalg::axpy(-1.0, before.v[t], u);
+      linalg::axpy(1.0, before.u[t], u);
+    }
+    EXPECT_TRUE(linalg::approx_equal(s.u[t], u, 0.0)) << "u[" << t << "]";
+  }
+  EXPECT_EQ(sums.primal_sq, primal_sq);
 }
 
 // ---- AutoTuner ------------------------------------------------------------

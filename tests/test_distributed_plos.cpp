@@ -216,5 +216,60 @@ TEST(DistributedPlos, MultiThreadedTrainingMatchesSerialBitwise) {
   EXPECT_EQ(serial_net.rounds_completed(), threaded_net.rounds_completed());
 }
 
+TEST(DistributedPlos, RelaxedConsensusCutsAdmmRounds) {
+  // The e2ebench sync-admm population and options (figure 12's distributed
+  // case): 20 users, 50 points per class, rotations up to pi/2, every other
+  // user a provider revealing 5 %. Over seeds 1-3 (3 CCCP rounds each),
+  // plain Eq. 23 spends 56 + 62 + 68 = 186 ADMM iterations (~62 per model);
+  // the over-relaxed consensus step spends 37 + 45 + 41 = 123 (~41).
+  constexpr std::size_t kUsers = 20;
+  int iterations = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    data::SyntheticSpec spec;
+    spec.num_users = kUsers;
+    spec.points_per_class = 50;
+    spec.max_rotation = std::numbers::pi / 2.0;
+    rng::Engine engine(seed);
+    auto dataset = data::generate_synthetic(spec, engine);
+    std::vector<std::size_t> providers;
+    for (std::size_t t = 0; t < kUsers; t += 2) providers.push_back(t);
+    data::reveal_labels(dataset, providers, 0.05, engine);
+
+    DistributedPlosOptions options;
+    options.params.lambda = 100.0;
+    options.params.cl = 10.0;
+    options.params.cu = 1.0;
+    options.cutting_plane.epsilon = 5e-2;
+    options.cccp.max_iterations = 3;
+    options.rho = 1.0;
+    options.eps_abs = 1e-3;
+    options.max_admm_iterations = 150;
+    PersonalizedModel reference;
+    for (int threads : {1, 4}) {
+      options.num_threads = threads;
+      const auto result = train_distributed_plos(dataset, options);
+      for (double x : result.model.global_weights) {
+        ASSERT_TRUE(std::isfinite(x));
+      }
+      for (const auto& deviation : result.model.user_deviations) {
+        for (double x : deviation) ASSERT_TRUE(std::isfinite(x));
+      }
+      if (threads == 1) {
+        reference = result.model;
+        iterations += result.diagnostics.admm_iterations_total;
+        continue;
+      }
+      EXPECT_TRUE(linalg::approx_equal(reference.global_weights,
+                                       result.model.global_weights, 0.0));
+      for (std::size_t t = 0; t < kUsers; ++t) {
+        EXPECT_TRUE(linalg::approx_equal(reference.user_deviations[t],
+                                         result.model.user_deviations[t],
+                                         0.0));
+      }
+    }
+  }
+  EXPECT_LT(iterations, 150) << iterations << " ADMM iterations on seeds 1-3";
+}
+
 }  // namespace
 }  // namespace plos::core
