@@ -24,129 +24,33 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <limits>
-#include <numbers>
 #include <string>
 #include <vector>
 
-#include "async/async_admm.hpp"
 #include "bench_support.hpp"
-#include "core/evaluation.hpp"
-#include "core/model.hpp"
-#include "linalg/vector.hpp"
-#include "net/simnet.hpp"
-#include "rng/engine.hpp"
+#include "straggler_fleet.hpp"
 
 namespace {
 
 using namespace plos;
+using bench::CaseOutcome;
+using bench::time_to_accuracy;
 
-data::MultiUserDataset make_dataset() {
-  data::SyntheticSpec spec;
-  spec.num_users = 20;
-  spec.points_per_class = 60;
-  spec.max_rotation = std::numbers::pi / 2.0;
-  rng::Engine engine(71);
-  auto dataset = data::generate_synthetic(spec, engine);
-  bench::reveal_spread_providers(dataset, 10, 0.05, 72);
-  return dataset;
-}
-
-// Chronic stragglers: 30% of the fleet (devices 0-2, 10-12) runs on
-// 6x-slower CPUs. Unlike the per-round FaultSpec straggler draw, a chronic
-// straggler is slow on EVERY dispatch, so the barrier always waits for it
-// while a 60% quorum never has to.
-constexpr double kStragglerSlowdown = 6.0;
-
-bool is_straggler(std::size_t device) { return device % 10 < 3; }
-
-void apply_straggler_fleet(net::SimNetwork& network) {
-  for (std::size_t t = 0; t < network.num_devices(); ++t) {
-    if (!is_straggler(t)) continue;
-    net::DeviceProfile profile;  // defaults, 6x the reference slowdown
-    profile.cpu_slowdown *= kStragglerSlowdown;
-    network.set_device_profile(t, profile);
-  }
-}
-
-async::AsyncQuorumOptions make_options(double quorum,
-                                       std::uint64_t staleness_bound,
-                                       bool adaptive) {
-  async::AsyncQuorumOptions options;
-  options.base = bench::bench_distributed_options();
-  options.base.cutting_plane.epsilon = 5e-2;
-  options.base.cccp.max_iterations = 3;
-  options.base.num_threads = bench::bench_num_threads();
-  options.quorum = quorum;
-  options.staleness_bound = staleness_bound;
-  options.adaptive_deadline = adaptive;
-  // Compute-bound local solves: phone-class QP work dwarfs the radio time,
-  // so a straggling device actually paces the barrier. With the default
-  // link-dominated spec every round trip costs the same ~0.2 s of radio and
-  // an 8x compute straggler is invisible.
-  options.latency.compute_base_s = 5e-2;
-  return options;
-}
-
-struct AccuracySample {
-  double virtual_seconds = 0.0;
-  double accuracy = 0.0;
-};
-
-struct CaseOutcome {
-  async::AsyncQuorumResult result;
-  double accuracy = 0.0;
-  /// Accuracy after every aggregation step, against the virtual clock.
-  std::vector<AccuracySample> trace;
-};
-
-// Earliest virtual time at which the run enters the accuracy band
-// [target, 1] and never leaves it again. Infinity when it never settles.
-double time_to_accuracy(const std::vector<AccuracySample>& trace,
-                        double target) {
-  double entered = std::numeric_limits<double>::infinity();
-  for (const auto& sample : trace) {
-    if (sample.accuracy >= target) {
-      if (!std::isfinite(entered)) entered = sample.virtual_seconds;
-    } else {
-      entered = std::numeric_limits<double>::infinity();
-    }
-  }
-  return entered;
-}
-
+// Runs a quorum case with the staleness bound 12 (> the ~6-8 rounds a
+// slow solve spans at the fast cut pace) on the chronic-straggler fleet.
 CaseOutcome run_case(const data::MultiUserDataset& dataset, double quorum,
-                     std::uint64_t staleness_bound, bool adaptive,
-                     bool stragglers) {
-  CaseOutcome outcome;
-  net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
-                          net::LinkProfile{});
-  if (stragglers) apply_straggler_fleet(network);
-  auto options = make_options(quorum, staleness_bound, adaptive);
-  core::PersonalizedModel probe =
-      core::PersonalizedModel::zeros(dataset.num_users(), 0);
-  options.on_aggregate = [&](const async::AsyncAggregateView& view) {
-    probe.global_weights = view.w0;
-    for (std::size_t t = 0; t < view.w.size(); ++t) {
-      probe.user_deviations[t] = linalg::sub(view.w[t], view.w0);
-    }
-    outcome.trace.push_back(AccuracySample{
-        view.virtual_seconds,
-        core::evaluate(dataset, core::predict_all(dataset, probe)).overall});
-  };
-  outcome.result = async::train_async_quorum_plos(dataset, options, &network);
-  outcome.accuracy =
-      core::evaluate(dataset,
-                     core::predict_all(dataset, outcome.result.model))
-          .overall;
-  return outcome;
+                     bool adaptive, bool stragglers) {
+  return bench::run_quorum_case(dataset, {.quorum = quorum,
+                                          .staleness_bound = 12,
+                                          .adaptive_deadline = adaptive,
+                                          .stragglers = stragglers});
 }
 
 // The degenerate configuration is the synchronous barrier: every round
 // waits for its slowest device and nothing is ever late or evicted.
 CaseOutcome run_sync_baseline(const data::MultiUserDataset& dataset,
                               bool stragglers) {
-  return run_case(dataset, 1.0, 1u << 20, /*adaptive=*/false, stragglers);
+  return bench::run_quorum_case(dataset, {.stragglers = stragglers});
 }
 
 void print_figure() {
@@ -158,7 +62,7 @@ void print_figure() {
                                        "max_stale"};
   bench::print_header("quorum", names);
 
-  const auto dataset = make_dataset();
+  const auto dataset = bench::straggler_dataset();
   const auto barrier = run_sync_baseline(dataset, /*stragglers=*/true);
   // Time-to-accuracy band: within one accuracy point of the synchronous
   // final model, entered and never left (DAWNBench-style). tta_ratio is
@@ -167,7 +71,7 @@ void print_figure() {
   for (double quorum : {1.0, 0.8, 0.6}) {
     const CaseOutcome outcome =
         quorum == 1.0 ? barrier
-                      : run_case(dataset, quorum, 12, /*adaptive=*/false,
+                      : run_case(dataset, quorum, /*adaptive=*/false,
                                  /*stragglers=*/true);
     const auto& a = outcome.result.async;
     bench::print_row(
@@ -225,7 +129,7 @@ void fill_counters(bench::BenchCase& bench_case, const CaseOutcome& outcome,
 void emit_bench_json() {
   bench::BenchSuite suite;
   suite.name = "abl09_async_quorum";
-  const auto dataset = make_dataset();
+  const auto dataset = bench::straggler_dataset();
 
   CaseOutcome barrier;
   {
@@ -248,7 +152,7 @@ void emit_bench_json() {
     CaseOutcome outcome;
     bench::BenchCase bench_case;
     bench_case.stats = bench::run_timed([&] {
-      outcome = run_case(dataset, config.quorum, 12, /*adaptive=*/false,
+      outcome = run_case(dataset, config.quorum, /*adaptive=*/false,
                          config.stragglers);
     });
     fill_counters(bench_case, outcome, barrier);
@@ -258,10 +162,10 @@ void emit_bench_json() {
 }
 
 void BM_AsyncQuorumStragglerHeavy(benchmark::State& state) {
-  const auto dataset = make_dataset();
+  const auto dataset = bench::straggler_dataset();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        run_case(dataset, 0.6, 12, /*adaptive=*/true, /*stragglers=*/true));
+        run_case(dataset, 0.6, /*adaptive=*/true, /*stragglers=*/true));
   }
 }
 BENCHMARK(BM_AsyncQuorumStragglerHeavy)

@@ -25,139 +25,41 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <limits>
-#include <numbers>
 #include <string>
 #include <vector>
 
-#include "async/async_admm.hpp"
 #include "bench_support.hpp"
-#include "core/evaluation.hpp"
-#include "core/model.hpp"
-#include "linalg/vector.hpp"
-#include "net/simnet.hpp"
-#include "rng/engine.hpp"
+#include "straggler_fleet.hpp"
 
 namespace {
 
 using namespace plos;
-
-data::MultiUserDataset make_dataset() {
-  data::SyntheticSpec spec;
-  spec.num_users = 20;
-  spec.points_per_class = 60;
-  spec.max_rotation = std::numbers::pi / 2.0;
-  rng::Engine engine(71);
-  auto dataset = data::generate_synthetic(spec, engine);
-  bench::reveal_spread_providers(dataset, 10, 0.05, 72);
-  return dataset;
-}
-
-// Same chronic-straggler fleet as ablation 9: devices 0-2 and 10-12 run on
-// 6x-slower CPUs on every dispatch, so the barrier always waits for them.
-constexpr double kStragglerSlowdown = 6.0;
-
-bool is_straggler(std::size_t device) { return device % 10 < 3; }
-
-void apply_straggler_fleet(net::SimNetwork& network) {
-  for (std::size_t t = 0; t < network.num_devices(); ++t) {
-    if (!is_straggler(t)) continue;
-    net::DeviceProfile profile;
-    profile.cpu_slowdown *= kStragglerSlowdown;
-    network.set_device_profile(t, profile);
-  }
-}
-
-async::AsyncQuorumOptions make_options(double quorum,
-                                       std::uint64_t staleness_bound,
-                                       bool auto_tune) {
-  async::AsyncQuorumOptions options;
-  options.base = bench::bench_distributed_options();
-  options.base.cutting_plane.epsilon = 5e-2;
-  options.base.cccp.max_iterations = 3;
-  options.base.num_threads = bench::bench_num_threads();
-  options.quorum = quorum;
-  options.staleness_bound = staleness_bound;
-  options.adaptive_deadline = false;
-  options.autotune.enabled = auto_tune;
-  // Compute-bound local solves, as in ablation 9: the straggling CPUs pace
-  // the barrier, which is the regime the controller has to navigate.
-  options.latency.compute_base_s = 5e-2;
-  return options;
-}
-
-struct AccuracySample {
-  double virtual_seconds = 0.0;
-  double accuracy = 0.0;
-};
-
-struct CaseOutcome {
-  async::AsyncQuorumResult result;
-  double accuracy = 0.0;
-  std::vector<AccuracySample> trace;
-};
-
-// Earliest virtual time at which the run enters the accuracy band
-// [target, 1] and never leaves it again. Infinity when it never settles.
-double time_to_accuracy(const std::vector<AccuracySample>& trace,
-                        double target) {
-  double entered = std::numeric_limits<double>::infinity();
-  for (const auto& sample : trace) {
-    if (sample.accuracy >= target) {
-      if (!std::isfinite(entered)) entered = sample.virtual_seconds;
-    } else {
-      entered = std::numeric_limits<double>::infinity();
-    }
-  }
-  return entered;
-}
-
-CaseOutcome run_case(const data::MultiUserDataset& dataset, double quorum,
-                     std::uint64_t staleness_bound, bool auto_tune) {
-  CaseOutcome outcome;
-  net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
-                          net::LinkProfile{});
-  apply_straggler_fleet(network);
-  auto options = make_options(quorum, staleness_bound, auto_tune);
-  core::PersonalizedModel probe =
-      core::PersonalizedModel::zeros(dataset.num_users(), 0);
-  options.on_aggregate = [&](const async::AsyncAggregateView& view) {
-    probe.global_weights = view.w0;
-    for (std::size_t t = 0; t < view.w.size(); ++t) {
-      probe.user_deviations[t] = linalg::sub(view.w[t], view.w0);
-    }
-    outcome.trace.push_back(AccuracySample{
-        view.virtual_seconds,
-        core::evaluate(dataset, core::predict_all(dataset, probe)).overall});
-  };
-  outcome.result = async::train_async_quorum_plos(dataset, options, &network);
-  outcome.accuracy =
-      core::evaluate(dataset,
-                     core::predict_all(dataset, outcome.result.model))
-          .overall;
-  return outcome;
-}
+using bench::CaseOutcome;
+using bench::time_to_accuracy;
 
 // The degenerate configuration is the synchronous barrier; its final
 // accuracy anchors the time-to-accuracy band for every other case.
 CaseOutcome run_sync_baseline(const data::MultiUserDataset& dataset) {
-  return run_case(dataset, 1.0, 1u << 20, /*auto_tune=*/false);
+  return bench::run_quorum_case(dataset, {});
 }
 
 // Ablation 9's winning hand-tuned knobs on this fleet.
 CaseOutcome run_hand_tuned(const data::MultiUserDataset& dataset) {
-  return run_case(dataset, 0.6, 12, /*auto_tune=*/false);
+  return bench::run_quorum_case(dataset,
+                                {.quorum = 0.6, .staleness_bound = 12});
 }
 
 // The controller's starting point: a quorum above the knee and a bound so
 // tight every chronic straggler's block is evicted before it folds.
 CaseOutcome run_auto_tuned(const data::MultiUserDataset& dataset) {
-  return run_case(dataset, 0.7, 4, /*auto_tune=*/true);
+  return bench::run_quorum_case(
+      dataset, {.quorum = 0.7, .staleness_bound = 4, .auto_tune = true});
 }
 
 // The same wrong knobs left alone — what the controller is rescuing.
 CaseOutcome run_untuned_start(const data::MultiUserDataset& dataset) {
-  return run_case(dataset, 0.7, 4, /*auto_tune=*/false);
+  return bench::run_quorum_case(dataset,
+                                {.quorum = 0.7, .staleness_bound = 4});
 }
 
 void print_figure() {
@@ -168,7 +70,7 @@ void print_figure() {
                                       "final_quorum", "final_bound"};
   bench::print_header("case", names);
 
-  const auto dataset = make_dataset();
+  const auto dataset = bench::straggler_dataset();
   const auto barrier = run_sync_baseline(dataset);
   const auto hand = run_hand_tuned(dataset);
   const auto untuned = run_untuned_start(dataset);
@@ -234,7 +136,7 @@ void fill_counters(bench::BenchCase& bench_case, const CaseOutcome& outcome,
 void emit_bench_json() {
   bench::BenchSuite suite;
   suite.name = "abl10_autotune";
-  const auto dataset = make_dataset();
+  const auto dataset = bench::straggler_dataset();
 
   CaseOutcome barrier;
   CaseOutcome hand;
@@ -263,7 +165,7 @@ void emit_bench_json() {
 }
 
 void BM_AutoTunedStragglerFleet(benchmark::State& state) {
-  const auto dataset = make_dataset();
+  const auto dataset = bench::straggler_dataset();
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_auto_tuned(dataset));
   }

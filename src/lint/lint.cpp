@@ -1,6 +1,7 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
@@ -9,7 +10,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/assert.hpp"
 #include "lint/rules_semantic.hpp"
 #include "obs/json.hpp"
 #include "parallel/thread_pool.hpp"
@@ -31,6 +31,15 @@ std::vector<std::string_view> split_lines(std::string_view text) {
     start = end + 1;
   }
   return lines;
+}
+
+bool read_text(const std::string& path, std::string& text) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  text = contents.str();
+  return true;
 }
 
 // ---- suppressions --------------------------------------------------------
@@ -232,6 +241,9 @@ std::vector<std::string> string_array(const json::Value& obj,
   return out;
 }
 
+constexpr std::array<std::string_view, 6> kRuleKeys = {
+    "name", "kind", "message", "patterns", "paths", "allow_paths"};
+
 std::optional<RuleKind> kind_from_string(const std::string& kind) {
   if (kind == "banned-pattern") return RuleKind::kBannedPattern;
   if (kind == "float-eq") return RuleKind::kFloatEq;
@@ -287,11 +299,21 @@ std::optional<Config> parse_config(std::string_view json_text,
       return std::nullopt;
     }
     rule.kind = *parsed_kind;
+    // A key nothing reads would be dropped in silence: a misspelt
+    // "allow_path" would widen its rule, an "enabled": false would not
+    // switch it off (delete the rule for that).
+    for (const auto& member : entry.as_object()) {
+      if (std::find(kRuleKeys.begin(), kRuleKeys.end(), member.first) ==
+          kRuleKeys.end()) {
+        if (error != nullptr) {
+          *error = "lint_rules.json: rule \"" + rule.name +
+                   "\" has unknown key \"" + member.first + "\"";
+        }
+        return std::nullopt;
+      }
+    }
     if (const json::Value* v = entry.find("message"); v && v->is_string()) {
       rule.message = v->as_string();
-    }
-    if (const json::Value* v = entry.find("enabled"); v && v->is_bool()) {
-      rule.enabled = v->as_bool();
     }
     rule.patterns = string_array(entry, "patterns");
     rule.paths = string_array(entry, "paths");
@@ -318,7 +340,7 @@ std::vector<Finding> lint_source(const Config& config, const std::string& path,
 
   std::vector<Finding> findings;
   for (const Rule& rule : config.rules) {
-    if (!rule.enabled || !rule_applies(rule, path)) continue;
+    if (!rule_applies(rule, path)) continue;
     switch (rule.kind) {
       case RuleKind::kBannedPattern:
         apply_banned_patterns(rule, path, code_lines, findings);
@@ -410,10 +432,7 @@ std::optional<FileSet> collect_tree(const std::string& root_dir,
                    rel.compare(rel.size() - ext.size(), ext.size(), ext) == 0;
           });
       if (!wanted) continue;
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream contents;
-      contents << in.rdbuf();
-      files[rel] = contents.str();
+      read_text(entry.path().string(), files[rel]);
     }
   }
   return files;
@@ -428,520 +447,37 @@ std::string format_findings(const std::vector<Finding>& findings) {
   return out;
 }
 
-std::string format_sarif(const Config& config,
-                         const std::vector<Finding>& findings) {
-  std::map<std::string, std::size_t> rule_index;
-  std::string rules_json;
-  for (const Rule& rule : config.rules) {
-    if (!rule.enabled) continue;
-    if (!rules_json.empty()) rules_json += ",";
-    rule_index[rule.name] = rule_index.size();
-    rules_json += "{\"id\":" + json::escape(rule.name) +
-                  ",\"shortDescription\":{\"text\":" +
-                  json::escape(rule.message) + "}}";
-  }
+// ---- run -----------------------------------------------------------------
 
-  std::string results_json;
-  for (const Finding& f : findings) {
-    if (!results_json.empty()) results_json += ",";
-    results_json += "{\"ruleId\":" + json::escape(f.rule);
-    const auto it = rule_index.find(f.rule);
-    if (it != rule_index.end()) {
-      results_json += ",\"ruleIndex\":" + std::to_string(it->second);
-    }
-    results_json +=
-        ",\"level\":\"error\",\"message\":{\"text\":" + json::escape(f.message) +
-        "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":" +
-        json::escape(f.file) +
-        ",\"uriBaseId\":\"SRCROOT\"},\"region\":{\"startLine\":" +
-        std::to_string(f.line) + "}}}]}";
-  }
+int run(const RunOptions& options, std::string& out) {
+  const std::string rules_path = options.rules_path.empty()
+                                     ? options.root + "/tools/lint_rules.json"
+                                     : options.rules_path;
+  const std::string layers_path =
+      options.layers_path.empty() ? options.root + "/tools/lint_layers.json"
+                                  : options.layers_path;
 
-  return "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/"
-         "sarif-spec/master/Schemata/sarif-schema-2.1.0.json\","
-         "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
-         "{\"name\":\"plos_lint\",\"rules\":[" +
-         rules_json + "]}},\"columnKind\":\"utf16CodeUnits\",\"results\":[" +
-         results_json + "]}]}\n";
-}
-
-// ---- mechanical fixes ----------------------------------------------------
-
-namespace {
-
-std::string_view trim_left(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  return s;
-}
-
-std::vector<std::string> split_lines_owned(std::string_view text) {
-  std::vector<std::string> lines;
-  for (std::string_view line : split_lines(text)) {
-    lines.emplace_back(line);
-  }
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out += lines[i];
-    if (i + 1 < lines.size()) out += "\n";
-  }
-  return out;
-}
-
-}  // namespace
-
-FixOutcome fix_mechanical(const Config& config, const std::string& path,
-                          std::string_view source) {
-  FixOutcome outcome;
-  if (source.find("plos-lint:") != std::string_view::npos) {
-    outcome.refused = true;
-    return outcome;
-  }
-  bool want_pragma = false;
-  bool want_order = false;
-  for (const Rule& rule : config.rules) {
-    if (!rule.enabled || !rule_applies(rule, path)) continue;
-    if (rule.kind == RuleKind::kPragmaOnce) want_pragma = true;
-    if (rule.kind == RuleKind::kIncludeOrder) want_order = true;
-  }
-
-  std::vector<std::string> lines = split_lines_owned(source);
-
-  if (want_pragma && is_header(path) &&
-      source.find("#pragma once") == std::string_view::npos) {
-    // Insert after the leading comment block (and its trailing blank), so
-    // the file-header prose stays on top.
-    std::size_t at = 0;
-    while (at < lines.size()) {
-      const std::string_view t = trim_left(lines[at]);
-      if (t.empty() || t.rfind("//", 0) == 0) {
-        ++at;
-      } else {
-        break;
-      }
-    }
-    const bool needs_blank = at < lines.size() && !trim_left(lines[at]).empty();
-    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
-                 "#pragma once");
-    if (needs_blank) {
-      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at) + 1, "");
-    }
-  }
-
-  if (want_order) {
-    const std::string code = strip_comments_and_strings(join_lines(lines));
-    const std::vector<Include> includes = parse_includes(code);
-    if (includes.size() >= 2) {
-      const int first = includes.front().line;  // 1-based
-      const int last = includes.back().line;
-      std::set<int> include_lines;
-      for (const Include& inc : includes) include_lines.insert(inc.line);
-
-      // Only rebuild a region that holds nothing but includes and blank
-      // lines — a comment pinned to one include would otherwise detach.
-      bool safe = true;
-      for (int l = first; l <= last && safe; ++l) {
-        if (include_lines.count(l) != 0) continue;
-        if (!trim_left(lines[static_cast<std::size_t>(l - 1)]).empty()) {
-          safe = false;
-        }
-      }
-      if (safe) {
-        const bool is_source = path.rfind(".cpp") == path.size() - 4;
-        const std::string stem = stem_of(path);
-        std::vector<std::string> own, angle, quoted;
-        for (const Include& inc : includes) {
-          std::string& line = lines[static_cast<std::size_t>(inc.line - 1)];
-          if (!inc.angle && is_source && own.empty() &&
-              stem_of(inc.target) == stem) {
-            own.push_back(line);
-          } else if (inc.angle) {
-            angle.push_back(line);
-          } else {
-            quoted.push_back(line);
-          }
-        }
-        std::vector<std::string> region;
-        for (const auto* block : {&own, &angle, &quoted}) {
-          if (block->empty()) continue;
-          if (!region.empty()) region.emplace_back();
-          region.insert(region.end(), block->begin(), block->end());
-        }
-        lines.erase(lines.begin() + (first - 1), lines.begin() + last);
-        lines.insert(lines.begin() + (first - 1), region.begin(),
-                     region.end());
-      }
-    }
-  }
-
-  std::string fixed = join_lines(lines);
-  if (fixed != source) {
-    outcome.changed = true;
-    outcome.text = std::move(fixed);
-  }
-  return outcome;
-}
-
-// ---- self-test fixtures --------------------------------------------------
-
-namespace {
-
-struct Fixture {
-  const char* name;
-  const char* path;         // repo-relative, drives path-scoped rules
-  const char* expect_rule;  // "" = must lint clean; "a,b" = a required,
-                            // b tolerated (overlapping rule families)
-  const char* source;
-};
-
-// Bad fixtures must each trip exactly their named rule; good fixtures must
-// produce no findings. Bad code lives in raw strings here, which the
-// scrubber blanks when plos_lint scans its own source — the analyzer does
-// not flag its own fixtures.
-const Fixture kFixtures[] = {
-    {"rng-in-solver", "src/core/bad_rng.cpp", "determinism-rng",
-     R"(#include "core/bad_rng.hpp"
-void seed_model() {
-  std::random_device rd;
-  (void)rd;
-}
-)"},
-    {"unseeded-engine", "src/core/bad_engine.cpp", "determinism-rng",
-     R"(#include "core/bad_engine.hpp"
-#include <random>
-std::mt19937 gen;
-)"},
-    {"clock-in-solver", "src/core/bad_clock.cpp", "determinism-clock",
-     R"(#include "core/bad_clock.hpp"
-#include <chrono>
-double now() {
-  return std::chrono::steady_clock::now().time_since_epoch().count();
-}
-)"},
-    {"unordered-in-solver", "src/core/bad_unordered.cpp",
-     "determinism-unordered",
-     R"(#include "core/bad_unordered.hpp"
-#include <unordered_map>
-std::unordered_map<int, double> weights;
-)"},
-    {"build-stamp", "src/data/bad_stamp.cpp", "determinism-build-stamp",
-     R"(#include "data/bad_stamp.hpp"
-const char* built_at() { return __DATE__; }
-)"},
-    {"float-in-core", "src/qp/bad_float.cpp", "numeric-no-float",
-     R"(#include "qp/bad_float.hpp"
-float step_size = 0;
-)"},
-    {"float-equality", "src/core/bad_eq.cpp", "numeric-float-eq",
-     R"(#include "core/bad_eq.hpp"
-bool converged(double f) { return f == 1.5; }
-)"},
-    {"c-abs-on-double", "src/core/bad_abs.cpp", "numeric-c-abs",
-     R"(#include "core/bad_abs.hpp"
-#include <cstdlib>
-double mag(double x) { return abs(x); }
-)"},
-    // The federated privacy boundary is a layering edge: net may reach only
-    // common and obs, so a raw-data include is an undeclared dependency.
-    {"raw-data-in-net", "src/net/bad_privacy.cpp", "layering",
-     R"(#include "net/bad_privacy.hpp"
-
-#include "data/dataset.hpp"
-)"},
-    {"iostream-in-lib", "src/core/bad_io.cpp", "io-iostream",
-     R"(#include "core/bad_io.hpp"
-
-#include <iostream>
-void report() { std::cout << "objective\n"; }
-)"},
-    {"missing-pragma-once", "src/core/bad_header.hpp", "hygiene-pragma-once",
-     R"(namespace plos {}
-)"},
-    {"include-order", "src/core/bad_order.cpp", "hygiene-include-order",
-     R"(#include "core/bad_order.hpp"
-
-#include "common/assert.hpp"
-
-#include <vector>
-)"},
-    {"using-namespace-header", "src/core/bad_using.hpp",
-     "hygiene-using-namespace",
-     R"(#pragma once
-using namespace std;
-)"},
-    // Planted unsynchronized capture: `total` is shared across chunks and
-    // written without indexing, atomics, or a lock. Must flag.
-    {"race-unsynchronized-capture", "src/core/bad_race.cpp", "race-surface",
-     R"(#include "core/bad_race.hpp"
-
-#include <cstddef>
-#include <vector>
-
-#include "parallel/thread_pool.hpp"
-
-double sum_losses(const std::vector<double>& x) {
-  double total = 0.0;
-  plos::parallel::ThreadPool pool(4);
-  pool.parallel_for(x.size(), [&](std::size_t t) {
-    total += x[t];
-  });
-  return total;
-}
-)"},
-    // Chunk-indexed write: every chunk owns out[t]. Must NOT flag.
-    {"race-chunk-indexed-write", "src/core/good_chunked.cpp", "",
-     R"(#include "core/good_chunked.hpp"
-
-#include <cstddef>
-#include <vector>
-
-#include "parallel/thread_pool.hpp"
-
-void square_all(std::vector<double>& out, const std::vector<double>& in) {
-  plos::parallel::ThreadPool pool(2);
-  pool.parallel_for(in.size(), [&](std::size_t t) {
-    out[t] = in[t] * in[t];
-  });
-}
-)"},
-    {"accumulation-raw-fold", "src/qp/bad_fold.cpp", "accumulation-order",
-     R"(#include "qp/bad_fold.hpp"
-
-#include <cstddef>
-#include <vector>
-
-double objective(const std::vector<double>& g, const std::vector<double>& x) {
-  double obj = 0.0;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    obj += g[i] * x[i];
-  }
-  return obj;
-}
-)"},
-    // Pinned-order kernel call and a genuine recurrence (the target is
-    // re-read in the loop) are both legal shapes.
-    {"accumulation-kernel-and-scan", "src/qp/good_fold.cpp", "",
-     R"(#include "qp/good_fold.hpp"
-
-#include <vector>
-
-#include "linalg/kernels.hpp"
-
-double objective(const std::vector<double>& g, const std::vector<double>& x) {
-  return plos::linalg::kernels::blocked_dot(g, x);
-}
-
-double first_crossing(const std::vector<double>& u, double cap) {
-  double running = 0.0;
-  for (double v : u) {
-    running += v;
-    if (running > cap) return running;
-  }
-  return running;
-}
-)"},
-    {"layering-undeclared-edge", "src/linalg/bad_layering.cpp", "layering",
-     R"(#include "linalg/bad_layering.hpp"
-
-#include "qp/simplex_qp.hpp"
-)"},
-    {"layering-declared-edges", "src/qp/good_layering.cpp", "",
-     R"(#include "qp/good_layering.hpp"
-
-#include "linalg/kernels.hpp"
-#include "obs/json.hpp"
-)"},
-    {"clean-solver-file", "src/core/good_clean.cpp", "",
-     R"(#include "core/good_clean.hpp"
-
-#include <cmath>
-
-#include "rng/engine.hpp"
-
-double scaled(double x) { return std::abs(x) * 2.0; }
-bool untouched(double x) { return x == 0.0; }
-bool close(double a, double b) { return std::abs(a - b) <= 1e-9; }
-)"},
-    {"suppressed-violation", "src/core/good_suppressed.cpp", "",
-     R"(#include "core/good_suppressed.hpp"
-// The bootstrap seed below is derived once and logged; determinism is
-// preserved because it feeds a recorded manifest field.
-// plos-lint: allow(determinism-rng)
-std::random_device bootstrap_entropy;
-)"},
-    {"clock-in-obs-sink", "src/obs/good_timer.cpp", "",
-     R"(#include "obs/good_timer.hpp"
-#include <chrono>
-double wall_us() {
-  return std::chrono::steady_clock::now().time_since_epoch().count();
-}
-)"},
-    {"prose-not-code", "src/core/good_prose.cpp", "",
-     R"(#include "core/good_prose.hpp"
-// Comments may discuss rand() and std::random_device freely; so may
-// string literals:
-const char* kDoc = "never call rand() or srand() in solvers";
-)"},
-};
-
-std::vector<std::string> split_rule_list(const char* text) {
-  std::vector<std::string> rules;
-  std::string name;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!name.empty()) rules.push_back(name);
-      name.clear();
-      if (*p == '\0') break;
-    } else {
-      name += *p;
-    }
-  }
-  return rules;
-}
-
-}  // namespace
-
-SelfTestResult self_test(const Config& config) {
-  SelfTestResult result;
-  result.ok = true;
-  for (const Fixture& fixture : kFixtures) {
-    const auto findings = lint_source(config, fixture.path, fixture.source);
-    const std::vector<std::string> expect = split_rule_list(fixture.expect_rule);
-    std::string line = std::string("self-test ") + fixture.name + ": ";
-    if (expect.empty()) {
-      if (findings.empty()) {
-        line += "clean, as expected";
-      } else {
-        result.ok = false;
-        line += "expected clean but got " + format_findings(findings);
-      }
-    } else {
-      const bool hit = std::any_of(
-          findings.begin(), findings.end(),
-          [&](const Finding& f) { return f.rule == expect.front(); });
-      const bool only_expected = std::all_of(
-          findings.begin(), findings.end(), [&](const Finding& f) {
-            return std::find(expect.begin(), expect.end(), f.rule) !=
-                   expect.end();
-          });
-      if (hit && only_expected) {
-        line += "rejected by [" + findings[0].rule + "] at " +
-                findings[0].file + ":" + std::to_string(findings[0].line) +
-                ", as expected";
-      } else if (!hit) {
-        result.ok = false;
-        line += "expected [" + expect.front() + "] but got " +
-                (findings.empty() ? std::string("no findings")
-                                  : format_findings(findings));
-      } else {
-        result.ok = false;
-        line += "expected only [" + expect.front() + "] but got " +
-                format_findings(findings);
-      }
-    }
-    result.report += line + "\n";
-  }
-  result.report += result.ok ? "self-test: all fixtures passed\n"
-                             : "self-test: FAILED\n";
-  return result;
-}
-
-// ---- CLI -----------------------------------------------------------------
-
-int run_cli(const std::vector<std::string>& args, std::string& out) {
-  std::string root = ".";
-  std::string rules_path;
-  std::string layers_path;
-  std::string format = "text";
-  int threads = 1;
-  bool do_self_test = false;
-  bool list_rules = false;
-  bool do_fix = false;
-  std::vector<std::string> filters;
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--root" || arg == "--rules" || arg == "--layers" ||
-        arg == "--format" || arg == "--threads") {
-      if (i + 1 >= args.size()) {
-        out += "plos_lint: missing value for " + arg + "\n";
-        return 2;
-      }
-      const std::string& value = args[++i];
-      if (arg == "--root") {
-        root = value;
-      } else if (arg == "--rules") {
-        rules_path = value;
-      } else if (arg == "--layers") {
-        layers_path = value;
-      } else if (arg == "--format") {
-        if (value != "text" && value != "sarif") {
-          out += "plos_lint: unknown format " + value +
-                 " (expected text or sarif)\n";
-          return 2;
-        }
-        format = value;
-      } else {
-        threads = std::atoi(value.c_str());
-        if (threads < 1) {
-          out += "plos_lint: --threads needs a positive integer, got " +
-                 value + "\n";
-          return 2;
-        }
-      }
-    } else if (arg == "--self-test") {
-      do_self_test = true;
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg == "--fix") {
-      do_fix = true;
-    } else if (arg == "--help") {
-      out += "usage: plos_lint [--root DIR] [--rules FILE] [--layers FILE] "
-             "[--format text|sarif] [--threads N] [--fix] [--self-test] "
-             "[--list-rules] [path-prefix...]\n";
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      out += "plos_lint: unknown flag " + arg + "\n";
-      return 2;
-    } else {
-      filters.push_back(arg);
-    }
-  }
-  if (rules_path.empty()) rules_path = root + "/tools/lint_rules.json";
-  if (layers_path.empty()) layers_path = root + "/tools/lint_layers.json";
-
-  std::ifstream in(rules_path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!read_text(rules_path, text)) {
     out += "plos_lint: cannot open rules file " + rules_path + "\n";
     return 2;
   }
-  std::ostringstream rules_text;
-  rules_text << in.rdbuf();
   std::string error;
-  auto config = parse_config(rules_text.str(), &error);
+  auto config = parse_config(text, &error);
   if (!config) {
     out += "plos_lint: " + error + "\n";
     return 2;
   }
 
   const bool wants_layering = std::any_of(
-      config->rules.begin(), config->rules.end(), [](const Rule& rule) {
-        return rule.enabled && rule.kind == RuleKind::kLayering;
-      });
+      config->rules.begin(), config->rules.end(),
+      [](const Rule& rule) { return rule.kind == RuleKind::kLayering; });
   if (wants_layering) {
-    std::ifstream layers_in(layers_path, std::ios::binary);
-    if (!layers_in) {
+    if (!read_text(layers_path, text)) {
       out += "plos_lint: cannot open layering DAG " + layers_path + "\n";
       return 2;
     }
-    std::ostringstream layers_text;
-    layers_text << layers_in.rdbuf();
-    const auto layers = parse_layers(layers_text.str(), &error);
+    const auto layers = parse_layers(text, &error);
     if (!layers) {
       out += "plos_lint: " + error + "\n";
       return 2;
@@ -950,61 +486,32 @@ int run_cli(const std::vector<std::string>& args, std::string& out) {
     config->layers_loaded = true;
   }
 
-  if (list_rules) {
+  if (options.list_rules) {
     for (const Rule& rule : config->rules) {
-      out += rule.name + (rule.enabled ? "" : " (disabled)") + ": " +
-             rule.message + "\n";
+      out += rule.name + ": " + rule.message + "\n";
     }
     return 0;
   }
-  if (do_self_test) {
-    const SelfTestResult result = self_test(*config);
-    out += result.report;
-    return result.ok ? 0 : 1;
-  }
 
-  auto files = collect_tree(root, *config, &error);
+  auto files = collect_tree(options.root, *config, &error);
   if (!files) {
     out += "plos_lint: " + error + "\n";
     return 2;
   }
-  if (!filters.empty()) {
+  const std::vector<std::string>& prefixes = options.prefixes;
+  if (!prefixes.empty()) {
     std::erase_if(*files, [&](const auto& entry) {
-      return std::none_of(filters.begin(), filters.end(),
-                          [&](const std::string& f) {
-                            return has_prefix(entry.first, f);
+      return std::none_of(prefixes.begin(), prefixes.end(),
+                          [&](const std::string& prefix) {
+                            return has_prefix(entry.first, prefix);
                           });
     });
   }
 
-  if (do_fix) {
-    int fixed = 0;
-    for (const auto& [path, contents] : *files) {
-      const FixOutcome outcome = fix_mechanical(*config, path, contents);
-      if (outcome.refused) {
-        out += "refused (plos-lint suppression present): " + path + "\n";
-        continue;
-      }
-      if (!outcome.changed) continue;
-      std::ofstream file_out(std::filesystem::path(root) / path,
-                             std::ios::binary | std::ios::trunc);
-      file_out << outcome.text;
-      out += "fixed: " + path + "\n";
-      ++fixed;
-    }
-    out += "plos_lint: " + std::to_string(fixed) + " file(s) fixed\n";
-    return 0;
-  }
-
-  const auto findings = lint_files(*config, *files, threads);
-  if (format == "sarif") {
-    out += format_sarif(*config, findings);
-  } else {
-    out += format_findings(findings);
-    out += "plos_lint: " + std::to_string(findings.size()) +
-           " finding(s) in " + std::to_string(files->size()) +
-           " file(s) scanned\n";
-  }
+  const auto findings = lint_files(*config, *files, options.threads);
+  out += format_findings(findings);
+  out += "plos_lint: " + std::to_string(findings.size()) + " finding(s) in " +
+         std::to_string(files->size()) + " file(s) scanned\n";
   return findings.empty() ? 0 : 1;
 }
 

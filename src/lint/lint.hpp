@@ -12,8 +12,9 @@
 //
 // The rule *catalog* is built in (each RuleKind below is a matching
 // strategy); the checked-in `tools/lint_rules.json` instantiates it:
-// which rules run, over which path prefixes, with which banned patterns
-// and exemptions. The layering DAG lives in `tools/lint_layers.json`.
+// which rules run (delete a rule to switch it off), over which path
+// prefixes, with which banned patterns and exemptions. The layering DAG
+// lives in `tools/lint_layers.json`.
 // Every in-source exception uses the visible suppression syntax
 //
 //     // plos-lint: allow(rule-name[, rule-name...])    same or next line
@@ -21,8 +22,11 @@
 //
 // so exceptions show up in diffs and code review.
 //
-// The engine works on in-memory file sets so tests drive it hermetically;
-// the CLI walks the real tree. All scanning, ordering, and reporting is
+// The engine works on in-memory file sets so tests drive it hermetically
+// (tests/test_lint.cpp holds the good/bad fixture corpus); run() walks the
+// real tree, and tools/plos_lint.cpp only parses the flags into its
+// RunOptions. Findings print as one compiler-style text line each. All
+// scanning, ordering, and reporting is
 // deterministic (sorted paths, config-ordered rules, sorted findings) —
 // including the threaded scan, which merges per-file results in path
 // order and is byte-identical at any thread count.
@@ -63,7 +67,6 @@ struct Rule {
   std::string name;
   RuleKind kind = RuleKind::kBannedPattern;
   std::string message;
-  bool enabled = true;
   std::vector<std::string> patterns;     ///< kBannedPattern: ECMAScript regexes
   std::vector<std::string> paths;        ///< apply only under these prefixes (empty = everywhere)
   std::vector<std::string> allow_paths;  ///< exempt these prefixes
@@ -78,7 +81,8 @@ struct Config {
 };
 
 /// Parses `tools/lint_rules.json` text. Returns nullopt (and sets `error`
-/// when non-null) on malformed JSON or an unknown rule kind.
+/// when non-null) on malformed JSON, an unknown rule kind or an unknown
+/// rule key.
 std::optional<Config> parse_config(std::string_view json_text,
                                    std::string* error = nullptr);
 
@@ -107,39 +111,20 @@ std::optional<FileSet> collect_tree(const std::string& root_dir,
 /// "file:line: error: [rule] message" lines, one per finding.
 std::string format_findings(const std::vector<Finding>& findings);
 
-/// SARIF 2.1.0 log (one run, enabled rules in the driver catalog, one
-/// result per finding). Deterministic byte-for-byte for a given config and
-/// finding list.
-std::string format_sarif(const Config& config,
-                         const std::vector<Finding>& findings);
-
-/// Mechanical fixer for the include-order and pragma-once rules. Produces
-/// a fixed copy of `source` (idempotent: fixing a fixed file is a no-op).
-/// Refuses to touch files carrying any `plos-lint:` suppression marker,
-/// and leaves the include region alone when it holds anything besides
-/// includes and blank lines (a comment inside the block, say).
-struct FixOutcome {
-  bool changed = false;
-  bool refused = false;  ///< suppression marker present, file untouched
-  std::string text;      ///< fixed contents (valid when changed)
+/// One plos_lint invocation: the CLI's flags, parsed by tools/plos_lint.cpp.
+struct RunOptions {
+  std::string root = ".";   ///< repository root the scan roots hang off
+  std::string rules_path;   ///< empty = <root>/tools/lint_rules.json
+  std::string layers_path;  ///< empty = <root>/tools/lint_layers.json
+  int threads = 1;          ///< scan workers (>= 1)
+  bool list_rules = false;  ///< print the rule catalog instead of scanning
+  std::vector<std::string> prefixes;  ///< scan only these (empty = all)
 };
-FixOutcome fix_mechanical(const Config& config, const std::string& path,
-                          std::string_view source);
 
-/// Runs the engine against the embedded good/bad fixture snippets: every
-/// bad fixture must produce its expected rule (reported with rule name and
-/// file:line), every good fixture must lint clean.
-struct SelfTestResult {
-  bool ok = false;
-  std::string report;
-};
-SelfTestResult self_test(const Config& config);
-
-/// CLI driver (the `plos_lint` binary is a thin wrapper so tests can cover
-/// argument parsing and exit codes in-process). Appends human-readable
-/// output to `out` (or a SARIF log under --format sarif). Exit codes: 0
-/// clean / self-test passed, 1 findings or self-test failure, 2 usage or
-/// configuration error.
-int run_cli(const std::vector<std::string>& args, std::string& out);
+/// Loads the rule catalog (and the layering DAG when a layering rule is
+/// configured), then scans the tree or lists the rules. Appends the
+/// report — or the configuration error — to `out`. Exit codes: 0 clean,
+/// 1 findings, 2 configuration error.
+int run(const RunOptions& options, std::string& out);
 
 }  // namespace plos::lint

@@ -1,7 +1,7 @@
-// End-to-end tests of the plos_run and plos_inspect command lines: invalid
-// invocations exit 2 before any training, --help renders the whole flag
-// table, and a "-" artifact path streams to stdout instead of creating a
-// file.
+// End-to-end tests of the plos_run, plos_inspect and plos_lint command
+// lines: invalid invocations exit 2 before any training or scanning, --help
+// renders the whole flag table, and a "-" artifact path streams to stdout
+// instead of creating a file.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,12 +19,14 @@ namespace {
 
 struct Outcome {
   int status = -1;  // exit code, or -1 when the process did not exit
-  std::string out;  // stdout; stderr is discarded
+  std::string out;  // stdout, plus stderr when run() folds it in
 };
 
-Outcome run(const std::string& command) {
+// stderr goes to `stderr_to` ("&1" folds it into `out`).
+Outcome run(const std::string& command,
+            const std::string& stderr_to = "/dev/null") {
   Outcome outcome;
-  std::FILE* pipe = popen((command + " 2>/dev/null").c_str(), "r");
+  std::FILE* pipe = popen((command + " 2>" + stderr_to).c_str(), "r");
   if (pipe == nullptr) return outcome;
   char buffer[4096];
   std::size_t n = 0;
@@ -42,6 +44,21 @@ std::string plos_run(const std::string& args) {
 
 std::string plos_inspect(const std::string& args) {
   return std::string("'") + PLOS_INSPECT_BIN + "' " + args;
+}
+
+std::string plos_lint(const std::string& args) {
+  return std::string("'") + PLOS_LINT_BIN + "' " + args;
+}
+
+// Flag rows of a --help text: lines that start with two spaces and "--".
+std::vector<std::string> help_rows(const std::string& help) {
+  std::vector<std::string> rows;
+  std::istringstream lines(help);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) != 0) continue;
+    rows.push_back(line.substr(2, line.find(' ', 2) - 2));
+  }
+  return rows;
 }
 
 TEST(Cli, PlosRunRejectsInvalidInvocationsWithExit2) {
@@ -108,13 +125,7 @@ TEST(Cli, PlosRunHelpNamesEveryFlagOnce) {
   };
   const Outcome help = run(plos_run("--help"));
   ASSERT_EQ(help.status, 0);
-  // A table row starts with two spaces and the flag name.
-  std::vector<std::string> rows;
-  std::istringstream lines(help.out);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("  --", 0) != 0) continue;
-    rows.push_back(line.substr(2, line.find(' ', 2) - 2));
-  }
+  const std::vector<std::string> rows = help_rows(help.out);
   for (const std::string& flag : expected) {
     EXPECT_EQ(std::count(rows.begin(), rows.end(), flag), 1) << flag;
   }
@@ -187,6 +198,56 @@ TEST(Cli, PlosInspectRejectsNonFiniteTolerancesWithExit2) {
   };
   for (const std::string& args : cases) {
     EXPECT_EQ(run(plos_inspect(args)).status, 2) << args;
+  }
+}
+
+TEST(Cli, HelpAndListRulesExitZero) {
+  const Outcome help = run(plos_lint("--help"));
+  ASSERT_EQ(help.status, 0);
+  EXPECT_NE(help.out.find("usage: plos_lint"), std::string::npos) << help.out;
+  const std::vector<std::string> expected = {
+      "--root", "--rules", "--layers", "--threads", "--list-rules", "--help"};
+  EXPECT_EQ(help_rows(help.out), expected);
+
+  const Outcome rules =
+      run(plos_lint(std::string("--root '") + PLOS_SOURCE_DIR +
+                    "' --list-rules"));
+  ASSERT_EQ(rules.status, 0);
+  EXPECT_NE(rules.out.find("determinism-rng: "), std::string::npos);
+}
+
+TEST(Cli, UsageErrorsExitTwo) {
+  const std::string root = std::string("--root '") + PLOS_SOURCE_DIR + "' ";
+  const std::vector<std::string> cases = {
+      "--bogus",
+      "--rules",
+      // Flags the tool does not have must fail, not fall through to a scan.
+      "--fix",
+      "--self-test",
+      "--format sarif",
+  };
+  for (const std::string& args : cases) {
+    const Outcome outcome = run(plos_lint(root + args), "&1");
+    EXPECT_EQ(outcome.status, 2) << args;
+    EXPECT_NE(outcome.out.find("run 'plos_lint --help' for usage"),
+              std::string::npos)
+        << args << ": " << outcome.out;
+  }
+  // A missing rule catalog is a configuration error.
+  const Outcome missing =
+      run(plos_lint("--rules /nonexistent/lint_rules.json"), "&1");
+  EXPECT_EQ(missing.status, 2);
+  EXPECT_NE(missing.out.find("cannot open rules file"), std::string::npos)
+      << missing.out;
+}
+
+TEST(Cli, ThreadsFlagRejectsNonPositiveValues) {
+  // Every value is rejected while parsing, so no worker is ever started.
+  const std::string root = std::string("--root '") + PLOS_SOURCE_DIR + "' ";
+  for (const char* threads : {"0", "-1", "4x", "lots", "4294967297", ""}) {
+    EXPECT_EQ(
+        run(plos_lint(root + "--threads '" + threads + "'")).status, 2)
+        << threads;
   }
 }
 

@@ -1,4 +1,4 @@
-// Table-driven command-line flags for plos_run and plos_inspect.
+// Table-driven command-line flags for plos_run, plos_inspect and plos_lint.
 //
 // One row per flag holds its name, value placeholder and help text, a
 // setter that parses, range-checks and stores the value in place, and an
