@@ -71,14 +71,9 @@ linalg::Vector AdmmDevice::bootstrap_weights() const {
 
 void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
                                   bool first_round, std::uint64_t seed) {
-  if (first_round && ctx_.labeled.empty()) {
-    signs_ = cluster_initial_signs(ctx_, current_weights,
-                                   options_->params.lambda / num_users_,
-                                   options_->params.cl, options_->params.cu,
-                                   seed);
-  } else {
-    signs_ = cccp_signs(ctx_, current_weights);
-  }
+  signs_ = round_signs(ctx_, current_weights, first_round,
+                       options_->params.lambda / num_users_,
+                       options_->params.cl, options_->params.cu, seed);
   working_set_ = qp::SimplexBlock(kappa_);
 }
 

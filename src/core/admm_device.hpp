@@ -73,17 +73,17 @@ class AdmmDevice {
   /// Solves the local problem (Eq. 22) for the received (w0, u_t).
   LocalSolution solve(std::span<const double> w0, std::span<const double> u);
 
-  /// Cumulative dual QP solves this device has performed.
-  int qp_solves() const { return qp_solves_; }
-
-  /// Cumulative QP pivots across those solves.
-  int qp_iterations() const { return qp_iterations_; }
-
-  /// Cumulative solves that returned QpResult::converged == false.
-  int qp_unconverged() const { return qp_unconverged_; }
-
-  /// Cutting planes currently in the device's working set.
-  std::size_t working_set_size() const { return working_set_.planes.size(); }
+  /// A device's counters; the engine sums them over the fleet.
+  struct Counts {
+    int qp_solves = 0;       ///< cumulative dual QP solves
+    int qp_iterations = 0;   ///< cumulative QP pivots across those solves
+    int qp_unconverged = 0;  ///< of those solves, not converged
+    std::size_t planes = 0;  ///< cutting planes in the working set now
+  };
+  Counts counts() const {
+    return {qp_solves_, qp_iterations_, qp_unconverged_,
+            working_set_.planes.size()};
+  }
 
  private:
   PlosUserContext ctx_;

@@ -83,9 +83,13 @@ CentralizedPlosResult train_centralized_plos(
 
 /// The paper-scale objective (Eq. 3, outer minimization merged):
 /// ||w0||² + (λ/T) Σ||v_t||² + Σ_t (Cl/m_t Σ hinge(y w·x) + Cu/m_t Σ
-/// hinge(|w·x|)). CCCP decreases this monotonically; exposed for tests.
+/// hinge(|w·x|)), hinge(m) = hinge_loss(m) = max(0, 1 − m). CCCP decreases
+/// this monotonically; exposed for tests. The logistic trainer passes its
+/// own `margin_loss` in place of hinge.
+double hinge_loss(double margin);
 double plos_objective(const data::MultiUserDataset& dataset,
                       const PersonalizedModel& model,
-                      const PlosHyperParams& params);
+                      const PlosHyperParams& params,
+                      double (*margin_loss)(double) = hinge_loss);
 
 }  // namespace plos::core

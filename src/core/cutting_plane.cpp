@@ -1,12 +1,15 @@
 #include "core/cutting_plane.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "cluster/kmeans.hpp"
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "rng/engine.hpp"
 #include "svm/linear_svm.hpp"
 
@@ -118,6 +121,34 @@ std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
       ctx, std::move(cluster_signs), user_weights, lambda_over_t, cl, cu);
   return cluster_score < weight_score ? std::move(refined_cluster_signs)
                                       : std::move(refined_weight_signs);
+}
+
+std::vector<int> round_signs(const PlosUserContext& ctx,
+                             std::span<const double> user_weights,
+                             bool first_round, double lambda_over_t, double cl,
+                             double cu, std::uint64_t seed) {
+  if (first_round && ctx.labeled.empty()) {
+    return cluster_initial_signs(ctx, user_weights, lambda_over_t, cl, cu,
+                                 seed);
+  }
+  return cccp_signs(ctx, user_weights);
+}
+
+int run_cccp(const CccpOptions& options,
+             const std::function<std::optional<double>(int, double)>& round) {
+  double previous = std::numeric_limits<double>::infinity();
+  for (int c = 0; c < options.max_iterations; ++c) {
+    PLOS_SPAN("plos.cccp_round", "round", c);
+    const std::optional<double> objective = round(c, previous);
+    if (!objective ||
+        (c > 0 && std::abs(previous - *objective) <=
+                      options.objective_tolerance *
+                          (1.0 + std::abs(*objective)))) {
+      return c + 1;
+    }
+    previous = *objective;
+  }
+  return std::max(options.max_iterations, 0);
 }
 
 linalg::Vector random_unit_direction(std::size_t dim, std::uint64_t seed) {

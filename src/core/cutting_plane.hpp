@@ -14,10 +14,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "core/options.hpp"
 #include "data/dataset.hpp"
 #include "linalg/vector.hpp"
 #include "qp/simplex_qp.hpp"
@@ -77,6 +79,24 @@ std::vector<int> cluster_initial_signs(const PlosUserContext& ctx,
                                        std::span<const double> user_weights,
                                        double lambda_over_t, double cl,
                                        double cu, std::uint64_t seed);
+
+/// The sign rule of every trainer at the start of a CCCP round:
+/// cluster_initial_signs for a user without labels in the first round,
+/// cccp_signs at the user's current weights otherwise.
+std::vector<int> round_signs(const PlosUserContext& ctx,
+                             std::span<const double> user_weights,
+                             bool first_round, double lambda_over_t, double cl,
+                             double cu, std::uint64_t seed);
+
+/// The CCCP outer loop of all three trainers (Algorithms 1 and 2): calls
+/// round(c, previous) for c = 0, 1, ... inside a "plos.cccp_round" span,
+/// `previous` being the last round's objective (+∞ in round 0). A round
+/// returns its objective, or nullopt to stop the loop at once. The loop
+/// also stops after options.max_iterations rounds, or when |previous −
+/// objective| ≤ tol·(1 + |objective|), which round 0 never meets. Returns
+/// the number of rounds run.
+int run_cccp(const CccpOptions& options,
+             const std::function<std::optional<double>(int, double)>& round);
 
 /// Unit-norm Gaussian direction drawn from a fresh engine seeded with
 /// `seed`: the symmetry-breaking start when nobody reveals a label, where

@@ -1,7 +1,6 @@
 #include "core/logistic_plos.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 #include "common/stopwatch.hpp"
@@ -28,12 +27,8 @@ double neg_sigmoid_neg(double margin) {
 }
 
 // Flattened layout of the inner problem's variables: [w0 | v_1 | ... | v_T].
-std::span<const double> block(std::span<const double> x, std::size_t index,
-                              std::size_t dim) {
-  return x.subspan(index * dim, dim);
-}
-std::span<double> block(std::span<double> x, std::size_t index,
-                        std::size_t dim) {
+template <class T>
+std::span<T> block(std::span<T> x, std::size_t index, std::size_t dim) {
   return x.subspan(index * dim, dim);
 }
 
@@ -42,31 +37,7 @@ std::span<double> block(std::span<double> x, std::size_t index,
 double logistic_plos_objective(const data::MultiUserDataset& dataset,
                                const PersonalizedModel& model,
                                const PlosHyperParams& params) {
-  const std::size_t num_users = dataset.num_users();
-  PLOS_CHECK(model.num_users() == num_users,
-             "logistic_plos_objective: user mismatch");
-  double objective = linalg::squared_norm(model.global_weights);
-  for (std::size_t t = 0; t < num_users; ++t) {
-    objective += params.lambda / static_cast<double>(num_users) *
-                 linalg::squared_norm(model.user_deviations[t]);
-    const auto& user = dataset.users[t];
-    if (user.num_samples() == 0) continue;
-    const linalg::Vector w = model.user_weights(t);
-    double labeled_loss = 0.0;
-    double unlabeled_loss = 0.0;
-    for (std::size_t i = 0; i < user.num_samples(); ++i) {
-      const double value = linalg::dot(w, user.samples[i]);
-      if (user.revealed[i]) {
-        const double label = static_cast<double>(user.true_labels[i]);
-        labeled_loss += log1p_exp_neg(label * value);
-      } else {
-        unlabeled_loss += log1p_exp_neg(std::abs(value));
-      }
-    }
-    objective += (params.cl * labeled_loss + params.cu * unlabeled_loss) /
-                 static_cast<double>(user.num_samples());
-  }
-  return objective;
+  return plos_objective(dataset, model, params, log1p_exp_neg);
 }
 
 LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
@@ -94,22 +65,13 @@ LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
   const double lambda_over_t =
       options.params.lambda / static_cast<double>(num_users);
 
-  double previous_objective = std::numeric_limits<double>::infinity();
-  for (int cccp = 0; cccp < options.cccp.max_iterations; ++cccp) {
-    result.diagnostics.cccp_iterations = cccp + 1;
-
+  const auto cccp_round = [&](int cccp, double) -> std::optional<double> {
     // Freeze linearization signs at the current iterate.
     std::vector<std::vector<int>> signs(num_users);
     for (std::size_t t = 0; t < num_users; ++t) {
-      const linalg::Vector w = result.model.user_weights(t);
-      if (cccp == 0 && contexts[t].labeled.empty()) {
-        signs[t] =
-            cluster_initial_signs(contexts[t], w, lambda_over_t,
-                                  options.params.cl, options.params.cu,
-                                  options.seed + t);
-      } else {
-        signs[t] = cccp_signs(contexts[t], w);
-      }
+      signs[t] = round_signs(contexts[t], result.model.user_weights(t),
+                             cccp == 0, lambda_over_t, options.params.cl,
+                             options.params.cu, options.seed + t);
     }
 
     // Smooth convex inner problem over [w0 | v_1 | ... | v_T].
@@ -174,12 +136,9 @@ LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
     const double objective =
         logistic_plos_objective(dataset, result.model, options.params);
     result.diagnostics.objective_trace.push_back(objective);
-    if (std::abs(previous_objective - objective) <=
-        options.cccp.objective_tolerance * (1.0 + std::abs(objective))) {
-      break;
-    }
-    previous_objective = objective;
-  }
+    return objective;
+  };
+  result.diagnostics.cccp_iterations = run_cccp(options.cccp, cccp_round);
 
   result.diagnostics.train_seconds = watch.elapsed_seconds();
   return result;

@@ -37,6 +37,582 @@ struct PendingUpload {
   char cause = kLateUpload;  ///< kLateUpload | kDeadlineMissed
 };
 
+// The devices' counters summed over the fleet, in one pass.
+AdmmDevice::Counts fleet_counts(const std::vector<AdmmDevice>& devices) {
+  AdmmDevice::Counts total;
+  for (const AdmmDevice& device : devices) {
+    const AdmmDevice::Counts counts = device.counts();
+    total.qp_solves += counts.qp_solves;
+    total.qp_iterations += counts.qp_iterations;
+    total.qp_unconverged += counts.qp_unconverged;
+    total.planes += counts.planes;
+  }
+  return total;
+}
+
+// Server-side state of one train_quorum_admm run: the devices it drives,
+// the consensus w0, the cached blocks (w_t, v_t, ξ_t) with their duals u_t,
+// the in-flight uploads and the scheduling state. Devices are simulated
+// concurrently: each worker owns a disjoint set of device indices per round
+// (static chunking), so all per-device state — working sets, solution
+// slots, SimNetwork per-device ledgers — is written by exactly one thread
+// per round and results match the serial schedule bitwise. Cross-device
+// work (the round cut, the w0 update, the objective) stays on the calling
+// thread, in fixed device order.
+struct Server {
+  Server(const data::MultiUserDataset& dataset,
+         const QuorumAdmmOptions& schedule, net::SimNetwork& net)
+      : options(schedule),
+        base(schedule.base),
+        network(net),
+        flight(schedule.flight),
+        pool(schedule.base.num_threads),
+        num_users(dataset.num_users()),
+        dim(dataset.dim()),
+        tracked(base.journal != nullptr || base.watchdog != nullptr ||
+                schedule.autotune.enabled),
+        u(num_users, linalg::zeros(dim)),
+        v(num_users, linalg::zeros(dim)),
+        xi(num_users, 0.0),
+        pending(num_users),
+        staleness(num_users),
+        deadlines(num_users, schedule.adaptive_deadline),
+        last_miss_cause(num_users, kParticipated),
+        tuner(schedule.quorum, schedule.staleness_bound),
+        quorum_now(schedule.autotune.enabled ? tuner.quorum()
+                                             : schedule.quorum),
+        staleness_bound_now(schedule.autotune.enabled
+                                ? tuner.staleness_bound()
+                                : schedule.staleness_bound) {
+    result.model = PersonalizedModel::zeros(num_users, dim);
+    devices.reserve(num_users);
+    for (const data::UserData& user : dataset.users) {
+      devices.emplace_back(user, num_users, base);
+    }
+  }
+
+  // Records one flight event of this aggregation step, if a recorder is set.
+  void fly(std::size_t device, obs::FlightEventKind kind, int cause,
+           double t_start, double t_end, std::uint64_t staleness_value = 0,
+           std::uint32_t attempt = 0) const {
+    if (flight == nullptr) return;
+    flight->record(obs::FlightEvent{
+        aggregation_step, static_cast<std::uint32_t>(device), attempt, kind,
+        cause, t_start, t_end, staleness_value});
+  }
+
+  const QuorumAdmmOptions& options;
+  const DistributedPlosOptions& base;
+  // Fault injection rides on the network: its FaultModel drives churn,
+  // stragglers, and the round deadline here, and framing and retries
+  // inside transmit_*. A disabled model never fires and scales time by
+  // exactly 1.0. All fault draws are pure functions of (seed, round,
+  // device, ...), so workers can evaluate them concurrently without
+  // breaking the determinism contract.
+  net::SimNetwork& network;
+  obs::FlightRecorder* const flight;
+  parallel::ThreadPool pool;
+  const std::size_t num_users;
+  const std::size_t dim;
+  // Journal, watchdog or auto-tuner: the per-step record is built. The
+  // controller reads it, so untraced, untuned runs skip its fleet sums.
+  const bool tracked;
+  std::vector<AdmmDevice> devices;
+  QuorumAdmmResult result;
+
+  linalg::Vector w0;
+  std::vector<linalg::Vector> w;
+  std::vector<linalg::Vector> u;
+  std::vector<linalg::Vector> v;
+  linalg::Vector xi;
+
+  // Scheduling state. The staleness ledger behind the journal's staleness
+  // fields ticks once per ADMM iteration, spanning CCCP rounds.
+  std::vector<PendingUpload> pending;
+  StalenessLedger staleness;
+  AdaptiveDeadlines deadlines;
+  // Why each device last failed to deliver fresh — attributes a later
+  // eviction of its block to a cause.
+  std::vector<char> last_miss_cause;
+  std::uint64_t aggregation_step = 0;
+  double virtual_seconds = 0.0;
+
+  // Observability loop closure: the controller walks the quorum and the
+  // staleness bound from the journal's staleness sketch; when disabled the
+  // configured values stay in force verbatim.
+  AutoTuner tuner;
+  double quorum_now;
+  std::uint64_t staleness_bound_now;
+
+  // Telemetry baselines for per-iteration deltas. Snapshots are taken on
+  // the aggregation thread at iteration boundaries (after the pool join),
+  // so every journal field is deterministic at any thread count; the
+  // link-latency sketch is journaled as per-step quantiles of the delta
+  // between consecutive snapshots (DESIGN.md §15).
+  net::SimNetwork::TrafficSnapshot previous_traffic;
+  obs::QuantileSketch previous_latency;
+};
+
+// One device's round trip in an aggregation step. Its dispatch worker
+// fills it; the cut adds the deadline.
+struct Trip {
+  bool dispatched = false;
+  bool delivered = false;
+  double completion = 0.0;  ///< virtual seconds from the round start
+  AdmmDevice::LocalSolution sol;
+  // Uplink attempt log for the flight recorder; the replay reads the trips
+  // in ascending device order, so the log order never depends on worker
+  // interleaving.
+  std::vector<net::SimNetwork::TransmitAttempt> attempts;
+  double deadline = 0.0;  ///< in force at the cut
+  bool on_time = false;   ///< delivered within the deadline
+};
+
+// One aggregation step's per-device bookkeeping, filled stage by stage.
+struct Step {
+  explicit Step(const Server& s)
+      : round(s.network.current_round()),
+        w0_old(s.w0),
+        status(s.num_users, kParticipated),
+        fresh(s.num_users, 0),
+        late_w0(s.num_users),
+        trips(s.num_users) {}
+
+  const std::uint64_t round;    ///< network round of this step's dispatch
+  const linalg::Vector w0_old;  ///< consensus broadcast this step
+  std::vector<char> status;
+  std::vector<char> fresh;
+  // Consensus each late-folded block was solved against; empty for every
+  // other block.
+  std::vector<linalg::Vector> late_w0;
+  std::uint64_t fresh_count = 0;
+  std::uint64_t late_count = 0;
+  std::uint64_t ev_offline = 0, ev_late = 0, ev_failed = 0;
+  // The step's devices per DeviceRoundStatus, counted by the tally.
+  obs::CauseCounters causes{kDeviceRoundStatusCount};
+
+  std::vector<Trip> trips;
+  double t_cut = 0.0;  ///< round length on the virtual clock
+
+  // Filled by the server update.
+  ServerUpdateSums sums;
+  double objective = 0.0;
+  double primal_residual = 0.0;
+  double dual_residual = 0.0;
+};
+
+// Bootstrap round: the average of the devices' local SVMs is the initial
+// w0, or a random symmetry-breaking direction when nobody provided labels.
+void bootstrap(Server& s) {
+  PLOS_SPAN("plos.bootstrap");
+  // Local SVM fits run in parallel on the devices; the upload accounting
+  // and the server-side average stay in ascending device order so the
+  // floating-point sum matches the serial path bitwise.
+  std::vector<linalg::Vector> locals(s.num_users);
+  s.pool.parallel_for(s.num_users, [&](std::size_t t) {
+    Stopwatch device_watch;
+    locals[t] = s.devices[t].bootstrap_weights();
+    s.network.account_device_compute(t, device_watch.elapsed_seconds());
+  });
+  s.w0 = linalg::zeros(s.dim);
+  std::size_t contributors = 0;
+  const std::uint64_t bootstrap_round = s.network.current_round();
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    if (locals[t].empty()) continue;
+    if (s.network.fault_model().offline(bootstrap_round, t)) {
+      ++s.result.diagnostics.devices_offline_total;
+      continue;
+    }
+    net::Serializer serializer;
+    serializer.write_u32(/*message type*/ 0);
+    serializer.write_vector(locals[t]);
+    if (!s.network.transmit_to_server(t, serializer.buffer()).delivered) {
+      ++s.result.diagnostics.uplink_failures_total;
+      continue;  // bootstrap upload lost: average over the others
+    }
+    linalg::axpy(1.0, locals[t], s.w0);
+    ++contributors;
+    s.fly(t, obs::FlightEventKind::kBootstrap, kParticipated, 0.0, 0.0);
+  }
+  if (contributors > 0) {
+    linalg::scale(s.w0, 1.0 / static_cast<double>(contributors));
+  }
+  s.network.end_round();
+  if (linalg::norm(s.w0) == 0.0) {
+    s.w0 = random_unit_direction(s.dim, s.base.seed);
+  }
+  s.w.assign(s.num_users, s.w0);
+  s.previous_traffic = s.network.traffic_snapshot();
+  s.previous_latency = s.network.latency_sketch();
+  // The flight recorder needs the network's per-attempt transmit logs.
+  if (s.flight != nullptr) s.network.set_attempt_log(true);
+}
+
+// Resets a server block whose data aged past the staleness bound: the
+// device re-bootstraps from the current consensus (w_t = w0, v_t = 0,
+// ξ_t = 0) with a cleared dual.
+void evict(Server& s, Step& step, std::size_t t, char cause) {
+  s.fly(t, obs::FlightEventKind::kEviction, cause, s.virtual_seconds,
+        s.virtual_seconds, s.staleness.age(t, s.aggregation_step));
+  s.w[t] = step.w0_old;
+  s.v[t] = linalg::zeros(s.dim);
+  s.xi[t] = 0.0;
+  s.u[t] = linalg::zeros(s.dim);
+  s.staleness.refresh(t, s.aggregation_step);
+  switch (cause) {
+    case kOffline:
+      ++step.ev_offline;
+      break;
+    case kDownlinkFailed:
+    case kUplinkFailed:
+      ++step.ev_failed;
+      break;
+    default:  // late, busy, deadline-missed
+      ++step.ev_late;
+      break;
+  }
+}
+
+// Folds the late uploads that have arrived by now; an upload whose data
+// aged past the bound evicts its block instead.
+void fold_late_uploads(Server& s, Step& step) {
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    PendingUpload& pending = s.pending[t];
+    if (!pending.active) continue;
+    if (pending.arrival > s.virtual_seconds) {
+      step.status[t] = kBusy;  // still in flight; not re-dispatched
+      continue;
+    }
+    pending.active = false;
+    step.status[t] = pending.cause;
+    const std::uint64_t age = s.aggregation_step - pending.data_step;
+    if (age > s.staleness_bound_now) {
+      // The cached upload is older than the bound: discard it and evict
+      // the block outright — applying it would let data older than S
+      // steps into the aggregate.
+      evict(s, step, t, pending.cause);
+      continue;
+    }
+    s.w[t] = std::move(pending.sol.w);
+    s.v[t] = std::move(pending.sol.v);
+    s.xi[t] = pending.sol.xi;
+    step.late_w0[t] = std::move(pending.w0_sent);
+    s.staleness.refresh(t, pending.data_step);
+    ++step.late_count;
+    s.fly(t, obs::FlightEventKind::kLateFold, pending.cause, pending.arrival,
+          s.virtual_seconds, age);
+  }
+}
+
+// Scatter, local solves, gather (buffered): the T independent per-device
+// prox-QPs (Eq. 22), solved concurrently. Solutions are buffered and
+// applied on the aggregation thread once the event order decides who made
+// the cut; churned-out devices, failed round trips, and deadline misses
+// leave the server's cached block in place even though the device's local
+// working set may have advanced.
+void dispatch(Server& s, Step& step) {
+  const net::FaultModel& fault = s.network.fault_model();
+  s.pool.parallel_for(s.num_users, [&](std::size_t t) {
+    if (s.pending[t].active) return;  // busy
+    if (fault.offline(step.round, t)) {
+      step.status[t] = kOffline;
+      return;
+    }
+    const auto downlink = s.network.transmit_to_device(
+        t, admm_broadcast_payload(s.w0, s.u[t]));
+    if (!downlink.delivered) {
+      step.status[t] = kDownlinkFailed;
+      return;  // device never received (w0, u_t) this round
+    }
+    PLOS_SPAN("plos.device_solve", "device", static_cast<double>(t));
+    Stopwatch device_watch;
+    const int qp_iterations_before = s.devices[t].counts().qp_iterations;
+    auto sol = s.devices[t].solve(s.w0, s.u[t]);
+    s.network.account_device_compute(t, device_watch.elapsed_seconds());
+    if (fault.misses_deadline(step.round, t)) {
+      // Straggler past the fault schedule's round deadline: the compute
+      // happened (and was charged) but the server stopped waiting, so the
+      // upload is never sent.
+      step.status[t] = kDeadlineMissed;
+      return;
+    }
+    const int qp_iteration_delta =
+        s.devices[t].counts().qp_iterations - qp_iterations_before;
+    auto uplink = s.network.transmit_to_server(
+        t, admm_update_payload(sol.w, sol.v, sol.xi));
+    if (!uplink.delivered) step.status[t] = kUplinkFailed;
+    Trip& trip = step.trips[t];
+    trip.dispatched = true;
+    trip.delivered = uplink.delivered;
+    trip.completion = completion_seconds(
+        s.options.latency, downlink.seconds + uplink.seconds,
+        qp_iteration_delta, s.network.device_profile(t).cpu_slowdown,
+        fault.time_multiplier(step.round, t), step.round, t);
+    trip.sol = std::move(sol);
+    if (s.flight != nullptr) trip.attempts = std::move(uplink.attempt_log);
+  });
+}
+
+// Event-ordered round cut. One event per dispatched device at
+// min(completion, deadline); the round cuts at the quorum-th on-time
+// upload, or — if the quorum is unreachable this step — at the last event
+// (failed and straggling devices must not hang the server). The target
+// counts FRESH uploads against the whole fleet: cheaper variants (relative
+// to the dispatched subset, or crediting folded late arrivals) cut rounds
+// faster but starve the aggregate of fresh updates, and the extra ADMM
+// iterations cost more simulated time than the shorter rounds save. The
+// queue's total order makes the cut independent of worker interleaving.
+void cut(const Server& s, Step& step) {
+  net::EventQueue queue;
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    Trip& trip = step.trips[t];
+    if (!trip.dispatched) continue;
+    trip.deadline = s.deadlines.deadline(t);
+    trip.on_time = trip.delivered && trip.completion <= trip.deadline;
+    queue.push(net::Event{std::min(trip.completion, trip.deadline),
+                          step.round, static_cast<std::uint64_t>(t),
+                          trip.on_time ? net::EventKind::kUpload
+                                       : net::EventKind::kDeadline});
+  }
+  const std::size_t round_quorum = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(
+             s.quorum_now * static_cast<double>(s.num_users))));
+  std::size_t uploads_seen = 0;
+  while (!queue.empty()) {
+    const net::Event event = queue.pop();
+    step.t_cut = event.time;
+    if (event.kind == net::EventKind::kUpload) {
+      ++uploads_seen;
+      if (uploads_seen >= round_quorum) break;
+    }
+  }
+  if (uploads_seen == 0 && step.t_cut == 0.0) {
+    // Nothing was dispatched (everyone busy or offline): advance the clock
+    // to the earliest in-flight arrival so the loop makes progress instead
+    // of spinning at a frozen virtual time.
+    double min_arrival = std::numeric_limits<double>::infinity();
+    for (const PendingUpload& pending : s.pending) {
+      if (pending.active) min_arrival = std::min(min_arrival, pending.arrival);
+    }
+    if (std::isfinite(min_arrival)) {
+      step.t_cut = std::max(0.0, min_arrival - s.virtual_seconds);
+    }
+  }
+}
+
+// Classifies the dispatched devices against the cut: fresh blocks replace
+// the server's cache, delivered late ones wait in flight, undelivered ones
+// keep the failure status the worker set. Then feeds the deadline tracker
+// in ascending device order (the EWMA moves the *next* dispatch's
+// deadlines, never this cut's).
+void classify(Server& s, Step& step) {
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    Trip& trip = step.trips[t];
+    if (!trip.dispatched) continue;
+    if (trip.on_time && trip.completion <= step.t_cut) {
+      s.w[t] = std::move(trip.sol.w);
+      s.v[t] = std::move(trip.sol.v);
+      s.xi[t] = trip.sol.xi;
+      step.fresh[t] = 1;
+      ++step.fresh_count;
+      step.status[t] = kParticipated;
+      s.staleness.refresh(t, s.aggregation_step);
+    } else if (trip.delivered) {
+      // Arrives after the cut (or past its deadline): stash it; the device
+      // stays busy until the upload lands on the virtual clock.
+      PendingUpload& pending = s.pending[t];
+      pending.active = true;
+      pending.arrival = s.virtual_seconds + trip.completion;
+      pending.data_step = s.aggregation_step;
+      pending.w0_sent = step.w0_old;
+      pending.sol = std::move(trip.sol);
+      pending.cause = trip.on_time ? static_cast<char>(kLateUpload)
+                                   : static_cast<char>(kDeadlineMissed);
+      step.status[t] = pending.cause;
+    }
+    if (trip.delivered) s.deadlines.observe(t, trip.completion);
+  }
+}
+
+// Replays this step's device lifecycles into the flight recorder,
+// ascending device order: attempt slices are laid back to back so the last
+// one ends at the device's completion time on the virtual clock (start
+// clamped to the round start — the completion jitter can undercut the raw
+// attempt windows).
+void replay_flight(const Server& s, const Step& step) {
+  const double round_start = s.virtual_seconds;
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    const Trip& trip = step.trips[t];
+    if (!trip.dispatched) continue;
+    const auto& attempts = trip.attempts;
+    std::vector<double> attempt_seconds;
+    attempt_seconds.reserve(attempts.size());
+    for (const auto& attempt : attempts) {
+      attempt_seconds.push_back(attempt.seconds);
+    }
+    const double attempt_total = linalg::kernels::serial_sum(attempt_seconds);
+    double slice_start =
+        std::max(round_start, round_start + trip.completion - attempt_total);
+    for (std::size_t k = 0; k < attempts.size(); ++k) {
+      const double slice_end = slice_start + attempts[k].seconds;
+      s.fly(t, obs::FlightEventKind::kUploadAttempt, attempts[k].result,
+            slice_start, slice_end, 0, static_cast<std::uint32_t>(k + 1));
+      slice_start = slice_end;
+    }
+    if (trip.delivered && trip.completion > trip.deadline &&
+        std::isfinite(trip.deadline)) {
+      s.fly(t, obs::FlightEventKind::kDeadlineMiss, kDeadlineMissed,
+            round_start + trip.deadline, round_start + trip.completion);
+    }
+  }
+  s.fly(obs::kFlightServerDevice, obs::FlightEventKind::kQuorumCut, 0,
+        round_start, round_start + step.t_cut, step.fresh_count);
+}
+
+// Bounded staleness: evicts the blocks that aged past the bound. Runs
+// before the server update, so no block older than S steps ever enters an
+// aggregate.
+void evict_stale(Server& s, Step& step) {
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    if (s.staleness.age(t, s.aggregation_step) > s.staleness_bound_now) {
+      evict(s, step, t, s.last_miss_cause[t]);
+    }
+  }
+}
+
+// Degradation tallies and miss-cause tracking (fixed device order).
+void tally(Server& s, Step& step) {
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    step.causes.add(static_cast<std::size_t>(step.status[t]));
+    if (step.fresh[t] != 0) {
+      s.last_miss_cause[t] = kParticipated;
+    } else if (step.status[t] != kParticipated) {
+      s.last_miss_cause[t] = step.status[t];
+    }
+  }
+  const std::vector<std::uint64_t>& causes = step.causes.counts();
+  DistributedPlosDiagnostics& diagnostics = s.result.diagnostics;
+  diagnostics.devices_offline_total += causes[kOffline];
+  diagnostics.downlink_failures_total += causes[kDownlinkFailed];
+  diagnostics.deadline_misses_total += causes[kDeadlineMissed];
+  diagnostics.uplink_failures_total += causes[kUplinkFailed];
+  diagnostics.participation_trace.push_back(
+      static_cast<double>(step.fresh_count) /
+      static_cast<double>(s.num_users));
+  QuorumAdmmDiagnostics& async = s.result.async;
+  async.quorum_trace.push_back(step.fresh_count);
+  async.late_uploads_total += step.late_count;
+  async.evictions_offline_total += step.ev_offline;
+  async.evictions_late_total += step.ev_late;
+  async.evictions_failed_total += step.ev_failed;
+  async.max_staleness_seen = std::max(
+      async.max_staleness_seen, s.staleness.max_age(s.aggregation_step));
+}
+
+// The server's closed-form update (Eq. 23), the step's objective and
+// residuals, and the end of the network round.
+void aggregate(Server& s, Step& step) {
+  Stopwatch server_watch;
+  step.sums = admm_server_update(s.w, s.v, step.fresh, step.late_w0,
+                                 s.base.rho, s.w0, s.u);
+  step.objective = linalg::squared_norm(s.w0);
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    step.objective += s.base.params.lambda /
+                          static_cast<double>(s.num_users) *
+                          linalg::squared_norm(s.v[t]) +
+                      s.xi[t];
+  }
+  step.dual_residual =
+      s.base.rho * std::sqrt(2.0 * static_cast<double>(s.num_users)) *
+      std::sqrt(linalg::squared_distance(s.w0, step.w0_old));
+  step.primal_residual = std::sqrt(step.sums.primal_sq);
+  s.network.account_server_compute(server_watch.elapsed_seconds());
+  s.network.end_round();
+  s.fly(obs::kFlightServerDevice, obs::FlightEventKind::kAggregate, 0,
+        s.virtual_seconds, s.virtual_seconds, step.fresh_count);
+  DistributedPlosDiagnostics& diagnostics = s.result.diagnostics;
+  diagnostics.objective_trace.push_back(step.objective);
+  diagnostics.primal_residual_trace.push_back(step.primal_residual);
+  diagnostics.dual_residual_trace.push_back(step.dual_residual);
+}
+
+// Builds the step's journal record, lets the auto-tuner read it, and hands
+// it to the journal and the watchdog. Returns true when the watchdog
+// aborts the run.
+bool record_step(Server& s, const Step& step,
+                 const AdmmDevice::Counts& before, int cccp, int admm) {
+  const AdmmDevice::Counts after = fleet_counts(s.devices);
+  obs::RoundRecord record;
+  record.trainer = "distributed";
+  record.cccp_round = cccp;
+  record.admm_iteration = admm;
+  record.objective = step.objective;
+  record.objective_finite = std::isfinite(step.objective);
+  record.primal_residual = step.primal_residual;
+  record.dual_residual = step.dual_residual;
+  record.constraints = after.planes;
+  record.qp_solves = after.qp_solves - before.qp_solves;
+  record.qp_iterations = after.qp_iterations - before.qp_iterations;
+  record.qp_unconverged = after.qp_unconverged - before.qp_unconverged;
+  record.participation_rate = s.result.diagnostics.participation_trace.back();
+  record.quorum_size = step.fresh_count;
+  record.late_uploads = step.late_count;
+  record.evictions_offline = step.ev_offline;
+  record.evictions_late = step.ev_late;
+  record.evictions_failed = step.ev_failed;
+  s.staleness.fill_record(record, s.aggregation_step);
+  record.cause_counts = step.causes.counts();
+  const auto traffic = s.network.traffic_snapshot();
+  record.bytes_to_devices =
+      traffic.bytes_to_devices - s.previous_traffic.bytes_to_devices;
+  record.bytes_to_server =
+      traffic.bytes_to_server - s.previous_traffic.bytes_to_server;
+  record.messages_dropped =
+      traffic.messages_dropped - s.previous_traffic.messages_dropped;
+  record.retries = traffic.retries - s.previous_traffic.retries;
+  s.previous_traffic = traffic;
+  obs::QuantileSketch latency = s.network.latency_sketch();
+  const obs::QuantileSketch step_latency = latency.diff(s.previous_latency);
+  record.lat_count = step_latency.count();
+  if (!step_latency.empty()) {
+    record.lat_p50 = step_latency.quantile(0.50);
+    record.lat_p90 = step_latency.quantile(0.90);
+    record.lat_p99 = step_latency.quantile(0.99);
+  }
+  s.previous_latency = std::move(latency);
+  if (s.options.autotune.enabled) {
+    // Journal the knobs in force for THIS step, then let the controller
+    // read the very record it will be journaled in — the decision and its
+    // trigger land beside the evidence.
+    record.tuned_quorum = s.quorum_now;
+    record.tuned_staleness_bound = s.staleness_bound_now;
+    const AutoTuneDecision decision = s.tuner.observe(record);
+    record.tune_event = decision.event;
+    record.tune_trigger = decision.trigger;
+    if (record.tune_event[0] != '\0' && record.tune_event != "hold") {
+      ++s.result.async.tune_actions;
+    }
+    s.quorum_now = s.tuner.quorum();
+    s.staleness_bound_now = s.tuner.staleness_bound();
+  }
+  if (s.base.journal != nullptr) s.base.journal->append(record);
+  return s.base.watchdog != nullptr &&
+         s.base.watchdog->observe(record) == obs::WatchdogAction::kAbort;
+}
+
+// The paper's stop rule (Eq. 24) plus Boyd's relative terms.
+bool eq24_converged(const Server& s, const Step& step) {
+  const double sqrt_t = std::sqrt(static_cast<double>(s.num_users));
+  const double primal_threshold =
+      sqrt_t * s.base.eps_abs +
+      kEpsRel * std::sqrt(std::max(step.sums.w_sq, step.sums.target_sq));
+  const double dual_threshold =
+      std::sqrt(2.0) * sqrt_t * s.base.eps_abs +
+      kEpsRel * s.base.rho * std::sqrt(step.sums.u_sq);
+  return step.dual_residual <= dual_threshold &&
+         step.primal_residual <= primal_threshold;
+}
+
 }  // namespace
 
 ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
@@ -110,10 +686,9 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
                                    net::SimNetwork& network) {
   dataset.check_invariants();
   const std::size_t num_users = dataset.num_users();
-  const std::size_t dim = dataset.dim();
   const DistributedPlosOptions& base = options.base;
   PLOS_CHECK(num_users > 0, "train_quorum_admm: no users");
-  PLOS_CHECK(dim > 0, "train_quorum_admm: empty dataset");
+  PLOS_CHECK(dataset.dim() > 0, "train_quorum_admm: empty dataset");
   PLOS_CHECK(base.params.lambda > 0.0 && base.rho > 0.0,
              "train_quorum_admm: lambda and rho must be positive");
   PLOS_CHECK(network.num_devices() == num_users,
@@ -122,137 +697,14 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
              "train_quorum_admm: quorum outside (0, 1]");
 
   PLOS_SPAN("plos.distributed_train");
-
-  // Devices are simulated concurrently: each worker owns a disjoint set of
-  // device indices per round (static chunking), so all per-device state —
-  // working sets, solution slots, SimNetwork per-device ledgers — is
-  // written by exactly one thread per round and results match the serial
-  // schedule bitwise. Cross-device work (the round cut, the w0 update, the
-  // objective) stays on the calling thread, in fixed device order.
-  parallel::ThreadPool pool(base.num_threads);
   const Stopwatch total_watch;
-  QuorumAdmmResult result;
-  result.model = PersonalizedModel::zeros(num_users, dim);
+  Server s(dataset, options, network);
+  bootstrap(s);
 
-  // Fault injection rides on the network: its FaultModel drives churn,
-  // stragglers, and the round deadline here, and framing and retries inside
-  // transmit_*. A disabled model never fires and scales time by exactly
-  // 1.0. All fault draws are pure functions of (seed, round, device, ...),
-  // so workers can evaluate them concurrently without breaking the
-  // determinism contract.
-  const net::FaultModel& fault = network.fault_model();
-
-  std::vector<AdmmDevice> devices;
-  devices.reserve(num_users);
-  for (std::size_t t = 0; t < num_users; ++t) {
-    devices.emplace_back(dataset.users[t], num_users, base);
-  }
-
-  // --- bootstrap round: average of local SVMs as the initial w0 ----------
-  linalg::Vector w0 = linalg::zeros(dim);
-  {
-    PLOS_SPAN("plos.bootstrap");
-    // Local SVM fits run in parallel on the devices; the upload accounting
-    // and the server-side average stay in ascending device order so the
-    // floating-point sum matches the serial path bitwise.
-    std::vector<linalg::Vector> locals(num_users);
-    pool.parallel_for(num_users, [&](std::size_t t) {
+  const auto cccp_round = [&](int cccp, double) -> std::optional<double> {
+    s.pool.parallel_for(num_users, [&](std::size_t t) {
       Stopwatch device_watch;
-      locals[t] = devices[t].bootstrap_weights();
-      network.account_device_compute(t, device_watch.elapsed_seconds());
-    });
-    std::size_t contributors = 0;
-    const std::uint64_t bootstrap_round = network.current_round();
-    for (std::size_t t = 0; t < num_users; ++t) {
-      if (locals[t].empty()) continue;
-      if (fault.offline(bootstrap_round, t)) {
-        ++result.diagnostics.devices_offline_total;
-        continue;
-      }
-      net::Serializer s;
-      s.write_u32(/*message type*/ 0);
-      s.write_vector(locals[t]);
-      if (!network.transmit_to_server(t, s.buffer()).delivered) {
-        ++result.diagnostics.uplink_failures_total;
-        continue;  // bootstrap upload lost: average over the others
-      }
-      linalg::axpy(1.0, locals[t], w0);
-      ++contributors;
-      if (options.flight != nullptr) {
-        obs::FlightEvent event;
-        event.round = 0;
-        event.device = static_cast<std::uint32_t>(t);
-        event.kind = obs::FlightEventKind::kBootstrap;
-        event.cause = static_cast<int>(kParticipated);
-        options.flight->record(event);
-      }
-    }
-    if (contributors > 0) {
-      linalg::scale(w0, 1.0 / static_cast<double>(contributors));
-    }
-    network.end_round();
-  }
-  if (linalg::norm(w0) == 0.0) {
-    // Nobody provided labels: random symmetry-breaking direction.
-    w0 = random_unit_direction(dim, base.seed);
-  }
-
-  std::vector<linalg::Vector> u(num_users, linalg::zeros(dim));
-  std::vector<linalg::Vector> w(num_users, w0);
-  std::vector<linalg::Vector> v(num_users, linalg::zeros(dim));
-  linalg::Vector xi(num_users, 0.0);
-
-  const double sqrt_t = std::sqrt(static_cast<double>(num_users));
-  double previous_cccp_objective = std::numeric_limits<double>::infinity();
-
-  // One of the devices' counts (an AdmmDevice getter), summed over the
-  // fleet.
-  const auto fleet = [&devices](auto count) {
-    decltype((devices.front().*count)()) total = 0;
-    for (const AdmmDevice& device : devices) total += (device.*count)();
-    return total;
-  };
-
-  // Telemetry baselines for per-iteration deltas. Snapshots are taken on
-  // the aggregation thread at iteration boundaries (after the pool join),
-  // so every journal field is deterministic at any thread count; the
-  // link-latency sketch is journaled as per-step quantiles of the delta
-  // between consecutive snapshots (DESIGN.md §15).
-  const bool telemetry = base.journal != nullptr || base.watchdog != nullptr;
-  net::SimNetwork::TrafficSnapshot previous_traffic =
-      network.traffic_snapshot();
-  obs::QuantileSketch previous_latency = network.latency_sketch();
-  bool watchdog_aborted = false;
-
-  // Observability loop closure: the controller walks the quorum and the
-  // staleness bound from the journal's staleness sketch; when disabled the
-  // configured values stay in force verbatim. The flight recorder needs the
-  // network's per-attempt transmit logs.
-  const bool tuning = options.autotune.enabled;
-  AutoTuner tuner(options.quorum, options.staleness_bound);
-  double quorum_now = tuning ? tuner.quorum() : options.quorum;
-  std::uint64_t staleness_bound_now =
-      tuning ? tuner.staleness_bound() : options.staleness_bound;
-  obs::FlightRecorder* const flight = options.flight;
-  if (flight != nullptr) network.set_attempt_log(true);
-
-  // Scheduling state. The staleness ledger behind the journal's staleness
-  // fields ticks once per ADMM iteration, spanning CCCP rounds.
-  StalenessLedger staleness(num_users);
-  std::uint64_t aggregation_step = 0;
-  double virtual_seconds = 0.0;
-  AdaptiveDeadlines deadlines(num_users, options.adaptive_deadline);
-  std::vector<PendingUpload> pending(num_users);
-  // Why each device last failed to deliver fresh — attributes a later
-  // eviction of its block to a cause.
-  std::vector<char> last_miss_cause(num_users, kParticipated);
-
-  for (int cccp = 0; cccp < base.cccp.max_iterations; ++cccp) {
-    PLOS_SPAN("plos.cccp_round", "round", cccp);
-    result.diagnostics.cccp_iterations = cccp + 1;
-    pool.parallel_for(num_users, [&](std::size_t t) {
-      Stopwatch device_watch;
-      devices[t].begin_cccp_round(w[t], cccp == 0, base.seed + t);
+      s.devices[t].begin_cccp_round(s.w[t], cccp == 0, base.seed + t);
       network.account_device_compute(t, device_watch.elapsed_seconds());
     });
     // In-flight uploads were solved against the previous round's CCCP
@@ -260,496 +712,56 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     // planes from two different sign patterns. Drop them — the devices
     // simply become free again, and their blocks keep aging toward the
     // staleness bound like any other miss.
-    for (std::size_t t = 0; t < num_users; ++t) pending[t].active = false;
+    for (PendingUpload& pending : s.pending) pending.active = false;
 
     double objective = 0.0;
     for (int admm = 0; admm < base.max_admm_iterations; ++admm) {
       PLOS_SPAN("plos.admm_round", "iteration", admm);
-      ++result.diagnostics.admm_iterations_total;
-      const int iteration_qp_solves_before =
-          (telemetry || tuning) ? fleet(&AdmmDevice::qp_solves) : 0;
-      const int iteration_qp_iterations_before =
-          (telemetry || tuning) ? fleet(&AdmmDevice::qp_iterations) : 0;
-      const int iteration_qp_unconverged_before =
-          (telemetry || tuning) ? fleet(&AdmmDevice::qp_unconverged) : 0;
-      const linalg::Vector w0_old = w0;
-      const std::uint64_t round = network.current_round();
-      std::vector<char> status(num_users, kParticipated);
-      std::vector<char> fresh(num_users, 0);
-      // Consensus each late-folded block was solved against; empty for
-      // every other block.
-      std::vector<linalg::Vector> late_w0(num_users);
-      std::uint64_t late_count = 0;
-      std::uint64_t ev_offline = 0, ev_late = 0, ev_failed = 0;
-
-      // Resets a server block whose data aged past the staleness bound:
-      // the device re-bootstraps from the current consensus (w_t = w0,
-      // v_t = 0, ξ_t = 0) with a cleared dual.
-      const auto evict = [&](std::size_t t, char cause) {
-        if (flight != nullptr) {
-          obs::FlightEvent event;
-          event.round = aggregation_step;
-          event.device = static_cast<std::uint32_t>(t);
-          event.kind = obs::FlightEventKind::kEviction;
-          event.cause = static_cast<int>(cause);
-          event.t_start = virtual_seconds;
-          event.t_end = virtual_seconds;
-          event.staleness = staleness.age(t, aggregation_step);
-          flight->record(event);
-        }
-        w[t] = w0_old;
-        v[t] = linalg::zeros(dim);
-        xi[t] = 0.0;
-        u[t] = linalg::zeros(dim);
-        staleness.refresh(t, aggregation_step);
-        switch (cause) {
-          case kOffline:
-            ++ev_offline;
-            break;
-          case kDownlinkFailed:
-          case kUplinkFailed:
-            ++ev_failed;
-            break;
-          default:  // late, busy, deadline-missed
-            ++ev_late;
-            break;
-        }
-      };
-
-      // -- fold late uploads that have arrived by now ----------------------
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (!pending[t].active) continue;
-        if (pending[t].arrival > virtual_seconds) {
-          status[t] = kBusy;  // still in flight; not re-dispatched
-          continue;
-        }
-        pending[t].active = false;
-        const std::uint64_t age = aggregation_step - pending[t].data_step;
-        if (age > staleness_bound_now) {
-          // The cached upload is older than the bound: discard it and
-          // evict the block outright — applying it would let data older
-          // than S steps into the aggregate.
-          evict(t, pending[t].cause);
-          status[t] = pending[t].cause;
-          continue;
-        }
-        w[t] = std::move(pending[t].sol.w);
-        v[t] = std::move(pending[t].sol.v);
-        xi[t] = pending[t].sol.xi;
-        late_w0[t] = std::move(pending[t].w0_sent);
-        staleness.refresh(t, pending[t].data_step);
-        ++late_count;
-        status[t] = pending[t].cause;
-        if (flight != nullptr) {
-          obs::FlightEvent event;
-          event.round = aggregation_step;
-          event.device = static_cast<std::uint32_t>(t);
-          event.kind = obs::FlightEventKind::kLateFold;
-          event.cause = static_cast<int>(pending[t].cause);
-          event.t_start = pending[t].arrival;
-          event.t_end = virtual_seconds;
-          event.staleness = age;
-          flight->record(event);
-        }
+      ++s.result.diagnostics.admm_iterations_total;
+      const AdmmDevice::Counts before =
+          s.tracked ? fleet_counts(s.devices) : AdmmDevice::Counts{};
+      Step step(s);
+      fold_late_uploads(s, step);
+      dispatch(s, step);
+      cut(s, step);
+      classify(s, step);
+      if (s.flight != nullptr) replay_flight(s, step);
+      s.virtual_seconds += step.t_cut;
+      evict_stale(s, step);
+      tally(s, step);
+      aggregate(s, step);
+      objective = step.objective;
+      if (s.tracked && record_step(s, step, before, cccp, admm)) {
+        s.result.diagnostics.watchdog_aborted = true;
+        return std::nullopt;
       }
-
-      // -- dispatch: scatter, local solves, gather (buffered) --------------
-      // The T independent per-device prox-QPs (Eq. 22), solved
-      // concurrently. Solutions are buffered and applied on the
-      // aggregation thread once the event order decides who made the cut;
-      // churned-out devices, failed round trips, and deadline misses leave
-      // the server's cached block in place even though the device's local
-      // working set may have advanced.
-      std::vector<AdmmDevice::LocalSolution> solutions(num_users);
-      std::vector<char> dispatched(num_users, 0);
-      std::vector<char> delivered(num_users, 0);
-      std::vector<double> completion(num_users, 0.0);
-      // Per-device uplink attempt logs for the flight recorder. Workers
-      // fill their own slot; the aggregation thread replays them in
-      // ascending device order, so the log order never depends on worker
-      // interleaving.
-      std::vector<std::vector<net::SimNetwork::TransmitAttempt>>
-          uplink_attempts(flight != nullptr ? num_users : 0);
-      pool.parallel_for(num_users, [&](std::size_t t) {
-        if (pending[t].active) return;  // busy
-        if (fault.offline(round, t)) {
-          status[t] = kOffline;
-          return;
-        }
-        const auto downlink =
-            network.transmit_to_device(t, admm_broadcast_payload(w0, u[t]));
-        if (!downlink.delivered) {
-          status[t] = kDownlinkFailed;
-          return;  // device never received (w0, u_t) this round
-        }
-        PLOS_SPAN("plos.device_solve", "device", static_cast<double>(t));
-        Stopwatch device_watch;
-        const int qp_iterations_before = devices[t].qp_iterations();
-        auto sol = devices[t].solve(w0, u[t]);
-        network.account_device_compute(t, device_watch.elapsed_seconds());
-        if (fault.misses_deadline(round, t)) {
-          // Straggler past the fault schedule's round deadline: the compute
-          // happened (and was charged) but the server stopped waiting, so
-          // the upload is never sent.
-          status[t] = kDeadlineMissed;
-          return;
-        }
-        const int qp_iteration_delta =
-            devices[t].qp_iterations() - qp_iterations_before;
-        auto uplink = network.transmit_to_server(
-            t, admm_update_payload(sol.w, sol.v, sol.xi));
-        if (!uplink.delivered) status[t] = kUplinkFailed;
-        if (flight != nullptr) {
-          uplink_attempts[t] = std::move(uplink.attempt_log);
-        }
-        completion[t] = completion_seconds(
-            options.latency, downlink.seconds + uplink.seconds,
-            qp_iteration_delta, network.device_profile(t).cpu_slowdown,
-            fault.time_multiplier(round, t), round, t);
-        solutions[t] = std::move(sol);
-        dispatched[t] = 1;
-        delivered[t] = uplink.delivered ? 1 : 0;
-      });
-
-      // -- event-ordered round cut ----------------------------------------
-      // One event per dispatched device at min(completion, deadline); the
-      // round cuts at the quorum-th on-time upload, or — if the quorum is
-      // unreachable this step — at the last event (failed and straggling
-      // devices must not hang the server). The target counts FRESH uploads
-      // against the whole fleet: cheaper variants (relative to the
-      // dispatched subset, or crediting folded late arrivals) cut rounds
-      // faster but starve the aggregate of fresh updates, and the extra
-      // ADMM iterations cost more simulated time than the shorter rounds
-      // save. The queue's total order makes the cut independent of worker
-      // interleaving.
-      net::EventQueue queue;
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (dispatched[t] == 0) continue;
-        const double device_deadline = deadlines.deadline(t);
-        const bool on_time =
-            delivered[t] != 0 && completion[t] <= device_deadline;
-        net::Event event;
-        event.time = std::min(completion[t], device_deadline);
-        event.round = round;
-        event.device = static_cast<std::uint64_t>(t);
-        event.kind =
-            on_time ? net::EventKind::kUpload : net::EventKind::kDeadline;
-        queue.push(event);
-      }
-      const std::size_t round_quorum = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(
-                 quorum_now * static_cast<double>(num_users))));
-      double t_cut = 0.0;
-      std::size_t uploads_seen = 0;
-      while (!queue.empty()) {
-        const net::Event event = queue.pop();
-        t_cut = event.time;
-        if (event.kind == net::EventKind::kUpload) {
-          ++uploads_seen;
-          if (uploads_seen >= round_quorum) break;
-        }
-      }
-      if (uploads_seen == 0 && t_cut == 0.0) {
-        // Nothing was dispatched (everyone busy or offline): advance the
-        // clock to the earliest in-flight arrival so the loop makes
-        // progress instead of spinning at a frozen virtual time.
-        double min_arrival = std::numeric_limits<double>::infinity();
-        for (std::size_t t = 0; t < num_users; ++t) {
-          if (pending[t].active) {
-            min_arrival = std::min(min_arrival, pending[t].arrival);
-          }
-        }
-        if (std::isfinite(min_arrival)) {
-          t_cut = std::max(0.0, min_arrival - virtual_seconds);
-        }
-      }
-
-      // -- classify dispatched devices against the cut ---------------------
-      std::uint64_t fresh_count = 0;
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (dispatched[t] == 0) continue;
-        const double device_deadline = deadlines.deadline(t);
-        const bool on_time =
-            delivered[t] != 0 && completion[t] <= device_deadline;
-        if (on_time && completion[t] <= t_cut) {
-          w[t] = std::move(solutions[t].w);
-          v[t] = std::move(solutions[t].v);
-          xi[t] = solutions[t].xi;
-          fresh[t] = 1;
-          ++fresh_count;
-          status[t] = kParticipated;
-          staleness.refresh(t, aggregation_step);
-        } else if (delivered[t] != 0) {
-          // Arrives after the cut (or past its deadline): stash it; the
-          // device stays busy until the upload lands on the virtual clock.
-          pending[t].active = true;
-          pending[t].arrival = virtual_seconds + completion[t];
-          pending[t].data_step = aggregation_step;
-          pending[t].w0_sent = w0_old;
-          pending[t].sol = std::move(solutions[t]);
-          pending[t].cause = on_time ? static_cast<char>(kLateUpload)
-                                     : static_cast<char>(
-                                           kDeadlineMissed);
-          status[t] = pending[t].cause;
-        }
-        // Undelivered uploads keep the failure status the worker set.
-      }
-
-      // -- flight recorder: replay this step's device lifecycles -----------
-      // Aggregation thread only, ascending device order: attempt slices are
-      // laid back to back so the last one ends at the device's completion
-      // time on the virtual clock (start clamped to the round start — the
-      // completion jitter can undercut the raw attempt windows).
-      if (flight != nullptr) {
-        const double round_start = virtual_seconds;
-        for (std::size_t t = 0; t < num_users; ++t) {
-          if (dispatched[t] == 0) continue;
-          const auto& attempts = uplink_attempts[t];
-          std::vector<double> attempt_seconds;
-          attempt_seconds.reserve(attempts.size());
-          for (const auto& attempt : attempts) {
-            attempt_seconds.push_back(attempt.seconds);
-          }
-          const double attempt_total =
-              linalg::kernels::serial_sum(attempt_seconds);
-          double slice_start = std::max(
-              round_start, round_start + completion[t] - attempt_total);
-          for (std::size_t k = 0; k < attempts.size(); ++k) {
-            obs::FlightEvent event;
-            event.round = aggregation_step;
-            event.device = static_cast<std::uint32_t>(t);
-            event.attempt = static_cast<std::uint32_t>(k + 1);
-            event.kind = obs::FlightEventKind::kUploadAttempt;
-            event.cause = attempts[k].result;
-            event.t_start = slice_start;
-            event.t_end = slice_start + attempts[k].seconds;
-            flight->record(event);
-            slice_start = event.t_end;
-          }
-          const double device_deadline = deadlines.deadline(t);
-          if (delivered[t] != 0 && completion[t] > device_deadline &&
-              std::isfinite(device_deadline)) {
-            obs::FlightEvent event;
-            event.round = aggregation_step;
-            event.device = static_cast<std::uint32_t>(t);
-            event.kind = obs::FlightEventKind::kDeadlineMiss;
-            event.cause = static_cast<int>(kDeadlineMissed);
-            event.t_start = round_start + device_deadline;
-            event.t_end = round_start + completion[t];
-            flight->record(event);
-          }
-        }
-        obs::FlightEvent cut;
-        cut.round = aggregation_step;
-        cut.device = obs::kFlightServerDevice;
-        cut.kind = obs::FlightEventKind::kQuorumCut;
-        cut.t_start = round_start;
-        cut.t_end = round_start + t_cut;
-        cut.staleness = fresh_count;
-        flight->record(cut);
-      }
-
-      // Feed the deadline tracker after classification, ascending (the
-      // EWMA influences the *next* dispatch, never the current cut).
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (dispatched[t] != 0 && delivered[t] != 0) {
-          deadlines.observe(t, completion[t]);
-        }
-      }
-      virtual_seconds += t_cut;
-
-      // -- bounded staleness: evict blocks that aged past the bound --------
-      // Runs before the server update, so no block older than S steps ever
-      // enters an aggregate.
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (staleness.age(t, aggregation_step) > staleness_bound_now) {
-          evict(t, last_miss_cause[t]);
-        }
-      }
-
-      // Degradation tallies and miss-cause tracking (fixed device order).
-      for (std::size_t t = 0; t < num_users; ++t) {
-        switch (status[t]) {
-          case kOffline:
-            ++result.diagnostics.devices_offline_total;
-            break;
-          case kDownlinkFailed:
-            ++result.diagnostics.downlink_failures_total;
-            break;
-          case kDeadlineMissed:
-            ++result.diagnostics.deadline_misses_total;
-            break;
-          case kUplinkFailed:
-            ++result.diagnostics.uplink_failures_total;
-            break;
-          default:
-            break;
-        }
-        if (fresh[t] != 0) {
-          last_miss_cause[t] = kParticipated;
-        } else if (status[t] != kParticipated) {
-          last_miss_cause[t] = status[t];
-        }
-      }
-      const double participation_rate = static_cast<double>(fresh_count) /
-                                        static_cast<double>(num_users);
-      result.diagnostics.participation_trace.push_back(participation_rate);
-      result.async.quorum_trace.push_back(fresh_count);
-      result.async.late_uploads_total += late_count;
-      result.async.evictions_offline_total += ev_offline;
-      result.async.evictions_late_total += ev_late;
-      result.async.evictions_failed_total += ev_failed;
-      result.async.max_staleness_seen =
-          std::max(result.async.max_staleness_seen,
-                   staleness.max_age(aggregation_step));
-
-      // -- server closed-form updates (Eq. 23) -----------------------------
-      Stopwatch server_watch;
-      const ServerUpdateSums sums =
-          admm_server_update(w, v, fresh, late_w0, base.rho, w0, u);
-
-      objective = linalg::squared_norm(w0);
-      for (std::size_t t = 0; t < num_users; ++t) {
-        objective += base.params.lambda / static_cast<double>(num_users) *
-                         linalg::squared_norm(v[t]) +
-                     xi[t];
-      }
-      const double dual_residual =
-          base.rho * std::sqrt(2.0 * static_cast<double>(num_users)) *
-          std::sqrt(linalg::squared_distance(w0, w0_old));
-      const double primal_residual = std::sqrt(sums.primal_sq);
-      network.account_server_compute(server_watch.elapsed_seconds());
-      network.end_round();
-      if (flight != nullptr) {
-        obs::FlightEvent event;
-        event.round = aggregation_step;
-        event.device = obs::kFlightServerDevice;
-        event.kind = obs::FlightEventKind::kAggregate;
-        event.t_start = virtual_seconds;
-        event.t_end = virtual_seconds;
-        event.staleness = fresh_count;
-        flight->record(event);
-      }
-
-      result.diagnostics.objective_trace.push_back(objective);
-      result.diagnostics.primal_residual_trace.push_back(primal_residual);
-      result.diagnostics.dual_residual_trace.push_back(dual_residual);
-
-      if (telemetry || tuning) {
-        obs::RoundRecord record;
-        record.trainer = "distributed";
-        record.cccp_round = cccp;
-        record.admm_iteration = admm;
-        record.objective = objective;
-        record.objective_finite = std::isfinite(objective);
-        record.primal_residual = primal_residual;
-        record.dual_residual = dual_residual;
-        record.constraints = fleet(&AdmmDevice::working_set_size);
-        record.qp_solves =
-            fleet(&AdmmDevice::qp_solves) - iteration_qp_solves_before;
-        record.qp_iterations = fleet(&AdmmDevice::qp_iterations) -
-                               iteration_qp_iterations_before;
-        record.qp_unconverged = fleet(&AdmmDevice::qp_unconverged) -
-                                iteration_qp_unconverged_before;
-        record.participation_rate = participation_rate;
-        record.quorum_size = fresh_count;
-        record.late_uploads = late_count;
-        record.evictions_offline = ev_offline;
-        record.evictions_late = ev_late;
-        record.evictions_failed = ev_failed;
-        staleness.fill_record(record, aggregation_step);
-        obs::CauseCounters causes(kDeviceRoundStatusCount);
-        for (std::size_t t = 0; t < num_users; ++t) {
-          causes.add(static_cast<std::size_t>(status[t]));
-        }
-        record.cause_counts = causes.counts();
-        const auto traffic = network.traffic_snapshot();
-        record.bytes_to_devices =
-            traffic.bytes_to_devices - previous_traffic.bytes_to_devices;
-        record.bytes_to_server =
-            traffic.bytes_to_server - previous_traffic.bytes_to_server;
-        record.messages_dropped =
-            traffic.messages_dropped - previous_traffic.messages_dropped;
-        record.retries = traffic.retries - previous_traffic.retries;
-        previous_traffic = traffic;
-        const obs::QuantileSketch latency = network.latency_sketch();
-        const obs::QuantileSketch step_latency =
-            latency.diff(previous_latency);
-        record.lat_count = step_latency.count();
-        if (!step_latency.empty()) {
-          record.lat_p50 = step_latency.quantile(0.50);
-          record.lat_p90 = step_latency.quantile(0.90);
-          record.lat_p99 = step_latency.quantile(0.99);
-        }
-        previous_latency = latency;
-        if (tuning) {
-          // Journal the knobs in force for THIS step, then let the
-          // controller read the very record it will be journaled in — the
-          // decision and its trigger land beside the evidence.
-          record.tuned_quorum = quorum_now;
-          record.tuned_staleness_bound = staleness_bound_now;
-          const AutoTuneDecision decision = tuner.observe(record);
-          record.tune_event = decision.event;
-          record.tune_trigger = decision.trigger;
-          if (record.tune_event[0] != '\0' && record.tune_event != "hold") {
-            ++result.async.tune_actions;
-          }
-          quorum_now = tuner.quorum();
-          staleness_bound_now = tuner.staleness_bound();
-        }
-        if (base.journal != nullptr) base.journal->append(record);
-        if (base.watchdog != nullptr &&
-            base.watchdog->observe(record) == obs::WatchdogAction::kAbort) {
-          watchdog_aborted = true;
-          break;
-        }
-      }
-      ++aggregation_step;
-
+      ++s.aggregation_step;
       if (options.on_aggregate) {
-        options.on_aggregate(
-            QuorumAggregateView{aggregation_step, virtual_seconds, w0, w});
+        options.on_aggregate(QuorumAggregateView{
+            s.aggregation_step, s.virtual_seconds, s.w0, s.w});
       }
-
-      // Paper thresholds (Eq. 24) plus Boyd's relative terms.
-      const double primal_threshold =
-          sqrt_t * base.eps_abs +
-          kEpsRel * std::sqrt(std::max(sums.w_sq, sums.target_sq));
-      const double dual_threshold =
-          std::sqrt(2.0) * sqrt_t * base.eps_abs +
-          kEpsRel * base.rho * std::sqrt(sums.u_sq);
-      if (dual_residual <= dual_threshold &&
-          primal_residual <= primal_threshold) {
-        break;
-      }
+      if (eq24_converged(s, step)) break;
     }
+    return objective;
+  };
+  QuorumAdmmResult& result = s.result;
+  result.diagnostics.cccp_iterations = run_cccp(base.cccp, cccp_round);
+  const AdmmDevice::Counts totals = fleet_counts(s.devices);
+  result.diagnostics.qp_solves = totals.qp_solves;
+  result.diagnostics.qp_unconverged = totals.qp_unconverged;
 
-    if (watchdog_aborted) {
-      result.diagnostics.watchdog_aborted = true;
-      break;
-    }
-    if (std::abs(previous_cccp_objective - objective) <=
-        base.cccp.objective_tolerance * (1.0 + std::abs(objective))) {
-      break;
-    }
-    previous_cccp_objective = objective;
-  }
-  result.diagnostics.qp_solves = fleet(&AdmmDevice::qp_solves);
-  result.diagnostics.qp_unconverged = fleet(&AdmmDevice::qp_unconverged);
-
-  result.model.global_weights = w0;
+  result.model.global_weights = s.w0;
   for (std::size_t t = 0; t < num_users; ++t) {
     // Report consensus-consistent personal deviations w_t − w0 rather than
     // the local v_t (they coincide at exact convergence).
-    result.model.user_deviations[t] = linalg::sub(w[t], w0);
+    result.model.user_deviations[t] = linalg::sub(s.w[t], s.w0);
   }
   result.diagnostics.train_seconds = total_watch.elapsed_seconds();
   result.diagnostics.fault_counters = network.fault_counters();
-  result.async.virtual_seconds = virtual_seconds;
-  result.async.final_quorum = quorum_now;
-  result.async.final_staleness_bound = staleness_bound_now;
-
-  return result;
+  result.async.virtual_seconds = s.virtual_seconds;
+  result.async.final_quorum = s.quorum_now;
+  result.async.final_staleness_bound = s.staleness_bound_now;
+  return std::move(result);
 }
 
 }  // namespace plos::core

@@ -6,7 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/cutting_plane.hpp"
@@ -379,6 +382,79 @@ TEST(ClusterInitialSigns, RejectsLabeledUsers) {
       cluster_initial_signs(ctx, linalg::Vector{0.0, 0.0, 0.0}, 1.0, 10.0,
                             1.0, 7),
       PreconditionError);
+}
+
+TEST(RoundSigns, TwoMeansOnlyForALabelFreeUserInTheFirstRound) {
+  rng::Engine engine(505);
+  const auto label_free = gaussian_user(engine, 40, 3.0);
+  const auto labeled = gaussian_user(engine, 5, 2.0, /*reveal_none=*/false);
+  const auto free_ctx = PlosUserContext::from_user(label_free);
+  const auto labeled_ctx = PlosUserContext::from_user(labeled);
+  // Weights along the noise axis split each blob at random; with a cheap
+  // deviation (λ/T = 0.1) the 2-means path moves off their signs.
+  const linalg::Vector w{0.0, 1.0, 0.0};
+  const auto clustered = cluster_initial_signs(free_ctx, w, 0.1, 10.0, 1.0, 7);
+  ASSERT_NE(clustered, cccp_signs(free_ctx, w));
+
+  struct Case {
+    const PlosUserContext* ctx;
+    bool first_round;
+    bool two_means;
+  };
+  for (const Case& c : {Case{&free_ctx, true, true},
+                        Case{&free_ctx, false, false},
+                        Case{&labeled_ctx, true, false},
+                        Case{&labeled_ctx, false, false}}) {
+    SCOPED_TRACE(::testing::Message() << "label-free " << c.ctx->labeled.empty()
+                                      << " first round " << c.first_round);
+    const auto signs =
+        round_signs(*c.ctx, w, c.first_round, 0.1, 10.0, 1.0, 7);
+    EXPECT_EQ(signs, c.two_means ? clustered : cccp_signs(*c.ctx, w));
+  }
+}
+
+// run_cccp against scripted objective sequences. Round c returns
+// objectives[c] (nullopt asks the loop to stop); every case also checks
+// the previous objective each round is handed.
+TEST(RunCccp, ScriptedObjectiveSequences) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Script {
+    const char* name;
+    int max_iterations;
+    double tolerance;
+    std::vector<std::optional<double>> objectives;
+    int rounds;
+  };
+  const std::vector<Script> scripts = {
+      {"tolerance never met: runs the cap", 4, 1e-4,
+       {8.0, 4.0, 2.0, 1.0, 0.5}, 4},
+      {"stops on tolerance", 8, 1e-4, {8.0, 5.0, 5.0001, 1.0}, 3},
+      {"tolerance on an increase", 8, 1e-4, {8.0, 5.0, 5.0002}, 3},
+      {"round 0 never stops, at any tolerance", 8, kInf, {1.0, 7.0, 7.0}, 2},
+      {"round 0 never stops on an infinite objective", 8, 1e-4,
+       {kInf, 3.0, 3.0}, 3},
+      {"callback stop ends the loop", 8, 1e-4, {8.0, std::nullopt, 1.0}, 2},
+      {"callback stop in round 0", 8, 1e-4, {std::nullopt, 1.0}, 1},
+      {"no rounds at a zero cap", 0, 1e-4, {1.0}, 0},
+  };
+  for (const Script& script : scripts) {
+    SCOPED_TRACE(script.name);
+    CccpOptions options;
+    options.max_iterations = script.max_iterations;
+    options.objective_tolerance = script.tolerance;
+    int calls = 0;
+    const int rounds =
+        run_cccp(options, [&](int round, double previous) {
+          EXPECT_EQ(round, calls);
+          const double expected_previous =
+              round == 0 ? kInf : script.objectives[round - 1].value();
+          EXPECT_EQ(previous, expected_previous);
+          ++calls;
+          return script.objectives.at(static_cast<std::size_t>(round));
+        });
+    EXPECT_EQ(rounds, script.rounds);
+    EXPECT_EQ(calls, script.rounds);
+  }
 }
 
 TEST(MostViolated, SignsSizeMismatchThrows) {

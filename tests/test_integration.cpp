@@ -7,7 +7,6 @@
 
 #include "core/baselines.hpp"
 #include "core/centralized_plos.hpp"
-#include "core/cross_validation.hpp"
 #include "core/distributed_plos.hpp"
 #include "core/evaluation.hpp"
 #include "data/labeling.hpp"
@@ -115,33 +114,6 @@ TEST(Integration, DistributedMatchesCentralizedOnBodySensor) {
       static_cast<double>(metrics.messages_sent);
   // w + v + xi at 121 dims ≈ 2*8*121 + overhead ≈ 2 KB.
   EXPECT_LT(uplink_per_message, 4096.0);
-}
-
-TEST(Integration, CrossValidationSelectsReasonableLambda) {
-  sensing::HarSpec spec;
-  spec.num_users = 6;
-  spec.dim = 40;
-  spec.samples_per_class = 20;
-  rng::Engine engine(4);
-  auto dataset = sensing::generate_har_dataset(spec, engine);
-  data::reveal_labels(dataset, {0, 1, 2}, 0.3, engine);
-
-  const std::vector<double> lambdas{1.0, 100.0};
-  CrossValidationOptions cv;
-  cv.num_folds = 2;
-  const std::size_t best = select_best_parameter(
-      dataset, lambdas,
-      [&](double lambda) -> TrainPredictFn {
-        return [lambda](const data::MultiUserDataset& fold) {
-          auto options = plos_options();
-          options.params.lambda = lambda;
-          options.cccp.max_iterations = 2;
-          const auto result = train_centralized_plos(fold, options);
-          return predict_all(fold, result.model);
-        };
-      },
-      cv);
-  EXPECT_LT(best, lambdas.size());
 }
 
 }  // namespace
