@@ -71,34 +71,28 @@ CaseOutcome run_quorum_case(const data::MultiUserDataset& dataset,
   auto options = make_options(knobs);
   core::PersonalizedModel probe =
       core::PersonalizedModel::zeros(dataset.num_users(), 0);
+  // Time the band was last entered; a step below it resets the entry.
+  double entered = std::numeric_limits<double>::infinity();
   options.on_aggregate = [&](const async::AsyncAggregateView& view) {
     probe.global_weights = view.w0;
     for (std::size_t t = 0; t < view.w.size(); ++t) {
       probe.user_deviations[t] = linalg::sub(view.w[t], view.w0);
     }
-    outcome.trace.push_back(AccuracySample{
-        view.virtual_seconds,
-        core::evaluate(dataset, core::predict_all(dataset, probe)).overall});
+    const double accuracy =
+        core::evaluate(dataset, core::predict_all(dataset, probe)).overall;
+    if (accuracy < kBarrierBand) {
+      entered = std::numeric_limits<double>::infinity();
+    } else if (!std::isfinite(entered)) {
+      entered = view.virtual_seconds;
+    }
   };
   outcome.result = async::train_async_quorum_plos(dataset, options, &network);
   outcome.accuracy =
       core::evaluate(dataset,
                      core::predict_all(dataset, outcome.result.model))
           .overall;
+  outcome.tta = entered;
   return outcome;
-}
-
-double time_to_accuracy(const std::vector<AccuracySample>& trace,
-                        double target) {
-  double entered = std::numeric_limits<double>::infinity();
-  for (const auto& sample : trace) {
-    if (sample.accuracy >= target) {
-      if (!std::isfinite(entered)) entered = sample.virtual_seconds;
-    } else {
-      entered = std::numeric_limits<double>::infinity();
-    }
-  }
-  return entered;
 }
 
 }  // namespace plos::bench

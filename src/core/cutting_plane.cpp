@@ -141,14 +141,18 @@ int run_cccp(const CccpOptions& options,
     PLOS_SPAN("plos.cccp_round", "round", c);
     const std::optional<double> objective = round(c, previous);
     if (!objective ||
-        (c > 0 && std::abs(previous - *objective) <=
-                      options.objective_tolerance *
-                          (1.0 + std::abs(*objective)))) {
+        (c > 0 && cccp_tolerance_met(options, previous, *objective))) {
       return c + 1;
     }
     previous = *objective;
   }
   return std::max(options.max_iterations, 0);
+}
+
+bool cccp_tolerance_met(const CccpOptions& options, double previous,
+                        double objective) {
+  return std::abs(previous - objective) <=
+         options.objective_tolerance * (1.0 + std::abs(objective));
 }
 
 linalg::Vector random_unit_direction(std::size_t dim, std::uint64_t seed) {

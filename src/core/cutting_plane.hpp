@@ -98,6 +98,10 @@ std::vector<int> round_signs(const PlosUserContext& ctx,
 int run_cccp(const CccpOptions& options,
              const std::function<std::optional<double>(int, double)>& round);
 
+/// run_cccp's tolerance test: |previous − objective| ≤ tol·(1 + |objective|).
+bool cccp_tolerance_met(const CccpOptions& options, double previous,
+                        double objective);
+
 /// Unit-norm Gaussian direction drawn from a fresh engine seeded with
 /// `seed`: the symmetry-breaking start when nobody reveals a label, where
 /// PLOS degenerates to maximum-margin clustering.

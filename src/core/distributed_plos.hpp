@@ -52,8 +52,9 @@ struct DistributedPlosOptions {
   CuttingPlaneOptions cutting_plane;
   CccpOptions cccp;
   double rho = 1.0;        ///< ADMM step size (paper sets ρ = 1)
-  /// εabs of the residual stopping rule (core/quorum_admm.cpp adds a fixed
-  /// 1e-2 relative term).
+  /// εabs of the residual stopping rule (core/quorum_admm.cpp adds a
+  /// relative term, core::eq24_relative_term: loose in the early CCCP
+  /// rounds, 1e-2 from round 5 on).
   double eps_abs = 1e-3;
   int max_admm_iterations = 300;
   /// Initialization is fixed. A bootstrap round has label-providing devices

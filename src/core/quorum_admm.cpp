@@ -23,6 +23,9 @@ namespace {
 // Eq. 24 thresholds: without it the absolute rule never fires on data whose
 // feature scale puts ||w_t|| well above eps_abs.
 constexpr double kEpsRel = 1e-2;
+// Inexact CCCP: CCCP round 0's relative term, halved every round down to
+// kEpsRel (eq24_relative_term).
+constexpr double kEpsRelStart = 0.3;
 
 // A round trip that missed this step's cut or its deadline: the upload
 // still arrives at `arrival` on the virtual clock and is folded into a
@@ -78,6 +81,7 @@ struct Server {
         staleness(num_users),
         deadlines(num_users, schedule.adaptive_deadline),
         last_miss_cause(num_users, kParticipated),
+        refreshed(num_users, 0),
         tuner(schedule.quorum, schedule.staleness_bound),
         quorum_now(schedule.autotune.enabled ? tuner.quorum()
                                              : schedule.quorum),
@@ -134,6 +138,10 @@ struct Server {
   // Why each device last failed to deliver fresh — attributes a later
   // eviction of its block to a cause.
   std::vector<char> last_miss_cause;
+  // Blocks refreshed (fresh or by a late fold) since the CCCP round began;
+  // an eviction clears the flag. The round's loose Eq. 24 term is read
+  // only when every flag is set.
+  std::vector<char> refreshed;
   std::uint64_t aggregation_step = 0;
   double virtual_seconds = 0.0;
 
@@ -199,6 +207,7 @@ struct Step {
   double objective = 0.0;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
+  double eq24_rel = kEpsRel;  ///< relative term of this step's stop test
 };
 
 // Bootstrap round: the average of the devices' local SVMs is the initial
@@ -259,6 +268,7 @@ void evict(Server& s, Step& step, std::size_t t, char cause) {
   s.xi[t] = 0.0;
   s.u[t] = linalg::zeros(s.dim);
   s.staleness.refresh(t, s.aggregation_step);
+  s.refreshed[t] = 0;
   switch (cause) {
     case kOffline:
       ++step.ev_offline;
@@ -298,6 +308,7 @@ void fold_late_uploads(Server& s, Step& step) {
     s.xi[t] = pending.sol.xi;
     step.late_w0[t] = std::move(pending.w0_sent);
     s.staleness.refresh(t, pending.data_step);
+    s.refreshed[t] = 1;
     ++step.late_count;
     s.fly(t, obs::FlightEventKind::kLateFold, pending.cause, pending.arrival,
           s.virtual_seconds, age);
@@ -417,6 +428,7 @@ void classify(Server& s, Step& step) {
       ++step.fresh_count;
       step.status[t] = kParticipated;
       s.staleness.refresh(t, s.aggregation_step);
+      s.refreshed[t] = 1;
     } else if (trip.delivered) {
       // Arrives after the cut (or past its deadline): stash it; the device
       // stays busy until the upload lands on the virtual clock.
@@ -550,6 +562,7 @@ bool record_step(Server& s, const Step& step,
   record.objective_finite = std::isfinite(step.objective);
   record.primal_residual = step.primal_residual;
   record.dual_residual = step.dual_residual;
+  record.eq24_rel = step.eq24_rel;
   record.constraints = after.planes;
   record.qp_solves = after.qp_solves - before.qp_solves;
   record.qp_iterations = after.qp_iterations - before.qp_iterations;
@@ -600,20 +613,47 @@ bool record_step(Server& s, const Step& step,
          s.base.watchdog->observe(record) == obs::WatchdogAction::kAbort;
 }
 
-// The paper's stop rule (Eq. 24) plus Boyd's relative terms.
+// The paper's stop rule (Eq. 24) plus Boyd's relative terms, at the
+// relative term step.eq24_rel.
 bool eq24_converged(const Server& s, const Step& step) {
   const double sqrt_t = std::sqrt(static_cast<double>(s.num_users));
   const double primal_threshold =
       sqrt_t * s.base.eps_abs +
-      kEpsRel * std::sqrt(std::max(step.sums.w_sq, step.sums.target_sq));
+      step.eq24_rel * std::sqrt(std::max(step.sums.w_sq, step.sums.target_sq));
   const double dual_threshold =
       std::sqrt(2.0) * sqrt_t * s.base.eps_abs +
-      kEpsRel * s.base.rho * std::sqrt(step.sums.u_sq);
+      step.eq24_rel * s.base.rho * std::sqrt(step.sums.u_sq);
   return step.dual_residual <= dual_threshold &&
          step.primal_residual <= primal_threshold;
 }
 
+// Whether this step ends its CCCP round's ADMM loop (inexact CCCP, DESIGN.md
+// §3). The round's loose term is read only from an aggregate in which every
+// block was refreshed since the round began; otherwise, and once `tight`
+// is set, the term is kEpsRel. A loose stop whose objective would end CCCP
+// on its tolerance (`previous` is run_cccp's) sets `tight` instead, so the
+// round runs on to kEpsRel and CCCP never ends on a loose solve. Leaves the
+// term the decision read in step.eq24_rel.
+bool round_converged(const Server& s, Step& step, int cccp, double previous,
+                     bool& tight) {
+  const bool all_refreshed = std::all_of(
+      s.refreshed.begin(), s.refreshed.end(), [](char r) { return r != 0; });
+  step.eq24_rel = tight || !all_refreshed ? kEpsRel : eq24_relative_term(cccp);
+  if (!eq24_converged(s, step)) return false;
+  if (step.eq24_rel > kEpsRel &&
+      cccp_tolerance_met(s.base.cccp, previous, step.objective)) {
+    tight = true;
+    step.eq24_rel = kEpsRel;
+    return eq24_converged(s, step);
+  }
+  return true;
+}
+
 }  // namespace
+
+double eq24_relative_term(int cccp_round) {
+  return std::max(kEpsRel, std::ldexp(kEpsRelStart, -cccp_round));
+}
 
 ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
                                     const std::vector<linalg::Vector>& v,
@@ -701,7 +741,8 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
   Server s(dataset, options, network);
   bootstrap(s);
 
-  const auto cccp_round = [&](int cccp, double) -> std::optional<double> {
+  const auto cccp_round = [&](int cccp,
+                              double previous) -> std::optional<double> {
     s.pool.parallel_for(num_users, [&](std::size_t t) {
       Stopwatch device_watch;
       s.devices[t].begin_cccp_round(s.w[t], cccp == 0, base.seed + t);
@@ -713,8 +754,10 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
     // simply become free again, and their blocks keep aging toward the
     // staleness bound like any other miss.
     for (PendingUpload& pending : s.pending) pending.active = false;
+    std::fill(s.refreshed.begin(), s.refreshed.end(), 0);
 
     double objective = 0.0;
+    bool tight = false;
     for (int admm = 0; admm < base.max_admm_iterations; ++admm) {
       PLOS_SPAN("plos.admm_round", "iteration", admm);
       ++s.result.diagnostics.admm_iterations_total;
@@ -731,6 +774,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       tally(s, step);
       aggregate(s, step);
       objective = step.objective;
+      const bool converged = round_converged(s, step, cccp, previous, tight);
       if (s.tracked && record_step(s, step, before, cccp, admm)) {
         s.result.diagnostics.watchdog_aborted = true;
         return std::nullopt;
@@ -740,7 +784,7 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
         options.on_aggregate(QuorumAggregateView{
             s.aggregation_step, s.virtual_seconds, s.w0, s.w});
       }
-      if (eq24_converged(s, step)) break;
+      if (converged) break;
     }
     return objective;
   };

@@ -127,6 +127,14 @@ struct QuorumAdmmResult {
   QuorumAdmmDiagnostics async;
 };
 
+/// Relative term of the Eq. 24 thresholds in CCCP round c (inexact CCCP,
+/// DESIGN.md §3): max(1e-2, 0.3·2⁻ᶜ), so 0.3 in round 0, halving each
+/// round, and 1e-2 from round 5 on. The engine reads a term above 1e-2
+/// only from an aggregate in which every block was refreshed since the
+/// round began, and never for a stop that would end CCCP on its objective
+/// tolerance.
+double eq24_relative_term(int cccp_round);
+
 /// Over-relaxation of the consensus step (Eckstein & Bertsekas 1992; Boyd
 /// et al. §3.4.3, which recommends α in [1.5, 1.8]). Same fixed point as
 /// plain ADMM; applied only in steps where every block is fresh.

@@ -56,6 +56,8 @@ std::string record_to_json(const RoundRecord& record) {
   out += ',';
   append_optional(out, "dual_residual", record.dual_residual);
   out += ',';
+  append_optional(out, "eq24_rel", record.eq24_rel);
+  out += ',';
   append_u64(out, "constraints", record.constraints);
   out += ",\"qp_solves\":";
   out += std::to_string(record.qp_solves);
@@ -221,6 +223,7 @@ bool parse_journal_jsonl(std::string_view text, std::vector<RoundRecord>& out,
     }
     record.primal_residual = optional_number(*value, "primal_residual");
     record.dual_residual = optional_number(*value, "dual_residual");
+    record.eq24_rel = optional_number(*value, "eq24_rel");
     record.constraints =
         static_cast<std::size_t>(u64_field(*value, "constraints"));
     record.qp_solves = static_cast<int>(u64_field(*value, "qp_solves"));

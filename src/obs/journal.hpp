@@ -38,6 +38,9 @@ struct RoundRecord {
   double objective = kUnset;
   double primal_residual = kUnset;  ///< distributed only
   double dual_residual = kUnset;    ///< distributed only
+  /// Relative term of Eq. 24's stop test in force this step (distributed
+  /// only): above 1e-2 in the loose early CCCP rounds (DESIGN.md §3).
+  double eq24_rel = kUnset;
 
   std::size_t constraints = 0;  ///< cutting planes in force after the step
   int qp_solves = 0;            ///< dual QP solves performed by the step

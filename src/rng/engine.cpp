@@ -35,7 +35,11 @@ std::int64_t Engine::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 double Engine::gaussian(double mean, double stddev) {
   PLOS_CHECK(stddev >= 0.0, "gaussian: negative stddev");
-  return std::normal_distribution<double>(mean, stddev)(gen_);
+  // A standard draw scaled by hand: std::normal_distribution requires
+  // stddev > 0, and libstdc++ computes exactly z·σ + μ from the same draws,
+  // so stddev 0 returns `mean` and every other stddev is bit for bit the
+  // library's result.
+  return std::normal_distribution<double>(0.0, 1.0)(gen_) * stddev + mean;
 }
 
 bool Engine::bernoulli(double p) {

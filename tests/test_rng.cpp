@@ -66,6 +66,29 @@ TEST(Engine, GaussianMoments) {
   EXPECT_NEAR(var, 4.0, 0.15);
 }
 
+// stddev 0 is a point mass at `mean` that still consumes a draw, so the
+// stream after it is that of any other gaussian call.
+TEST(Engine, GaussianZeroStddevReturnsMeanAndKeepsTheStream) {
+  Engine a(17);
+  Engine b(17);
+  EXPECT_EQ(a.gaussian(3.5, 0.0), 3.5);
+  b.gaussian(3.5, 1.0);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.gaussian(), b.gaussian());
+}
+
+// A positive stddev gives the library distribution's value bit for bit.
+TEST(Engine, GaussianMatchesStdNormalDistribution) {
+  Engine e(19);
+  Engine reference(19);
+  for (double stddev : {0.25, 1.0, 3.0}) {
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(e.gaussian(-1.5, stddev),
+                std::normal_distribution<double>(-1.5, stddev)(
+                    reference.raw()));
+    }
+  }
+}
+
 TEST(Engine, BernoulliFrequency) {
   Engine e(13);
   int hits = 0;

@@ -212,6 +212,7 @@ TEST(Journal, ObservabilityFieldsRoundTrip) {
   record.trainer = "async";
   record.cccp_round = 0;
   record.admm_iteration = 3;
+  record.eq24_rel = 0.075;
   record.stale_p50 = 1.0;
   record.stale_p90 = 4.0;
   record.stale_p99 = 7.5;
@@ -231,6 +232,7 @@ TEST(Journal, ObservabilityFieldsRoundTrip) {
   ASSERT_TRUE(obs::parse_journal_jsonl(journal.to_jsonl(), parsed, &error))
       << error;
   ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].eq24_rel, 0.075);
   EXPECT_EQ(parsed[0].stale_p50, 1.0);
   EXPECT_EQ(parsed[0].stale_p90, 4.0);
   EXPECT_EQ(parsed[0].stale_p99, 7.5);
@@ -252,6 +254,7 @@ TEST(Journal, ObservabilityFieldsRoundTrip) {
       << error;
   ASSERT_EQ(legacy.size(), 1u);
   EXPECT_TRUE(std::isnan(legacy[0].stale_p99));
+  EXPECT_TRUE(std::isnan(legacy[0].eq24_rel));
   EXPECT_EQ(legacy[0].lat_count, 0u);
   EXPECT_TRUE(legacy[0].cause_counts.empty());
   EXPECT_TRUE(legacy[0].tune_event.empty());
