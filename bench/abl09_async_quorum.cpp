@@ -20,8 +20,10 @@
 // (EXPERIMENTS.md A9).
 // PLOS_BENCH_JSON mode emits BENCH_abl09_async_quorum.json with exact
 // llround-scaled counters (virtual_wall_us, accuracy_x10000,
-// wallclock_ratio_x1000, tta_within1pt_us, tta_ratio_x1000,
-// acc_gap_vs_sync_x10000) for the CI perf gate.
+// tta_within1pt_us, acc_gap_vs_sync_x10000) for the CI perf gate. The
+// ratios to the barrier's clock (wall_ratio, tta_ratio) are printed in the
+// figure table only: a gated ratio would move every case's counters when
+// the barrier's schedule moves, and both derive from the gated clocks.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -56,16 +58,15 @@ CaseOutcome run_sync_baseline(const data::MultiUserDataset& dataset,
 void print_figure() {
   bench::print_title(
       "Ablation 9: async bounded-staleness quorum vs the round barrier");
-  const std::vector<std::string> names{"accuracy",  "virtual_s",
-                                       "tta_s",     "tta_ratio",
-                                       "late_upl",  "evictions",
-                                       "max_stale"};
+  const std::vector<std::string> names{
+      "accuracy", "virtual_s", "wall_ratio", "tta_s",
+      "tta_ratio", "late_upl", "evictions", "max_stale"};
   bench::print_header("quorum", names);
 
   const auto dataset = bench::straggler_dataset();
   const auto barrier = run_sync_baseline(dataset, /*stragglers=*/true);
-  // tta_ratio is measured against the synchronous run's full simulated
-  // wall-clock.
+  // wall_ratio and tta_ratio are measured against the synchronous run's
+  // full simulated wall-clock.
   for (double quorum : {1.0, 0.8, 0.6}) {
     const CaseOutcome outcome =
         quorum == 1.0 ? barrier
@@ -75,8 +76,9 @@ void print_figure() {
     bench::print_row(
         quorum,
         std::vector<double>{
-            outcome.accuracy, a.virtual_seconds, outcome.tta,
-            outcome.tta / barrier.result.async.virtual_seconds,
+            outcome.accuracy, a.virtual_seconds,
+            a.virtual_seconds / barrier.result.async.virtual_seconds,
+            outcome.tta, outcome.tta / barrier.result.async.virtual_seconds,
             static_cast<double>(a.late_uploads_total),
             static_cast<double>(a.evictions_offline_total +
                                 a.evictions_late_total +
@@ -100,26 +102,19 @@ void fill_counters(bench::BenchCase& bench_case, const CaseOutcome& outcome,
   bench_case.counters["max_staleness"] =
       static_cast<double>(a.max_staleness_seen);
   // Machine-exact integer-valued doubles so the perf gate compares them
-  // exactly: the virtual clock in microseconds and scaled ratios.
+  // exactly: the virtual clock in microseconds and scaled accuracies.
   bench_case.counters["virtual_wall_us"] =
       static_cast<double>(std::llround(a.virtual_seconds * 1e6));
   bench_case.counters["accuracy_x10000"] =
       static_cast<double>(std::llround(outcome.accuracy * 1e4));
-  bench_case.counters["wallclock_ratio_x1000"] = static_cast<double>(
-      std::llround(a.virtual_seconds /
-                   baseline.result.async.virtual_seconds * 1e3));
   bench_case.counters["acc_gap_vs_sync_x10000"] = static_cast<double>(
       std::llround((baseline.accuracy - outcome.accuracy) * 1e4));
-  // Time to enter (and stay in) the fixed accuracy band, and its ratio to
-  // the synchronous run's full simulated wall-clock — the acceptance
-  // metric (<= 600 for quorum60).
+  // Time to enter (and stay in) the fixed accuracy band; its ratio to the
+  // barrier's virtual_wall_us is the acceptance metric (<= 0.6 for
+  // quorum60).
   const double tta = outcome.tta;
   bench_case.counters["tta_within1pt_us"] = static_cast<double>(
       std::isfinite(tta) ? std::llround(tta * 1e6) : -1);
-  bench_case.counters["tta_ratio_x1000"] = static_cast<double>(
-      std::isfinite(tta)
-          ? std::llround(tta / baseline.result.async.virtual_seconds * 1e3)
-          : -1);
 }
 
 void emit_bench_json() {

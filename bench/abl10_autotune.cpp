@@ -16,9 +16,11 @@
 // percentile. The untuned start, whose evictions keep its stop test at
 // the tight Eq. 24 term, is the slowest case (EXPERIMENTS.md A10).
 // PLOS_BENCH_JSON mode emits BENCH_abl10_autotune.json with exact
-// llround-scaled counters (tta_within1pt_us, tta_vs_hand_x1000,
-// tune_actions, final_quorum_x1000, final_staleness_bound,
-// accuracy_x10000) for the CI perf gate.
+// llround-scaled counters (tta_within1pt_us, tune_actions,
+// final_quorum_x1000, final_staleness_bound, accuracy_x10000) for the CI
+// perf gate. The ratio to the hand-tuned run (tta_vs_hand) is printed in
+// the figure table only: it derives from the gated tta_within1pt_us, and
+// gated it would move every case when the hand-tuned schedule moves.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -89,7 +91,7 @@ void print_figure() {
 }
 
 void fill_counters(bench::BenchCase& bench_case, const CaseOutcome& outcome,
-                   const CaseOutcome& barrier, const CaseOutcome& hand) {
+                   const CaseOutcome& barrier) {
   const auto& a = outcome.result.async;
   bench_case.counters["admm_iterations"] = static_cast<double>(
       outcome.result.diagnostics.admm_iterations_total);
@@ -112,17 +114,12 @@ void fill_counters(bench::BenchCase& bench_case, const CaseOutcome& outcome,
       static_cast<double>(std::llround(outcome.accuracy * 1e4));
   bench_case.counters["acc_gap_vs_sync_x10000"] = static_cast<double>(
       std::llround((barrier.accuracy - outcome.accuracy) * 1e4));
-  // Time into (and staying in) the fixed accuracy band, and its ratio
-  // against the hand-tuned run — the acceptance metric (<= 1500 for the
-  // auto-tuned case).
+  // Time into (and staying in) the fixed accuracy band; its ratio to the
+  // hand-tuned run's is the acceptance metric (<= 1.5 for the auto-tuned
+  // case).
   const double tta = outcome.tta;
-  const double hand_tta = hand.tta;
   bench_case.counters["tta_within1pt_us"] = static_cast<double>(
       std::isfinite(tta) ? std::llround(tta * 1e6) : -1);
-  bench_case.counters["tta_vs_hand_x1000"] = static_cast<double>(
-      std::isfinite(tta) && std::isfinite(hand_tta)
-          ? std::llround(tta / hand_tta * 1e3)
-          : -1);
 }
 
 void emit_bench_json() {
@@ -145,10 +142,10 @@ void emit_bench_json() {
   bench::BenchCase tuned_case;
   tuned_case.stats = bench::run_timed([&] { tuned = run_auto_tuned(dataset); });
 
-  fill_counters(barrier_case, barrier, barrier, hand);
-  fill_counters(hand_case, hand, barrier, hand);
-  fill_counters(untuned_case, untuned, barrier, hand);
-  fill_counters(tuned_case, tuned, barrier, hand);
+  fill_counters(barrier_case, barrier, barrier);
+  fill_counters(hand_case, hand, barrier);
+  fill_counters(untuned_case, untuned, barrier);
+  fill_counters(tuned_case, tuned, barrier);
   suite.cases["sync_barrier_straggler30"] = barrier_case;
   suite.cases["hand_tuned_q60_b12"] = hand_case;
   suite.cases["untuned_start_q70_b4"] = untuned_case;

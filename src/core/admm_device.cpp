@@ -1,6 +1,7 @@
 #include "core/admm_device.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -21,42 +22,191 @@ void count_serialize_seconds(const Stopwatch& watch) {
   seconds.add(watch.elapsed_seconds());
 }
 
+// Message types of the ADMM exchange (DESIGN.md §9). A broadcast's type is
+// its DualFold code; 0 is the bootstrap upload (core/quorum_admm.cpp).
+constexpr std::uint32_t kUploadSolved = 2;
+constexpr std::uint32_t kUploadCenter = 3;
+
+bool known_fold(std::uint32_t type) {
+  switch (static_cast<DualFold>(type)) {
+    case DualFold::kExplicit:
+    case DualFold::kRelaxedFresh:
+    case DualFold::kPlainFresh:
+    case DualFold::kLateFold:
+    case DualFold::kUnchanged:
+    case DualFold::kZeroed:
+      return true;
+  }
+  return false;
+}
+
+linalg::Vector read_dim_vector(net::Deserializer& in, std::size_t dim) {
+  linalg::Vector v = in.read_vector();
+  PLOS_CHECK(v.size() == dim, "ADMM message: vector of length "
+                                  << v.size() << ", expected " << dim);
+  return v;
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> admm_broadcast_payload(std::span<const double> w0,
-                                                 std::span<const double> u) {
+linalg::Vector relaxed_point(std::span<const double> w,
+                             std::span<const double> v,
+                             std::span<const double> w0_old) {
+  linalg::Vector relaxed = linalg::sub(w, v);
+  linalg::scale(relaxed, kAdmmRelaxation);
+  linalg::axpy(1.0 - kAdmmRelaxation, w0_old, relaxed);
+  return relaxed;
+}
+
+void step_dual(DualFold fold, std::span<const double> w,
+               std::span<const double> v, std::span<const double> w0_solved,
+               std::span<const double> w0_new, linalg::Vector& u) {
+  switch (fold) {
+    case DualFold::kRelaxedFresh:
+      u = linalg::add(u, relaxed_point(w, v, w0_solved));
+      linalg::axpy(-1.0, w0_new, u);
+      return;
+    case DualFold::kPlainFresh: {
+      linalg::Vector residual = linalg::sub(w, w0_new);
+      linalg::axpy(-1.0, v, residual);
+      u = linalg::add(u, residual);
+      return;
+    }
+    case DualFold::kLateFold: {
+      linalg::Vector step = linalg::sub(w, w0_solved);
+      linalg::axpy(-1.0, v, step);
+      linalg::axpy(1.0, u, step);
+      u = std::move(step);
+      return;
+    }
+    case DualFold::kZeroed:
+      u = linalg::zeros(u.size());
+      return;
+    case DualFold::kUnchanged:
+      return;
+    case DualFold::kExplicit:
+      break;
+  }
+  PLOS_CHECK(false, "step_dual: kExplicit is not a dual step");
+}
+
+linalg::Vector prox_center(std::span<const double> w0,
+                           std::span<const double> u) {
+  PLOS_CHECK(w0.size() == u.size(), "prox_center: dimension mismatch");
+  linalg::Vector d(w0.size());
+  for (std::size_t j = 0; j < d.size(); ++j) d[j] = w0[j] - u[j];
+  return d;
+}
+
+ProxScales::ProxScales(std::size_t num_users,
+                       const DistributedPlosOptions& options)
+    : kappa(static_cast<double>(num_users) / (2.0 * options.params.lambda) +
+            1.0 / options.rho),
+      v_over_g(static_cast<double>(num_users) /
+               (2.0 * options.params.lambda)) {}
+
+LocalSolution solution_from_upload(const DeviceUpload& upload,
+                                   std::span<const double> center,
+                                   const ProxScales& scales) {
+  PLOS_CHECK(upload.z.size() == center.size(),
+             "solution_from_upload: dimension mismatch");
+  LocalSolution sol;
+  sol.w = upload.solved
+              ? prox_primal(center, scales.kappa, upload.z)
+              : linalg::Vector(center.begin(), center.end());
+  sol.v = linalg::scaled(upload.z, scales.v_over_g);
+  sol.xi = upload.xi;
+  return sol;
+}
+
+std::vector<std::uint8_t> encode_broadcast(DualFold fold,
+                                           std::span<const double> w0,
+                                           std::span<const double> u) {
   const Stopwatch watch;
   net::Serializer s;
-  s.write_u32(/*message type*/ 1);
+  s.write_u32(static_cast<std::uint32_t>(fold));
   s.write_vector(w0);
-  s.write_vector(u);
+  if (fold == DualFold::kExplicit) s.write_vector(u);
   count_serialize_seconds(watch);
   return s.take();
 }
 
-std::vector<std::uint8_t> admm_update_payload(std::span<const double> w,
-                                              std::span<const double> v,
-                                              double xi) {
+DeviceBroadcast decode_broadcast(std::span<const std::uint8_t> payload,
+                                 std::size_t dim) {
+  net::Deserializer in(payload);
+  const std::uint32_t type = in.read_u32();
+  PLOS_CHECK(known_fold(type), "ADMM broadcast: unknown type " << type);
+  DeviceBroadcast broadcast;
+  broadcast.fold = static_cast<DualFold>(type);
+  broadcast.w0 = read_dim_vector(in, dim);
+  if (broadcast.fold == DualFold::kExplicit) {
+    broadcast.u = read_dim_vector(in, dim);
+  }
+  PLOS_CHECK(in.exhausted(), "ADMM broadcast: " << in.remaining()
+                                                << " trailing bytes");
+  return broadcast;
+}
+
+std::vector<std::uint8_t> encode_upload(const DeviceUpload& upload) {
   const Stopwatch watch;
   net::Serializer s;
-  s.write_u32(/*message type*/ 2);
-  s.write_vector(w);
-  s.write_vector(v);
-  s.write_f64(xi);
+  s.write_u32(upload.solved ? kUploadSolved : kUploadCenter);
+  s.write_vector(upload.z);
+  s.write_f64(upload.xi);
   count_serialize_seconds(watch);
   return s.take();
+}
+
+DeviceUpload decode_upload(std::span<const std::uint8_t> payload,
+                           std::size_t dim) {
+  net::Deserializer in(payload);
+  const std::uint32_t type = in.read_u32();
+  PLOS_CHECK(type == kUploadSolved || type == kUploadCenter,
+             "ADMM upload: unknown type " << type);
+  DeviceUpload upload;
+  upload.solved = type == kUploadSolved;
+  upload.z = read_dim_vector(in, dim);
+  upload.xi = in.read_f64();
+  PLOS_CHECK(in.exhausted(),
+             "ADMM upload: " << in.remaining() << " trailing bytes");
+  return upload;
+}
+
+std::optional<linalg::Vector> HeldDual::replay(
+    DualFold fold, std::span<const double> w0_now) const {
+  switch (fold) {
+    case DualFold::kExplicit:
+      return std::nullopt;
+    case DualFold::kRelaxedFresh:
+    case DualFold::kPlainFresh:
+    case DualFold::kLateFold:
+      if (w.empty()) return std::nullopt;
+      break;
+    case DualFold::kUnchanged:
+    case DualFold::kZeroed:
+      break;
+  }
+  linalg::Vector next = u;
+  step_dual(fold, w, v, w0, w0_now, next);
+  return next;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 AdmmDevice::AdmmDevice(const data::UserData& user, std::size_t num_users,
-                       const DistributedPlosOptions& options)
+                       std::size_t dim, const DistributedPlosOptions& options)
     : ctx_(PlosUserContext::from_user(user)),
       options_(&options),
       num_users_(static_cast<double>(num_users)),
-      kappa_(static_cast<double>(num_users) / (2.0 * options.params.lambda) +
-             1.0 / options.rho),
-      v_over_g_(static_cast<double>(num_users) /
-                (2.0 * options.params.lambda)),
-      working_set_(kappa_) {}
+      dim_(dim),
+      scales_(num_users, options),
+      working_set_(scales_.kappa) {
+  held_.u = linalg::zeros(dim);
+}
 
 linalg::Vector AdmmDevice::bootstrap_weights() const {
   if (ctx_.labeled.empty()) return {};
@@ -74,30 +224,38 @@ void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
   signs_ = round_signs(ctx_, current_weights, first_round,
                        options_->params.lambda / num_users_,
                        options_->params.cl, options_->params.cu, seed);
-  working_set_ = qp::SimplexBlock(kappa_);
+  working_set_ = qp::SimplexBlock(scales_.kappa);
 }
 
-AdmmDevice::LocalSolution AdmmDevice::solve(std::span<const double> w0,
-                                            std::span<const double> u) {
-  const std::size_t dim = w0.size();
-  linalg::Vector d(dim);
-  for (std::size_t j = 0; j < dim; ++j) d[j] = w0[j] - u[j];
+std::vector<std::uint8_t> AdmmDevice::answer(
+    std::span<const std::uint8_t> broadcast) {
+  DeviceBroadcast received = decode_broadcast(broadcast, dim_);
+  if (received.fold == DualFold::kExplicit) {
+    held_.u = std::move(received.u);
+  } else {
+    std::optional<linalg::Vector> u = held_.replay(received.fold, received.w0);
+    PLOS_CHECK(u.has_value(), "AdmmDevice: cannot replay dual fold "
+                                  << static_cast<std::uint32_t>(received.fold));
+    held_.u = std::move(*u);
+  }
+  const linalg::Vector center = prox_center(received.w0, held_.u);
 
   // The working set persists across ADMM iterations (the planes depend
-  // only on the CCCP signs); the loop re-solves it at the new center d.
-  ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
-      ctx_, signs_, options_->params.cl, options_->params.cu, d,
+  // only on the CCCP signs); the loop re-solves it at the new center.
+  const ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
+      ctx_, signs_, options_->params.cl, options_->params.cu, center,
       working_set_, shifted_, options_->cutting_plane.epsilon,
       options_->cutting_plane.max_iterations);
   qp_solves_ += solved.qp_solves;
   qp_iterations_ += solved.qp_pivots;
   qp_unconverged_ += solved.qp_unconverged;
 
-  LocalSolution sol;
-  sol.w = std::move(solved.w);
-  sol.v = linalg::scaled(working_set_.z, v_over_g_);
-  sol.xi = solved.xi;
-  return sol;
+  const DeviceUpload upload{solved.qp_solves > 0, working_set_.z, solved.xi};
+  LocalSolution sol = solution_from_upload(upload, center, scales_);
+  held_.w0 = std::move(received.w0);
+  held_.w = std::move(sol.w);
+  held_.v = std::move(sol.v);
+  return encode_upload(upload);
 }
 
 StalenessLedger::StalenessLedger(std::size_t num_users)

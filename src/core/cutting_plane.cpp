@@ -263,6 +263,13 @@ std::optional<CuttingPlane> separate(const PlosUserContext& ctx,
   return plane;
 }
 
+linalg::Vector prox_primal(std::span<const double> center, double kappa,
+                           std::span<const double> z) {
+  linalg::Vector w(center.begin(), center.end());
+  linalg::axpy(kappa, z, w);
+  return w;
+}
+
 ProxCuttingPlaneResult solve_prox_cutting_planes(
     const PlosUserContext& ctx, std::span<const int> signs, double cl,
     double cu, std::span<const double> center, qp::SimplexBlock& working_set,
@@ -282,8 +289,7 @@ ProxCuttingPlaneResult solve_prox_cutting_planes(
     if (!solved.converged) ++result.qp_unconverged;
     working_set.gamma = solved.solution;
     working_set.refresh_z(dim);
-    result.w.assign(center.begin(), center.end());
-    linalg::axpy(kappa, working_set.z, result.w);
+    result.w = prox_primal(center, kappa, working_set.z);
   };
 
   // The planes depend only on the signs, but the center moved: re-derive

@@ -152,6 +152,11 @@ struct ProxCuttingPlaneResult {
   int qp_unconverged = 0;  ///< of those solves, not converged
 };
 
+/// w = center + κ·z, the primal of the prox dual below. The server rebuilds
+/// a device's w_t from its upload with it (core/admm_device).
+linalg::Vector prox_primal(std::span<const double> center, double kappa,
+                           std::span<const double> z);
+
 /// The prox cutting-plane loop of the device solve (Eq. 22) and the local
 /// fit: min ‖w − center‖²/(2κ) + ξ over the user's 1-slack constraints,
 /// κ = working_set.scale(), through the capped-simplex dual

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -36,7 +37,7 @@ struct PendingUpload {
   double arrival = 0.0;         ///< absolute virtual seconds
   std::uint64_t data_step = 0;  ///< aggregation step the solve was based on
   linalg::Vector w0_sent;       ///< consensus the device solved against
-  AdmmDevice::LocalSolution sol;
+  LocalSolution sol;            ///< rebuilt from the decoded upload
   char cause = kLateUpload;  ///< kLateUpload | kDeadlineMissed
 };
 
@@ -55,7 +56,8 @@ AdmmDevice::Counts fleet_counts(const std::vector<AdmmDevice>& devices) {
 
 // Server-side state of one train_quorum_admm run: the devices it drives,
 // the consensus w0, the cached blocks (w_t, v_t, ξ_t) with their duals u_t,
-// the in-flight uploads and the scheduling state. Devices are simulated
+// its copy of what each device holds to replay a dual fold, the in-flight
+// uploads and the scheduling state. Devices are simulated
 // concurrently: each worker owns a disjoint set of device indices per round
 // (static chunking), so all per-device state — working sets, solution
 // slots, SimNetwork per-device ledgers — is written by exactly one thread
@@ -72,11 +74,14 @@ struct Server {
         pool(schedule.base.num_threads),
         num_users(dataset.num_users()),
         dim(dataset.dim()),
+        scales(num_users, schedule.base),
         tracked(base.journal != nullptr || base.watchdog != nullptr ||
                 schedule.autotune.enabled),
         u(num_users, linalg::zeros(dim)),
         v(num_users, linalg::zeros(dim)),
         xi(num_users, 0.0),
+        held(num_users, HeldDual{linalg::zeros(dim), {}, {}, {}}),
+        last_fold(num_users, DualFold::kUnchanged),
         pending(num_users),
         staleness(num_users),
         deadlines(num_users, schedule.adaptive_deadline),
@@ -91,7 +96,7 @@ struct Server {
     result.model = PersonalizedModel::zeros(num_users, dim);
     devices.reserve(num_users);
     for (const data::UserData& user : dataset.users) {
-      devices.emplace_back(user, num_users, base);
+      devices.emplace_back(user, num_users, dim, base);
     }
   }
 
@@ -118,6 +123,7 @@ struct Server {
   parallel::ThreadPool pool;
   const std::size_t num_users;
   const std::size_t dim;
+  const ProxScales scales;
   // Journal, watchdog or auto-tuner: the per-step record is built. The
   // controller reads it, so untraced, untuned runs skip its fleet sums.
   const bool tracked;
@@ -129,6 +135,12 @@ struct Server {
   std::vector<linalg::Vector> u;
   std::vector<linalg::Vector> v;
   linalg::Vector xi;
+  // What each device holds from its last delivered broadcast (and, when
+  // its upload arrived, its solution), and the dual step last applied to
+  // u_t since then; dispatch replays the one on the other to choose the
+  // broadcast's fold code.
+  std::vector<HeldDual> held;
+  std::vector<DualFold> last_fold;
 
   // Scheduling state. The staleness ledger behind the journal's staleness
   // fields ticks once per ADMM iteration, spanning CCCP rounds.
@@ -166,8 +178,10 @@ struct Server {
 struct Trip {
   bool dispatched = false;
   bool delivered = false;
+  bool downloaded = false;  ///< the broadcast reached the device
+  DualFold fold = DualFold::kUnchanged;  ///< the broadcast's dual code
   double completion = 0.0;  ///< virtual seconds from the round start
-  AdmmDevice::LocalSolution sol;
+  LocalSolution sol;        ///< rebuilt from the decoded upload
   // Uplink attempt log for the flight recorder; the replay reads the trips
   // in ascending device order, so the log order never depends on worker
   // interleaving.
@@ -267,6 +281,7 @@ void evict(Server& s, Step& step, std::size_t t, char cause) {
   s.v[t] = linalg::zeros(s.dim);
   s.xi[t] = 0.0;
   s.u[t] = linalg::zeros(s.dim);
+  s.last_fold[t] = DualFold::kZeroed;
   s.staleness.refresh(t, s.aggregation_step);
   s.refreshed[t] = 0;
   switch (cause) {
@@ -315,12 +330,23 @@ void fold_late_uploads(Server& s, Step& step) {
   }
 }
 
+// The broadcast's dual code for device t: the step last applied to u_t
+// if the device, replaying it from what it holds, lands on u_t bit for
+// bit; kExplicit otherwise.
+DualFold choose_fold(const Server& s, std::size_t t) {
+  const DualFold fold = s.last_fold[t];
+  const std::optional<linalg::Vector> replayed = s.held[t].replay(fold, s.w0);
+  return replayed && same_bits(*replayed, s.u[t]) ? fold : DualFold::kExplicit;
+}
+
 // Scatter, local solves, gather (buffered): the T independent per-device
-// prox-QPs (Eq. 22), solved concurrently. Solutions are buffered and
-// applied on the aggregation thread once the event order decides who made
-// the cut; churned-out devices, failed round trips, and deadline misses
-// leave the server's cached block in place even though the device's local
-// working set may have advanced.
+// prox-QPs (Eq. 22), solved concurrently. Each side works from the decoded
+// bytes: the device answers the broadcast payload, and the server rebuilds
+// the block from the upload payload around the center it sent. Solutions
+// are buffered and applied on the aggregation thread once the event order
+// decides who made the cut; churned-out devices, failed round trips, and
+// deadline misses leave the server's cached block in place even though
+// the device's local working set may have advanced.
 void dispatch(Server& s, Step& step) {
   const net::FaultModel& fault = s.network.fault_model();
   s.pool.parallel_for(s.num_users, [&](std::size_t t) {
@@ -329,17 +355,25 @@ void dispatch(Server& s, Step& step) {
       step.status[t] = kOffline;
       return;
     }
-    const auto downlink = s.network.transmit_to_device(
-        t, admm_broadcast_payload(s.w0, s.u[t]));
+    Trip& trip = step.trips[t];
+    trip.fold = choose_fold(s, t);
+    const std::vector<std::uint8_t> broadcast =
+        encode_broadcast(trip.fold, s.w0, s.u[t]);
+    const auto downlink = s.network.transmit_to_device(t, broadcast);
     if (!downlink.delivered) {
       step.status[t] = kDownlinkFailed;
-      return;  // device never received (w0, u_t) this round
+      return;  // device never received the broadcast this round
     }
+    trip.downloaded = true;
+    s.held[t] = HeldDual{s.u[t], s.w0, {}, {}};
+    s.last_fold[t] = DualFold::kUnchanged;
     PLOS_SPAN("plos.device_solve", "device", static_cast<double>(t));
     Stopwatch device_watch;
     const int qp_iterations_before = s.devices[t].counts().qp_iterations;
-    auto sol = s.devices[t].solve(s.w0, s.u[t]);
+    const std::vector<std::uint8_t> upload = s.devices[t].answer(broadcast);
     s.network.account_device_compute(t, device_watch.elapsed_seconds());
+    PLOS_CHECK(same_bits(s.devices[t].held_dual(), s.u[t]),
+               "dispatch: device " << t << " holds a dual other than u_t");
     if (fault.misses_deadline(step.round, t)) {
       // Straggler past the fault schedule's round deadline: the compute
       // happened (and was charged) but the server stopped waiting, so the
@@ -349,17 +383,21 @@ void dispatch(Server& s, Step& step) {
     }
     const int qp_iteration_delta =
         s.devices[t].counts().qp_iterations - qp_iterations_before;
-    auto uplink = s.network.transmit_to_server(
-        t, admm_update_payload(sol.w, sol.v, sol.xi));
-    if (!uplink.delivered) step.status[t] = kUplinkFailed;
-    Trip& trip = step.trips[t];
+    auto uplink = s.network.transmit_to_server(t, upload);
+    if (uplink.delivered) {
+      trip.sol = solution_from_upload(decode_upload(upload, s.dim),
+                                      prox_center(s.w0, s.u[t]), s.scales);
+      s.held[t].w = trip.sol.w;
+      s.held[t].v = trip.sol.v;
+    } else {
+      step.status[t] = kUplinkFailed;
+    }
     trip.dispatched = true;
     trip.delivered = uplink.delivered;
     trip.completion = completion_seconds(
         s.options.latency, downlink.seconds + uplink.seconds,
         qp_iteration_delta, s.network.device_profile(t).cpu_slowdown,
         fault.time_multiplier(step.round, t), step.round, t);
-    trip.sol = std::move(sol);
     if (s.flight != nullptr) trip.attempts = std::move(uplink.attempt_log);
   });
 }
@@ -494,8 +532,14 @@ void evict_stale(Server& s, Step& step) {
 
 // Degradation tallies and miss-cause tracking (fixed device order).
 void tally(Server& s, Step& step) {
+  QuorumAdmmDiagnostics& async = s.result.async;
   for (std::size_t t = 0; t < s.num_users; ++t) {
     step.causes.add(static_cast<std::size_t>(step.status[t]));
+    const Trip& trip = step.trips[t];
+    if (trip.downloaded) {
+      ++(trip.fold == DualFold::kExplicit ? async.broadcasts_explicit
+                                          : async.broadcasts_folded);
+    }
     if (step.fresh[t] != 0) {
       s.last_miss_cause[t] = kParticipated;
     } else if (step.status[t] != kParticipated) {
@@ -511,7 +555,6 @@ void tally(Server& s, Step& step) {
   diagnostics.participation_trace.push_back(
       static_cast<double>(step.fresh_count) /
       static_cast<double>(s.num_users));
-  QuorumAdmmDiagnostics& async = s.result.async;
   async.quorum_trace.push_back(step.fresh_count);
   async.late_uploads_total += step.late_count;
   async.evictions_offline_total += step.ev_offline;
@@ -525,8 +568,12 @@ void tally(Server& s, Step& step) {
 // residuals, and the end of the network round.
 void aggregate(Server& s, Step& step) {
   Stopwatch server_watch;
+  std::vector<DualFold> folds;
   step.sums = admm_server_update(s.w, s.v, step.fresh, step.late_w0,
-                                 s.base.rho, s.w0, s.u);
+                                 s.base.rho, s.w0, s.u, &folds);
+  for (std::size_t t = 0; t < s.num_users; ++t) {
+    if (folds[t] != DualFold::kUnchanged) s.last_fold[t] = folds[t];
+  }
   step.objective = linalg::squared_norm(s.w0);
   for (std::size_t t = 0; t < s.num_users; ++t) {
     step.objective += s.base.params.lambda /
@@ -660,7 +707,8 @@ ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
                                     const std::vector<char>& fresh,
                                     const std::vector<linalg::Vector>& late_w0,
                                     double rho, linalg::Vector& w0,
-                                    std::vector<linalg::Vector>& u) {
+                                    std::vector<linalg::Vector>& u,
+                                    std::vector<DualFold>* folds) {
   const std::size_t num_users = w.size();
   PLOS_CHECK(num_users > 0 && v.size() == num_users &&
                  fresh.size() == num_users && late_w0.size() == num_users &&
@@ -672,14 +720,11 @@ ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
   // quorum < 1 runs are bitwise those of plain ADMM (DESIGN.md §3).
   const bool relax = std::all_of(fresh.begin(), fresh.end(),
                                  [](char f) { return f != 0; });
-  std::vector<linalg::Vector> relaxed(relax ? num_users : 0);
+  const linalg::Vector w0_old = w0;
   linalg::Vector acc = linalg::zeros(w0.size());
   for (std::size_t t = 0; t < num_users; ++t) {
     if (relax) {
-      relaxed[t] = linalg::sub(w[t], v[t]);
-      linalg::scale(relaxed[t], kAdmmRelaxation);
-      linalg::axpy(1.0 - kAdmmRelaxation, w0, relaxed[t]);
-      linalg::axpy(1.0, relaxed[t], acc);
+      linalg::axpy(1.0, relaxed_point(w[t], v[t], w0_old), acc);
     } else {
       linalg::axpy(1.0, w[t], acc);
       linalg::axpy(-1.0, v[t], acc);
@@ -689,6 +734,7 @@ ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
   linalg::scale(acc, rho / (2.0 + static_cast<double>(num_users) * rho));
   w0 = std::move(acc);
 
+  if (folds != nullptr) folds->assign(num_users, DualFold::kUnchanged);
   ServerUpdateSums sums;
   for (std::size_t t = 0; t < num_users; ++t) {
     linalg::Vector residual = linalg::sub(w[t], w0);
@@ -701,17 +747,17 @@ ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
     // here, after this step's dispatch, so a device re-dispatched in the
     // step its late upload folds still solves against the pre-fold u_t.
     // Every other block keeps its u.
+    DualFold fold = DualFold::kUnchanged;
     if (relax) {
-      u[t] = linalg::add(u[t], relaxed[t]);
-      linalg::axpy(-1.0, w0, u[t]);
+      fold = DualFold::kRelaxedFresh;
     } else if (fresh[t] != 0) {
-      u[t] = linalg::add(u[t], residual);
+      fold = DualFold::kPlainFresh;
     } else if (!late_w0[t].empty()) {
-      linalg::Vector step = linalg::sub(w[t], late_w0[t]);
-      linalg::axpy(-1.0, v[t], step);
-      linalg::axpy(1.0, u[t], step);
-      u[t] = std::move(step);
+      fold = DualFold::kLateFold;
     }
+    step_dual(fold, w[t], v[t],
+              fold == DualFold::kLateFold ? late_w0[t] : w0_old, w0, u[t]);
+    if (folds != nullptr) (*folds)[t] = fold;
     sums.primal_sq += linalg::squared_norm(residual);
     sums.w_sq += linalg::squared_norm(w[t]);
     linalg::Vector target = linalg::add(w0, v[t]);

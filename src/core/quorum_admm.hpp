@@ -44,6 +44,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/admm_device.hpp"
 #include "core/autotune.hpp"
 #include "core/distributed_plos.hpp"
 #include "core/latency.hpp"
@@ -108,6 +109,10 @@ struct QuorumAdmmDiagnostics {
   std::uint64_t evictions_late_total = 0;
   std::uint64_t evictions_failed_total = 0;
   std::uint64_t max_staleness_seen = 0;  ///< max block age at any aggregate
+  /// Delivered broadcasts by dual path (DESIGN.md §9): the device replayed
+  /// u_t from a fold code, or u_t travelled in full.
+  std::uint64_t broadcasts_folded = 0;
+  std::uint64_t broadcasts_explicit = 0;
   /// Auto-tune outcome (meaningful when options.autotune.enabled): knob
   /// values in force at the end of the run and the number of journaled
   /// controller actions (holds excluded).
@@ -135,11 +140,6 @@ struct QuorumAdmmResult {
 /// tolerance.
 double eq24_relative_term(int cccp_round);
 
-/// Over-relaxation of the consensus step (Eckstein & Bertsekas 1992; Boyd
-/// et al. §3.4.3, which recommends α in [1.5, 1.8]). Same fixed point as
-/// plain ADMM; applied only in steps where every block is fresh.
-inline constexpr double kAdmmRelaxation = 1.6;
-
 /// Stop-rule sums of one server step, all over the unrelaxed per-block
 /// residual r_t = w_t − v_t − w0 against the new consensus.
 struct ServerUpdateSums {
@@ -157,13 +157,15 @@ struct ServerUpdateSums {
 /// against; every other block keeps its dual. When every block is fresh,
 /// w_t − v_t is replaced by x̂_t = α(w_t − v_t) + (1 − α)·w0 (α =
 /// kAdmmRelaxation) in the w0 sum and the dual step; any other step is
-/// plain Eq. 23.
+/// plain Eq. 23. Each block's dual moves by step_dual; when `folds` is set
+/// it receives the step each block took (kUnchanged for none).
 ServerUpdateSums admm_server_update(const std::vector<linalg::Vector>& w,
                                     const std::vector<linalg::Vector>& v,
                                     const std::vector<char>& fresh,
                                     const std::vector<linalg::Vector>& late_w0,
                                     double rho, linalg::Vector& w0,
-                                    std::vector<linalg::Vector>& u);
+                                    std::vector<linalg::Vector>& u,
+                                    std::vector<DualFold>* folds = nullptr);
 
 /// Trains distributed PLOS under the given schedule. Every exchange goes
 /// through `network`'s transmit_* (which decides framing and retries from

@@ -520,6 +520,79 @@ TEST(InexactCccp, LooseStopsReadOnlyFullyRefreshedAggregates) {
   EXPECT_GT(guarded_steps, 0);
 }
 
+/// An eviction un-refreshes its block: on a churned fleet whose every
+/// delivered upload is fresh (quorum 1.0, no deadlines, churn only), the
+/// refreshed set is known exactly from the flight log, and a step reads
+/// 1e-2 while any evicted block has not been refreshed again. The check
+/// counts the steps where only such blocks held the term at 1e-2, so the
+/// guard, not some other unrefreshed block, was what decided them.
+TEST(InexactCccp, EvictedBlockHoldsOnePercentUntilRefreshed) {
+  constexpr std::size_t kUsers = 10;
+  int eviction_guarded_steps = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const auto dataset = make_population(kUsers, 0.5, 5, 0.4, 30 + seed);
+    net::FaultSpec faults;
+    faults.offline_probability = 0.3;
+    faults.seed = seed;
+    net::SimNetwork network(kUsers, net::DeviceProfile{}, net::LinkProfile{});
+    network.set_fault_model(net::FaultModel(faults));
+    obs::Journal journal;
+    obs::FlightRecorder flight;
+    AsyncQuorumOptions options = degenerate_options(/*staleness_bound=*/2);
+    options.base.cccp.max_iterations = 5;
+    options.base.journal = &journal;
+    options.flight = &flight;
+    train_async_quorum_plos(dataset, options, &network);
+
+    const std::vector<obs::RoundRecord> records = journal.records();
+    ASSERT_EQ(flight.dropped(), 0u);
+    std::vector<std::vector<char>> fresh(records.size(),
+                                         std::vector<char>(kUsers, 0));
+    std::vector<std::vector<char>> evicted = fresh;
+    for (const obs::FlightEvent& event : flight.events()) {
+      ASSERT_LT(event.round, records.size());
+      ASSERT_NE(event.kind, obs::FlightEventKind::kLateFold);
+      if (event.kind == obs::FlightEventKind::kUploadAttempt &&
+          event.cause == static_cast<int>(obs::AttemptResult::kDelivered)) {
+        fresh[event.round][event.device] = 1;
+      } else if (event.kind == obs::FlightEventKind::kEviction) {
+        evicted[event.round][event.device] = 1;
+      }
+    }
+
+    // Per block: 0 not refreshed this CCCP round, 1 refreshed, 2 evicted
+    // after a refresh and not refreshed since. Within a step the fresh
+    // uploads land before the evictions of aged blocks.
+    std::vector<int> state(kUsers, 0);
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      const obs::RoundRecord& record = records[k];
+      if (k == 0 || record.cccp_round != records[k - 1].cccp_round) {
+        std::fill(state.begin(), state.end(), 0);
+      }
+      for (std::size_t t = 0; t < kUsers; ++t) {
+        if (fresh[k][t] != 0) state[t] = 1;
+        if (evicted[k][t] != 0) state[t] = state[t] == 0 ? 0 : 2;
+      }
+      const bool any_evicted =
+          std::find(state.begin(), state.end(), 2) != state.end();
+      const bool none_unrefreshed =
+          std::find(state.begin(), state.end(), 0) == state.end();
+      if (any_evicted) {
+        EXPECT_EQ(record.eq24_rel, 0.01)
+            << "seed " << seed << " step " << k
+            << " read a loose term with an evicted block not refreshed";
+        if (none_unrefreshed &&
+            core::eq24_relative_term(record.cccp_round) > 0.01) {
+          ++eviction_guarded_steps;
+        }
+      }
+    }
+  }
+  // Not vacuous: some loose-round steps were held at 1e-2 by evicted
+  // blocks alone.
+  EXPECT_GT(eviction_guarded_steps, 0);
+}
+
 /// A loose stop that would end CCCP on its objective tolerance is refused:
 /// with a tolerance wide enough to end CCCP in round 1, whose scheduled
 /// term is 0.15, the round still runs on to 1e-2.
