@@ -8,7 +8,6 @@
 #include "common/stopwatch.hpp"
 #include "net/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 
@@ -208,15 +207,12 @@ AdmmDevice::AdmmDevice(const data::UserData& user, std::size_t num_users,
   held_.u = linalg::zeros(dim);
 }
 
-linalg::Vector AdmmDevice::bootstrap_weights() const {
-  if (ctx_.labeled.empty()) return {};
-  std::vector<linalg::Vector> xs;
-  std::vector<int> ys;
-  for (std::size_t i : ctx_.labeled) {
-    xs.push_back(ctx_.user->samples[i]);
-    ys.push_back(ctx_.user->true_labels[i]);
-  }
-  return svm::train_linear_svm(xs, ys).weights;
+linalg::Vector AdmmDevice::bootstrap_weights() {
+  SvmFit fit = fit_svm(ctx_, /*c=*/1.0);
+  qp_solves_ += fit.qp_solves;
+  qp_iterations_ += fit.qp_pivots;
+  qp_unconverged_ += fit.qp_unconverged;
+  return std::move(fit.weights);
 }
 
 void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,

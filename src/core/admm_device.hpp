@@ -162,9 +162,9 @@ class AdmmDevice {
   AdmmDevice(const data::UserData& user, std::size_t num_users,
              std::size_t dim, const DistributedPlosOptions& options);
 
-  /// Local SVM on revealed labels for the bootstrap round; empty when the
-  /// device has no labels.
-  linalg::Vector bootstrap_weights() const;
+  /// Local SVM (fit_svm, C = 1) on revealed labels for the bootstrap round,
+  /// its QP solves added to counts(); empty when the device has no labels.
+  linalg::Vector bootstrap_weights();
 
   /// Starts a CCCP round: fix linearization signs at the current w_t and
   /// reset the working set (the planes depend on the signs).

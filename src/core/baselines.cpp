@@ -7,16 +7,16 @@
 #include "cluster/lsh.hpp"
 #include "cluster/spectral.hpp"
 #include "common/assert.hpp"
+#include "core/cutting_plane.hpp"
 #include "parallel/thread_pool.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 
 namespace {
 
-svm::LinearSvmModel train_pooled_svm(
-    const data::MultiUserDataset& dataset,
-    const std::vector<std::size_t>& member_users, double c) {
+linalg::Vector train_pooled_svm(const data::MultiUserDataset& dataset,
+                                const std::vector<std::size_t>& member_users,
+                                double c) {
   std::vector<linalg::Vector> xs;
   std::vector<int> ys;
   for (std::size_t t : member_users) {
@@ -26,16 +26,16 @@ svm::LinearSvmModel train_pooled_svm(
       ys.push_back(user.true_labels[i]);
     }
   }
-  svm::LinearSvmOptions options;
-  options.c = c;
-  return svm::train_linear_svm(xs, ys, options);
+  return fit_svm(std::move(xs), ys, c).weights;
 }
 
 UserPrediction predict_with_svm(const data::UserData& user,
-                                const svm::LinearSvmModel& model) {
+                                std::span<const double> weights) {
   UserPrediction p;
   p.labels.reserve(user.num_samples());
-  for (const auto& x : user.samples) p.labels.push_back(model.predict(x));
+  for (const auto& x : user.samples) {
+    p.labels.push_back(linalg::dot(weights, x) >= 0.0 ? 1 : -1);
+  }
   return p;
 }
 

@@ -151,7 +151,11 @@ CentralizedPlosResult train_centralized_plos(
   const Stopwatch watch;
   CentralizedPlosResult result;
   result.model = PersonalizedModel::zeros(num_users, dim);
-  result.model.global_weights = initial_global_weights(dataset, options.seed);
+  SvmFit start = initial_global_weights(dataset, options.seed);
+  result.model.global_weights = std::move(start.weights);
+  // Round 0's record counts the start's solves with its own.
+  result.diagnostics.qp_solves = start.qp_solves;
+  result.diagnostics.qp_unconverged = start.qp_unconverged;
 
   std::vector<PlosUserContext> contexts;
   contexts.reserve(num_users);
@@ -161,9 +165,10 @@ CentralizedPlosResult train_centralized_plos(
 
   const auto cccp_round = [&](int cccp, double previous_objective)
       -> std::optional<double> {
-    const int round_qp_solves_before = result.diagnostics.qp_solves;
+    const int round_qp_solves_before =
+        cccp == 0 ? 0 : result.diagnostics.qp_solves;
     const int round_qp_unconverged_before =
-        result.diagnostics.qp_unconverged;
+        cccp == 0 ? 0 : result.diagnostics.qp_unconverged;
 
     // Fix the CCCP linearization signs at the current iterate. Each user's
     // signs depend only on their own data, weights, and a per-user seed, so
@@ -183,8 +188,10 @@ CentralizedPlosResult train_centralized_plos(
     // fixed the CCCP signs; it is kept for the rollback below.
     PersonalizedModel previous_model =
         std::exchange(result.model, PersonalizedModel::zeros(num_users, dim));
-    const int round_qp_iterations = solve_subproblem(
-        pool, contexts, signs, options, result.model, result.diagnostics);
+    const int round_qp_iterations =
+        solve_subproblem(pool, contexts, signs, options, result.model,
+                         result.diagnostics) +
+        (cccp == 0 ? start.qp_pivots : 0);
 
     const double objective =
         plos_objective(dataset, result.model, options.params);

@@ -58,12 +58,13 @@ struct CentralizedPlosOptions {
 struct PlosDiagnostics {
   std::vector<double> objective_trace;  ///< objective after each CCCP round
   int cccp_iterations = 0;
-  int qp_solves = 0;
+  int qp_solves = 0;       ///< dual QP solves, the SVM start's included
   int qp_unconverged = 0;  ///< of those, solves not converged
   std::size_t final_constraint_count = 0;
   double train_seconds = 0.0;
   /// Dual QP solves per *started* CCCP round, including a final round
-  /// rejected by the descent safeguard (the journal's per-round qp_solves).
+  /// rejected by the descent safeguard (the journal's per-round qp_solves);
+  /// round 0 counts the SVM start's.
   std::vector<int> round_qp_solves;
   /// True when the convergence watchdog aborted the run (see
   /// CentralizedPlosOptions::watchdog).

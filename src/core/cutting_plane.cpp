@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rng/engine.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 
@@ -163,20 +162,6 @@ linalg::Vector random_unit_direction(std::size_t dim, std::uint64_t seed) {
   return w;
 }
 
-linalg::Vector initial_global_weights(const data::MultiUserDataset& dataset,
-                                      std::uint64_t seed) {
-  std::vector<linalg::Vector> xs;
-  std::vector<int> ys;
-  for (const auto& user : dataset.users) {
-    for (std::size_t i : user.revealed_indices()) {
-      xs.push_back(user.samples[i]);
-      ys.push_back(user.true_labels[i]);
-    }
-  }
-  if (!xs.empty()) return svm::train_linear_svm(xs, ys).weights;
-  return random_unit_direction(dataset.dim(), seed);
-}
-
 CuttingPlane most_violated_constraint(const PlosUserContext& ctx,
                                       std::span<const int> signs,
                                       std::span<const double> user_weights,
@@ -313,6 +298,76 @@ ProxCuttingPlaneResult solve_prox_cutting_planes(
   }
   result.xi = optimal_slack(working_set, result.w);
   return result;
+}
+
+SvmFit fit_svm(const PlosUserContext& ctx, double c) {
+  PLOS_CHECK(ctx.user != nullptr, "fit_svm: null user");
+  PLOS_CHECK(c > 0.0, "fit_svm: C must be positive");
+  SvmFit fit;
+  if (ctx.labeled.empty()) return fit;
+  const PlosUserContext labeled{ctx.user, ctx.labeled, {}};
+  const double kappa = c * static_cast<double>(ctx.num_samples());
+  qp::SimplexBlock working_set(kappa);
+  linalg::Vector shifted;
+  const linalg::Vector center =
+      linalg::zeros(ctx.user->samples[ctx.labeled.front()].size());
+  ProxCuttingPlaneResult solved = solve_prox_cutting_planes(
+      labeled, {}, /*cl=*/1.0, /*cu=*/0.0, center, working_set, shifted,
+      /*epsilon=*/0.0, kSvmMaxPlanes);
+
+  fit.qp_solves = solved.qp_solves;
+  fit.qp_pivots = solved.qp_pivots;
+  // The loop adds one plane per step until the oracle stops it, so a full
+  // budget means the budget ended it.
+  const bool budget_spent =
+      working_set.planes.size() == static_cast<std::size_t>(kSvmMaxPlanes);
+  fit.qp_unconverged = solved.qp_unconverged + (budget_spent ? 1 : 0);
+  // α_i = C·Σ_{a ∋ i} γ_a: Σα = κ·Σ_a γ_a b_a and Σ α_i y_i x_i = κ·z = w.
+  fit.dual_objective = kappa * linalg::dot(working_set.gamma,
+                                           working_set.linear) -
+                       0.5 * linalg::squared_norm(solved.w);
+  fit.weights = std::move(solved.w);
+
+  static obs::Counter& fits = obs::metrics().counter("plos.svm.fits");
+  static obs::Counter& inexact =
+      obs::metrics().counter("plos.svm.inexact_fits");
+  fits.increment();
+  if (!fit.exact()) inexact.increment();
+  return fit;
+}
+
+SvmFit fit_svm(std::vector<linalg::Vector> samples,
+               std::span<const int> labels, double c) {
+  PLOS_CHECK(samples.size() == labels.size(),
+             "fit_svm: samples/labels size mismatch");
+  for (int y : labels) {
+    PLOS_CHECK(y == 1 || y == -1, "fit_svm: labels must be +/-1");
+  }
+  for (const linalg::Vector& x : samples) {
+    PLOS_CHECK(x.size() == samples.front().size(), "fit_svm: ragged samples");
+  }
+  data::UserData user;
+  user.samples = std::move(samples);
+  user.true_labels.assign(labels.begin(), labels.end());
+  user.revealed.assign(user.samples.size(), true);
+  return fit_svm(PlosUserContext::from_user(user), c);
+}
+
+SvmFit initial_global_weights(const data::MultiUserDataset& dataset,
+                              std::uint64_t seed) {
+  PLOS_SPAN("plos.initial_weights");
+  std::vector<linalg::Vector> xs;
+  std::vector<int> ys;
+  for (const auto& user : dataset.users) {
+    for (std::size_t i : user.revealed_indices()) {
+      xs.push_back(user.samples[i]);
+      ys.push_back(user.true_labels[i]);
+    }
+  }
+  if (!xs.empty()) return fit_svm(std::move(xs), ys, /*c=*/1.0);
+  SvmFit start;
+  start.weights = random_unit_direction(dataset.dim(), seed);
+  return start;
 }
 
 }  // namespace plos::core

@@ -107,11 +107,6 @@ bool cccp_tolerance_met(const CccpOptions& options, double previous,
 /// PLOS degenerates to maximum-margin clustering.
 linalg::Vector random_unit_direction(std::size_t dim, std::uint64_t seed);
 
-/// Initial global weights of the centralized hinge and logistic trainers: a
-/// linear SVM pooled over every revealed label, or
-/// random_unit_direction(dataset.dim(), seed) when there are none.
-linalg::Vector initial_global_weights(const data::MultiUserDataset& dataset,
-                                      std::uint64_t seed);
 
 /// The most violated constraint (Eq. 14) for user `ctx` at weights `w`:
 /// selects labeled samples with y_i (w·x_i) < 1 and unlabeled samples with
@@ -170,5 +165,49 @@ ProxCuttingPlaneResult solve_prox_cutting_planes(
     const PlosUserContext& ctx, std::span<const int> signs, double cl,
     double cu, std::span<const double> center, qp::SimplexBlock& working_set,
     linalg::Vector& shifted, double epsilon, int max_iterations);
+
+/// Plane budget of fit_svm. The loop ends on its exact stop far below it
+/// (about 20 planes for a pooled 20-user fit, DESIGN.md §3); a fit that
+/// spends it is reported unconverged.
+inline constexpr int kSvmMaxPlanes = 1000;
+
+/// A linear L1-hinge SVM through the origin (append a constant-1 feature
+/// for an affine one, see data::augment_bias).
+struct SvmFit {
+  linalg::Vector weights;  ///< w; empty when there is no labeled sample
+  /// Σ_i α_i − ½‖w‖² at the final dual, α_i ∈ [0, C]: a lower bound on the
+  /// optimum, so primal − dual_objective bounds the fit's objective gap.
+  double dual_objective = 0.0;
+  int qp_solves = 0;  ///< dual QP solves
+  int qp_pivots = 0;  ///< their summed active-set pivots
+  /// Unconverged dual solves, plus one when the plane budget ended the loop.
+  int qp_unconverged = 0;
+
+  /// Whether the loop ended on its exact stop with every dual solve
+  /// converged.
+  bool exact() const { return qp_unconverged == 0; }
+};
+
+/// min ½‖w‖² + C·Σ_{i ∈ ctx.labeled} max(0, 1 − y_i w·x_i), the unlabeled
+/// samples ignored. The objective is κ times solve_prox_cutting_planes' at
+/// center 0 with κ = C·m_t, Cl = 1 and no unlabeled term, so that loop
+/// solves it with ε = 0: it stops once the oracle's most violated selection
+/// is no more violated than the working set's slack. A selection already
+/// in the working set is rebuilt bit for bit and always stops it, and there
+/// are finitely many selections, so the stop is exact. Bumps
+/// "plos.svm.fits", and "plos.svm.inexact_fits" when !exact().
+SvmFit fit_svm(const PlosUserContext& ctx, double c);
+
+/// fit_svm over `samples` with `labels` in {−1, +1}; C > 0 and the samples
+/// share one dimension.
+SvmFit fit_svm(std::vector<linalg::Vector> samples,
+               std::span<const int> labels, double c);
+
+/// The start of the centralized hinge and logistic trainers, inside a
+/// "plos.initial_weights" span: fit_svm (C = 1) pooled over every revealed
+/// label, or random_unit_direction(dataset.dim(), seed) without any solve
+/// when there are none.
+SvmFit initial_global_weights(const data::MultiUserDataset& dataset,
+                              std::uint64_t seed);
 
 }  // namespace plos::core

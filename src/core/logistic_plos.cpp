@@ -60,7 +60,8 @@ LogisticPlosResult train_logistic_plos(const data::MultiUserDataset& dataset,
     contexts.push_back(PlosUserContext::from_user(user));
   }
 
-  result.model.global_weights = initial_global_weights(dataset, options.seed);
+  result.model.global_weights =
+      initial_global_weights(dataset, options.seed).weights;
 
   const double lambda_over_t =
       options.params.lambda / static_cast<double>(num_users);

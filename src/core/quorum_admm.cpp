@@ -299,18 +299,29 @@ void evict(Server& s, Step& step, std::size_t t, char cause) {
 }
 
 // Folds the late uploads that have arrived by now; an upload whose data
-// aged past the bound evicts its block instead.
-void fold_late_uploads(Server& s, Step& step) {
+// aged past the bound evicts its block instead. Runs twice per step: before
+// the dispatch, which frees the devices whose uploads landed and marks the
+// others busy, and after the cut has advanced the clock, so an upload that
+// landed while the step waited for its quorum enters this step's aggregate
+// rather than the next one's. The second pass leaves two kinds of upload
+// to the next step: those this step stashed (their devices solved against
+// this step's consensus), and those whose age already equals the bound.
+// Such a block would be folded into one aggregate and evicted by the next
+// step's staleness check; that swing of the dual doubled the ADMM steps of
+// a quorum 0.7, bound 4 run on a chronic-straggler fleet (DESIGN.md §14.1).
+void fold_late_uploads(Server& s, Step& step, bool at_cut) {
   for (std::size_t t = 0; t < s.num_users; ++t) {
     PendingUpload& pending = s.pending[t];
     if (!pending.active) continue;
+    const std::uint64_t age = s.aggregation_step - pending.data_step;
+    if (at_cut && (age == 0 || age >= s.staleness_bound_now)) continue;
     if (pending.arrival > s.virtual_seconds) {
-      step.status[t] = kBusy;  // still in flight; not re-dispatched
+      // Still in flight: the device is not re-dispatched.
+      if (!at_cut) step.status[t] = kBusy;
       continue;
     }
     pending.active = false;
     step.status[t] = pending.cause;
-    const std::uint64_t age = s.aggregation_step - pending.data_step;
     if (age > s.staleness_bound_now) {
       // The cached upload is older than the bound: discard it and evict
       // the block outright — applying it would let data older than S
@@ -789,11 +800,14 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
 
   const auto cccp_round = [&](int cccp,
                               double previous) -> std::optional<double> {
-    s.pool.parallel_for(num_users, [&](std::size_t t) {
-      Stopwatch device_watch;
-      s.devices[t].begin_cccp_round(s.w[t], cccp == 0, base.seed + t);
-      network.account_device_compute(t, device_watch.elapsed_seconds());
-    });
+    {
+      PLOS_SPAN("plos.sign_fit");
+      s.pool.parallel_for(num_users, [&](std::size_t t) {
+        Stopwatch device_watch;
+        s.devices[t].begin_cccp_round(s.w[t], cccp == 0, base.seed + t);
+        network.account_device_compute(t, device_watch.elapsed_seconds());
+      });
+    }
     // In-flight uploads were solved against the previous round's CCCP
     // linearization; folding them across the boundary would mix cutting
     // planes from two different sign patterns. Drop them — the devices
@@ -810,12 +824,13 @@ QuorumAdmmResult train_quorum_admm(const data::MultiUserDataset& dataset,
       const AdmmDevice::Counts before =
           s.tracked ? fleet_counts(s.devices) : AdmmDevice::Counts{};
       Step step(s);
-      fold_late_uploads(s, step);
+      fold_late_uploads(s, step, /*at_cut=*/false);
       dispatch(s, step);
       cut(s, step);
       classify(s, step);
       if (s.flight != nullptr) replay_flight(s, step);
       s.virtual_seconds += step.t_cut;
+      fold_late_uploads(s, step, /*at_cut=*/true);
       evict_stale(s, step);
       tally(s, step);
       aggregate(s, step);

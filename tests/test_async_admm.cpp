@@ -413,6 +413,59 @@ TEST(InexactCccp, RelativeTermHalvesPerRoundDownToOnePercent) {
   EXPECT_EQ(core::eq24_relative_term(40), 0.01);
 }
 
+/// A late upload enters the first aggregate after it lands. An upload that
+/// lands while a step waits for its quorum is folded once the cut has
+/// advanced the clock, so a fold whose upload had landed by the previous
+/// step's aggregate is one that pass had to leave: stashed in that very
+/// step (age 0 there), or with an age there already equal to the bound.
+/// Most folds land mid-step, where a fold before the dispatch alone would
+/// have held them back one step.
+TEST(QuorumAdmm, LateUploadEntersTheFirstAggregateAfterItLands) {
+  constexpr std::uint64_t kBound = 12;  // run_chronic_straggler_fleet's
+  int folds = 0;
+  int mid_step_folds = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    obs::Journal journal;
+    obs::FlightRecorder flight;
+    run_chronic_straggler_fleet(seed, /*threads=*/1, &journal, &flight);
+    ASSERT_EQ(flight.dropped(), 0u);
+    const std::size_t steps = journal.records().size();
+    std::vector<double> aggregate_at(steps, -1.0);
+    for (const obs::FlightEvent& event : flight.events()) {
+      if (event.kind != obs::FlightEventKind::kAggregate) continue;
+      ASSERT_LT(event.round, steps);
+      aggregate_at[event.round] = event.t_end;
+    }
+    for (const obs::FlightEvent& event : flight.events()) {
+      if (event.kind != obs::FlightEventKind::kLateFold) continue;
+      ++folds;
+      const std::uint64_t k = event.round;
+      const std::uint64_t age = event.staleness;
+      ASSERT_GE(k, 1u);
+      ASSERT_GE(age, 1u);
+      EXPECT_LE(event.t_start, event.t_end) << "folded before it landed";
+      EXPECT_LE(event.t_end, aggregate_at[k]);
+      if (event.t_start > aggregate_at[k - 1]) {
+        ++mid_step_folds;
+        EXPECT_EQ(event.t_end, aggregate_at[k])
+            << "seed " << seed << " step " << k << " device "
+            << event.device << ": landed mid-step, folded before the cut";
+      } else {
+        const std::uint64_t age_before = age - 1;
+        EXPECT_TRUE(age_before == 0 || age_before >= kBound)
+            << "seed " << seed << " step " << k << " device "
+            << event.device << " landed at " << event.t_start
+            << ", before step " << k - 1 << "'s aggregate at "
+            << aggregate_at[k - 1] << ", and missed it at age "
+            << age_before;
+      }
+    }
+  }
+  EXPECT_GT(folds, 0);
+  EXPECT_GT(mid_step_folds * 2, folds)
+      << mid_step_folds << " of " << folds << " late folds landed mid-step";
+}
+
 /// On e2ebench's async fleet, a step reads its round's loose term only when
 /// every block was refreshed since the round began: fresh, or by a late
 /// fold, and not reset by an eviction since. The flight recorder shows

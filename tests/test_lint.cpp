@@ -89,7 +89,7 @@ Config semantic_config() {
   acc.name = "accumulation-order";
   acc.kind = RuleKind::kAccumulationOrder;
   acc.message = "loop-carried double fold outside linalg::kernels";
-  acc.paths = {"src/core/", "src/linalg/", "src/qp/", "src/svm/"};
+  acc.paths = {"src/core/", "src/linalg/", "src/qp/"};
   acc.allow_paths = {"src/linalg/kernels"};
   config.rules.push_back(acc);
 

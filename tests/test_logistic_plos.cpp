@@ -6,12 +6,12 @@
 
 #include "common/assert.hpp"
 #include "core/centralized_plos.hpp"
+#include "core/cutting_plane.hpp"
 #include "core/evaluation.hpp"
 #include "core/logistic_plos.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
 #include "rng/engine.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::core {
 namespace {
@@ -93,7 +93,7 @@ TEST(LogisticPlos, ImprovesOverSvmInitialization) {
         ys.push_back(u.true_labels[i]);
       }
     }
-    init.global_weights = svm::train_linear_svm(xs, ys).weights;
+    init.global_weights = fit_svm(std::move(xs), ys, 1.0).weights;
   }
   EXPECT_LE(logistic_plos_objective(dataset, result.model, options.params),
             logistic_plos_objective(dataset, init, options.params) + 1e-9);

@@ -6,13 +6,17 @@
 #include <numbers>
 
 #include "common/assert.hpp"
+#include "core/cutting_plane.hpp"
 #include "sensing/body_sensor.hpp"
 #include "sensing/har.hpp"
 #include "sensing/rotation3d.hpp"
-#include "svm/linear_svm.hpp"
 
 namespace plos::sensing {
 namespace {
+
+int predict(const core::SvmFit& fit, std::span<const double> x) {
+  return linalg::dot(fit.weights, x) >= 0.0 ? 1 : -1;
+}
 
 TEST(Rotation3, IdentityLeavesVectorsAlone) {
   const Rotation3 r;
@@ -122,10 +126,10 @@ TEST(BodySensor, ActivitiesAreLinearlySeparablePerUser) {
   rng::Engine engine(7);
   const auto d = generate_body_sensor_dataset(spec, engine);
   for (const auto& user : d.users) {
-    const auto model = svm::train_linear_svm(user.samples, user.true_labels);
+    const auto model = core::fit_svm(user.samples, user.true_labels, 1.0);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < user.num_samples(); ++i) {
-      if (model.predict(user.samples[i]) == user.true_labels[i]) ++correct;
+      if (predict(model, user.samples[i]) == user.true_labels[i]) ++correct;
     }
     EXPECT_GT(static_cast<double>(correct) /
                   static_cast<double>(user.num_samples()),
@@ -142,12 +146,12 @@ TEST(BodySensor, UsersDifferMoreThanActivitiesOverlap) {
   rng::Engine engine(8);
   const auto d = generate_body_sensor_dataset(spec, engine);
   const auto model =
-      svm::train_linear_svm(d.users[0].samples, d.users[0].true_labels);
+      core::fit_svm(d.users[0].samples, d.users[0].true_labels, 1.0);
   double worst_transfer = 1.0;
   for (std::size_t t = 1; t < d.num_users(); ++t) {
     std::size_t correct = 0;
     for (std::size_t i = 0; i < d.users[t].num_samples(); ++i) {
-      if (model.predict(d.users[t].samples[i]) == d.users[t].true_labels[i]) {
+      if (predict(model, d.users[t].samples[i]) == d.users[t].true_labels[i]) {
         ++correct;
       }
     }
@@ -187,10 +191,10 @@ TEST(Har, ClassesLearnablePerUser) {
   rng::Engine engine(11);
   const auto d = generate_har_dataset(spec, engine);
   for (const auto& user : d.users) {
-    const auto model = svm::train_linear_svm(user.samples, user.true_labels);
+    const auto model = core::fit_svm(user.samples, user.true_labels, 1.0);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < user.num_samples(); ++i) {
-      if (model.predict(user.samples[i]) == user.true_labels[i]) ++correct;
+      if (predict(model, user.samples[i]) == user.true_labels[i]) ++correct;
     }
     EXPECT_GT(static_cast<double>(correct) /
                   static_cast<double>(user.num_samples()),
@@ -212,12 +216,12 @@ TEST(Har, TraitStrengthKnobIncreasesUserVariation) {
     rng::Engine engine(12);
     const auto d = generate_har_dataset(spec, engine);
     const auto model =
-        svm::train_linear_svm(d.users[0].samples, d.users[0].true_labels);
+        core::fit_svm(d.users[0].samples, d.users[0].true_labels, 1.0);
     double total = 0.0;
     std::size_t count = 0;
     for (std::size_t t = 1; t < d.num_users(); ++t) {
       for (std::size_t i = 0; i < d.users[t].num_samples(); ++i) {
-        total += model.predict(d.users[t].samples[i]) ==
+        total += predict(model, d.users[t].samples[i]) ==
                          d.users[t].true_labels[i]
                      ? 1.0
                      : 0.0;
